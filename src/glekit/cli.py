@@ -9,10 +9,14 @@ Command-line flags may override scalar run parameters (N, T, dt, grids);
 the physics always comes from the config file.  Every run writes the result
 table, a ``<cmd>_summary.json``, and a ``manifest.json`` with config echo,
 seed, version, and sha256 checksums of the outputs.  Identical config, seed,
-and flags reproduce the result files byte-identically, independent of
-``--threads``; the one inherently nondeterministic field (the wallclock
-column of ``whitenoise``) is checksummed in canonical form (column zeroed)
-and recorded separately in the manifest timings.
+and flags reproduce the result files byte-identically; the one inherently
+nondeterministic field (the wallclock column of ``whitenoise``) is
+checksummed in canonical form (column zeroed) and recorded separately in the
+manifest timings.  ``--threads`` is accepted and recorded in the manifest;
+every run is sequential.
+
+Each subparser names its handler ``cmd_<name>(args, cfg, out_dir)``, which
+returns ``(outputs, timings or None)``.
 
 Exit codes: 0 success, 1 domain error (error class name on stderr),
 2 usage or config-grammar error.
@@ -25,7 +29,6 @@ import datetime
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -145,15 +148,28 @@ def _effective_seed(args, cfg: Config) -> int:
     return cfg.run_params().seed
 
 
-def _make_mapper(threads: int):
-    if threads <= 1:
-        return lambda f, xs: [f(x) for x in xs]
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return lambda f, xs: list(pool.map(f, xs))
-
-
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated numbers of a list flag; ConfigError when malformed or empty."""
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+    if not vals:
+        raise ConfigError(f"expected at least one number, got {text!r}")
+    return vals
+
+
+_RUN_OVERRIDES = (("n", "N"), ("t_final", "T"), ("dt", "dt"), ("record_every", "record_every"))
+
+
+def _run_params(args, cfg: Config):
+    """The config's run parameters with any --n/--t-final/--dt/--record-every flag applied."""
+    rp = cfg.run_params()
+    for flag, field in _RUN_OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(rp, field, value)
+    return rp
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +197,7 @@ def cmd_validate(args, cfg: Config, out_dir: Path):
         pass  # non-quadratic models have no closed-form spectrum
     path = write_summary(out_dir, "validate", summary)
     print(json.dumps(_json_safe(summary), sort_keys=True))
-    return [path]
+    return [path], None
 
 
 def cmd_spectrum(args, cfg: Config, out_dir: Path):
@@ -204,7 +220,7 @@ def cmd_spectrum(args, cfg: Config, out_dir: Path):
             "lattice_size": int(rep.lattice.size),
         },
     )
-    return [t, s]
+    return [t, s], None
 
 
 def cmd_greens(args, cfg: Config, out_dir: Path):
@@ -235,7 +251,7 @@ def cmd_greens(args, cfg: Config, out_dir: Path):
         "greens",
         {"times": times, "x0": x0, "final_mean": last.mean, "final_cov": last.cov},
     )
-    return [t_path, s_path]
+    return [t_path, s_path], None
 
 
 def cmd_stationary(args, cfg: Config, out_dir: Path):
@@ -257,14 +273,14 @@ def cmd_stationary(args, cfg: Config, out_dir: Path):
             ],
         },
     )
-    return [t, s]
+    return [t, s], None
 
 
-def cmd_bifurcation(args, cfg: Config, out_dir: Path, mapper=None):
+def cmd_bifurcation(args, cfg: Config, out_dir: Path):
     model = cfg.model()
     prob = stationary.SelfConsistencyProblem.from_model(model)
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
-    diagram = stationary.bifurcation_diagram(prob, betas, map_fn=mapper)
+    diagram = stationary.bifurcation_diagram(prob, betas)
     rows = [[b, m, stab, resid] for (b, m, stab, resid) in diagram.rows()]
     t = write_table(out_dir, "bifurcation", ["beta", "m_star", "stable", "residual"], rows, args.format)
     s = write_summary(
@@ -278,20 +294,12 @@ def cmd_bifurcation(args, cfg: Config, out_dir: Path, mapper=None):
             "branch_counts": [len(b) for b in diagram.branches],
         },
     )
-    return [t, s]
+    return [t, s], None
 
 
 def cmd_simulate(args, cfg: Config, out_dir: Path):
     model = cfg.model()
-    rp = cfg.run_params()
-    if args.n is not None:
-        rp.N = args.n
-    if args.t_final is not None:
-        rp.T = args.t_final
-    if args.dt is not None:
-        rp.dt = args.dt
-    if args.record_every is not None:
-        rp.record_every = args.record_every
+    rp = _run_params(args, cfg)
     seed = _effective_seed(args, cfg)
     init = _default_init(model)
     series = particles.simulate(model, rp.N, rp.T, rp.dt, seed, init, rp.record_every)
@@ -310,7 +318,7 @@ def cmd_simulate(args, cfg: Config, out_dir: Path):
             "final_time": float(series.times[-1]),
         },
     )
-    return [t, s]
+    return [t, s], None
 
 
 def _default_init(model) -> particles.InitProduct:
@@ -406,16 +414,12 @@ def cmd_thermo(args, cfg: Config, out_dir: Path):
             "free_energy_monotone": bool(np.all(np.diff(series.free_energy) <= 1e-8)),
         },
     )
-    return [t_path, s_path]
+    return [t_path, s_path], None
 
 
-def cmd_whitenoise(args, cfg: Config, out_dir: Path, mapper=None):
+def cmd_whitenoise(args, cfg: Config, out_dir: Path):
     model = cfg.model()
-    rp = cfg.run_params()
-    if args.n is not None:
-        rp.N = args.n
-    if args.t_final is not None:
-        rp.T = args.t_final
+    rp = _run_params(args, cfg)
     epsilons = tuple(_parse_floats(args.epsilons))
     checkpoints = tuple(_parse_floats(args.checkpoints))
     study = limits.ScalingStudy(
@@ -427,7 +431,7 @@ def cmd_whitenoise(args, cfg: Config, out_dir: Path, mapper=None):
         seed=_effective_seed(args, cfg),
         checkpoints=checkpoints,
     )
-    result = limits.run_study(study, map_fn=mapper)
+    result = limits.run_study(study)
     rows = [[r.epsilon, r.error, r.se, r.steps, r.wallclock_s] for r in result.rows]
     t = write_table(
         out_dir, "whitenoise", ["epsilon", "error", "se", "steps", "wallclock_s"], rows, args.format
@@ -458,49 +462,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"glekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(_run=handler)  # the leading _ keeps it out of argv_overrides
         p.add_argument("--config", required=True, help="model config file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="recorded; runs are sequential")
+        return p
 
-    p = sub.add_parser("validate", help="check a config and echo derived quantities")
-    common(p)
+    command("validate", cmd_validate, "check a config and echo derived quantities")
 
-    p = sub.add_parser("simulate", help="run the particle integrator")
-    common(p)
+    p = command("simulate", cmd_simulate, "run the particle integrator")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t-final", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--record-every", type=int, default=None)
 
-    p = sub.add_parser("spectrum", help="drift eigenvalues and generator lattice")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "drift eigenvalues and generator lattice")
     p.add_argument("--cap", type=int, default=4)
 
-    p = sub.add_parser("greens", help="Gaussian mean-field law at chosen times")
-    common(p)
+    p = command("greens", cmd_greens, "Gaussian mean-field law at chosen times")
     p.add_argument("--times", default="0.5,1,2")
     p.add_argument("--x0", default=None)
 
-    p = sub.add_parser("stationary", help="fixed points of the self-consistency map")
-    common(p)
+    command("stationary", cmd_stationary, "fixed points of the self-consistency map")
 
-    p = sub.add_parser("bifurcation", help="fixed-point branches over a beta grid")
-    common(p)
+    p = command("bifurcation", cmd_bifurcation, "fixed-point branches over a beta grid")
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--beta-steps", type=int, default=32)
 
-    p = sub.add_parser("thermo", help="energy/entropy/free-energy series")
-    common(p)
+    p = command("thermo", cmd_thermo, "energy/entropy/free-energy series")
     p.add_argument("--t-final", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--z-var-factor", type=float, default=2.0)
 
-    p = sub.add_parser("whitenoise", help="memory-to-friction limit study")
-    common(p)
+    p = command("whitenoise", cmd_whitenoise, "memory-to-friction limit study")
     p.add_argument("--epsilons", default="0.5,0.25,0.125")
     p.add_argument("--checkpoints", default="0.5,1,2")
     p.add_argument("--base-dt", type=float, default=None)
@@ -525,27 +524,8 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mapper = _make_mapper(args.threads)
-    timings = None
     try:
-        if args.command == "validate":
-            outputs = cmd_validate(args, cfg, out_dir)
-        elif args.command == "simulate":
-            outputs = cmd_simulate(args, cfg, out_dir)
-        elif args.command == "spectrum":
-            outputs = cmd_spectrum(args, cfg, out_dir)
-        elif args.command == "greens":
-            outputs = cmd_greens(args, cfg, out_dir)
-        elif args.command == "stationary":
-            outputs = cmd_stationary(args, cfg, out_dir)
-        elif args.command == "bifurcation":
-            outputs = cmd_bifurcation(args, cfg, out_dir, mapper)
-        elif args.command == "thermo":
-            outputs = cmd_thermo(args, cfg, out_dir)
-        elif args.command == "whitenoise":
-            outputs, timings = cmd_whitenoise(args, cfg, out_dir, mapper)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown subcommand {args.command}")
+        outputs, timings = args._run(args, cfg, out_dir)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -184,20 +183,19 @@ def _moment_errors_vs_reference(model_ref, study, ens_moments):
     return worst_err, worst_se
 
 
-def run_study(study: ScalingStudy, map_fn: Optional[Callable] = None) -> StudyResult:
+def run_study(study: ScalingStudy) -> StudyResult:
     """Simulate each rescaled system and tabulate moment errors vs the limit law.
 
-    Rows come back in the input epsilon order; ``map_fn`` may parallelize
-    across epsilons (runs are independently seeded sub-streams of
-    ``study.seed``, so results do not depend on scheduling).
-    Raises :class:`StiffnessBudgetExceeded` when the dt policy would need
-    more than ``study.step_cap`` steps.
+    Rows come in the input epsilon order; each run draws from its own
+    sub-stream of ``study.seed``.  Raises :class:`StiffnessBudgetExceeded`
+    when the dt policy would need more than ``study.step_cap`` steps, and
+    :class:`ShapeMismatch` unless every checkpoint falls on its own step in
+    (0, T].
     """
     gamma = effective_gamma(study.base_model.memory.lam, study.base_model.memory.A)
     ref = underdamped_reference(study.base_model)
-
-    def run_one(item):
-        idx, eps = item
+    rows = []
+    for idx, eps in enumerate(study.epsilons):
         t0 = time.perf_counter()
         scaled = scaled_spec(study.base_model, eps)
         dt = stiffness_dt(scaled, study.base_dt)
@@ -205,6 +203,14 @@ def run_study(study: ScalingStudy, map_fn: Optional[Callable] = None) -> StudyRe
         if n_steps > study.step_cap:
             raise StiffnessBudgetExceeded(
                 f"epsilon={eps} needs {n_steps} steps, cap is {study.step_cap}"
+            )
+        check_steps = {int(round(t / dt)): t for t in study.checkpoints}
+        if len(check_steps) < len(set(study.checkpoints)) or not all(
+            1 <= k <= n_steps for k in check_steps
+        ):
+            raise ShapeMismatch(
+                f"checkpoints {study.checkpoints} do not fall on distinct steps of "
+                f"(0, T={study.T}] at epsilon={eps}, dt={dt}"
             )
         seed_seq = np.random.SeedSequence(entropy=study.seed, spawn_key=(idx,))
         init = InitProduct(
@@ -215,7 +221,6 @@ def run_study(study: ScalingStudy, map_fn: Optional[Callable] = None) -> StudyRe
         ens = init_ensemble(scaled, study.N, seed_seq, init)
         stepper = make_stepper(scaled, dt)
         moments = {}
-        check_steps = {int(round(t / dt)): t for t in study.checkpoints}
         for k in range(1, n_steps + 1):
             stepper.step(ens)
             if k in check_steps:
@@ -224,15 +229,14 @@ def run_study(study: ScalingStudy, map_fn: Optional[Callable] = None) -> StudyRe
                 cov = np.cov(qp.T, ddof=1).reshape(2 * scaled.d, 2 * scaled.d)
                 moments[check_steps[k]] = (mean, cov, study.N)
         err, se = _moment_errors_vs_reference(ref, study, moments)
-        return StudyRow(
-            epsilon=eps,
-            error=err,
-            se=se,
-            steps=n_steps,
-            wallclock_s=time.perf_counter() - t0,
+        rows.append(
+            StudyRow(
+                epsilon=eps,
+                error=err,
+                se=se,
+                steps=n_steps,
+                wallclock_s=time.perf_counter() - t0,
+            )
         )
-
-    mapper = map_fn if map_fn is not None else lambda f, xs: [f(x) for x in xs]
-    rows = tuple(mapper(run_one, list(enumerate(study.epsilons))))
     g_scalar = float(gamma) if np.ndim(gamma) == 0 else float(np.trace(gamma) / gamma.shape[0])
-    return StudyResult(rows=rows, gamma=g_scalar, checkpoints=study.checkpoints)
+    return StudyResult(rows=tuple(rows), gamma=g_scalar, checkpoints=study.checkpoints)

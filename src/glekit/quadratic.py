@@ -58,6 +58,20 @@ class DriftDiffusion:
     labels: tuple[str, ...]
 
 
+def check_covariances(cov: np.ndarray) -> None:
+    """Raise ShapeMismatch unless each matrix of a stack (..., n, n) is symmetric PSD.
+
+    Both tests are relative to max(1, max |entry|) of each matrix, at 1e-12.
+    """
+    cov_t = np.swapaxes(cov, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))
+    if np.any(np.max(np.abs(cov - cov_t), axis=(-2, -1)) > 1e-12 * scale):
+        raise ShapeMismatch("covariance is not symmetric")
+    w = np.linalg.eigvalsh(0.5 * (cov + cov_t))[..., 0]
+    if np.any(w < -1e-12 * scale):
+        raise ShapeMismatch(f"covariance has negative eigenvalue {np.min(w)}")
+
+
 @dataclass(frozen=True)
 class GaussianLaw:
     """Mean vector and covariance matrix of a Gaussian phase-space law."""
@@ -73,12 +87,7 @@ class GaussianLaw:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ShapeMismatch(f"cov shape {cov.shape} inconsistent with mean length {n}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-12 * scale:
-            raise ShapeMismatch("covariance is not symmetric")
-        w = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        if w[0] < -1e-12 * scale:
-            raise ShapeMismatch(f"covariance has negative eigenvalue {w[0]}")
+        check_covariances(cov)
 
     @property
     def dim(self) -> int:

@@ -19,14 +19,16 @@ structure is identical for all three dynamics kinds.
 
 ``kfp_residual`` provides the independent verification route: it evaluates
 the full stationary operator on a (q, p, z) grid with second-order central
-differences and reports the discrete L2 residual.
+differences and reports the discrete L2 residual.  The d = m = 1 grid
+operators it uses (``GridDensity.q_moments``, ``grid_memory``, ``d_axis``)
+also serve the grid diagnostics of :mod:`glekit.thermo`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -255,36 +257,29 @@ def critical_beta(
 
 
 def bifurcation_diagram(
-    prob: SelfConsistencyProblem,
-    beta_grid: Sequence[float],
-    map_fn: Optional[Callable] = None,
+    prob: SelfConsistencyProblem, beta_grid: Sequence[float]
 ) -> BifurcationDiagram:
     """Fixed-point branches over an increasing beta grid.
 
-    ``map_fn`` is an optional parallel-map capability (results must come back
-    in input order); beta points are independent.  The critical inverse
-    temperature is refined by bisection whenever R'(0) - 1 changes sign
-    between consecutive grid points.
+    The critical inverse temperature is refined by bisection whenever
+    R'(0) - 1 changes sign between consecutive grid points.
     """
     betas = np.asarray(list(beta_grid), dtype=float)
     if betas.size < 1 or np.any(np.diff(betas) <= 0):
         raise ShapeMismatch("beta grid must be strictly increasing")
-    mapper = map_fn if map_fn is not None else lambda f, xs: [f(x) for x in xs]
-
-    def solve_one(beta: float):
+    branches, slopes = [], []
+    for beta in betas:
         p = _at_beta(prob, beta)
-        return tuple(fixed_points(p)), map_derivative(p, 0.0)
-
-    results = list(mapper(solve_one, list(betas)))
-    branches = tuple(r[0] for r in results)
-    slopes = np.array([r[1] for r in results])
+        branches.append(tuple(fixed_points(p)))
+        slopes.append(map_derivative(p, 0.0))
+    slopes = np.array(slopes)
 
     beta_c = None
     crossings = np.where(np.diff(np.sign(slopes - 1.0)) != 0)[0]
     if crossings.size:
         i = int(crossings[0])
         beta_c = critical_beta(prob, float(betas[i]), float(betas[i + 1]))
-    return BifurcationDiagram(betas=betas, branches=branches, beta_critical=beta_c)
+    return BifurcationDiagram(betas=betas, branches=tuple(branches), beta_critical=beta_c)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +346,7 @@ def extend_to_full_state(m_star: float, model: ValidatedModel) -> StationaryDens
 
 
 # ---------------------------------------------------------------------------
-# grid residual of the stationary operator
+# d = m = 1 grid densities and their operators
 # ---------------------------------------------------------------------------
 
 
@@ -384,8 +379,28 @@ class GridDensity:
                 f"{(self.q.size, self.p.size, self.z.size)}"
             )
 
+    def q_moments(self) -> tuple[float, float, float]:
+        """Mass, first and second moment of the q-marginal, by Riemann sums."""
+        hq, hp, hz = self.spacings()
+        marg = self.values.sum(axis=(1, 2)) * hp * hz
+        return (
+            float(np.sum(marg) * hq),
+            float(np.sum(self.q * marg) * hq),
+            float(np.sum(self.q**2 * marg) * hq),
+        )
 
-def _d_axis(F: np.ndarray, h: float, axis: int) -> np.ndarray:
+
+def grid_memory(density: GridDensity, model: ValidatedModel) -> tuple[float, float]:
+    """Check a grid density against a generalized d = m = 1 model; return (lam, alpha)."""
+    density.check()
+    if model.kind is not Kind.GENERALIZED or model.d != 1 or model.m != 1:
+        raise ShapeMismatch("grid operators are implemented for the generalized kind, d = m = 1")
+    lam = float(np.asarray(model.memory.lam).reshape(()))
+    alpha = float(np.asarray(model.memory.A).reshape(()))
+    return lam, alpha
+
+
+def d_axis(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order central first derivative (interior nodes; one-sided at edges)."""
     return np.gradient(F, h, axis=axis, edge_order=2)
 
@@ -408,31 +423,24 @@ def kfp_residual(density: GridDensity, model: ValidatedModel) -> float:
     diffusion in z; all derivatives are second-order central differences and
     the norm is taken over interior nodes two layers in from the boundary.
     """
-    density.check()
-    if model.kind is not Kind.GENERALIZED or model.d != 1 or model.m != 1:
-        raise ShapeMismatch("grid residual implemented for the generalized kind, d = m = 1")
-    lam = float(np.asarray(model.memory.lam).reshape(()))
-    alpha = float(np.asarray(model.memory.A).reshape(()))
+    lam, alpha = grid_memory(density, model)
     bi = model.beta_inv
     hq, hp, hz = density.spacings()
-    q = density.q[:, None, None]
     p = density.p[None, :, None]
     z = density.z[None, None, :]
     rho = density.values
 
     # convolution force from the q-marginal: eta2 * (q * mass - first moment)
-    marg = rho.sum(axis=(1, 2)) * hp * hz
-    mass = float(np.sum(marg) * hq)
-    mom1 = float(np.sum(density.q * marg) * hq)
+    mass, mom1, _ = density.q_moments()
     grad_u_conv = model.eta2 * (density.q * mass - mom1)
 
     v_prime = model.grad_potential(density.q[:, None]).reshape(-1)
     force_p = (v_prime + grad_u_conv)[:, None, None] - lam * z
 
     r = (
-        -_d_axis(p * rho, hq, 0)
-        + _d_axis(force_p * rho, hp, 1)
-        + _d_axis((lam * p + alpha * z) * rho, hz, 2)
+        -d_axis(p * rho, hq, 0)
+        + d_axis(force_p * rho, hp, 1)
+        + d_axis((lam * p + alpha * z) * rho, hz, 2)
         + bi * alpha * _d2_axis(rho, hz, 2)
     )
     core = r[2:-2, 2:-2, 2:-2]

@@ -36,13 +36,15 @@ import numpy as np
 from . import matrixkit as mk
 from .errors import GridTooCoarse, ShapeMismatch, SingularCovariance
 from .model import Kind, ValidatedModel
-from .quadratic import GaussianLaw, split_BK
+from .quadratic import GaussianLaw, check_covariances, split_BK
 from .stationary import (
     GridDensity,
     SelfConsistencyProblem,
     StationaryDensity,
+    d_axis,
     extend_to_full_state,
     fixed_points,
+    grid_memory,
 )
 
 LOG_FLOOR = 1e-300
@@ -69,9 +71,7 @@ class GaussianEnsembleLaw:
             )
 
     def blocks(self):
-        d = self.model.d
-        dm = d * self.model.m
-        return slice(0, d), slice(d, 2 * d), slice(2 * d, 2 * d + dm)
+        return _blocks(self.model)
 
 
 @dataclass(frozen=True)
@@ -97,32 +97,76 @@ def stationary_law(model: ValidatedModel) -> GaussianLaw:
 # ---------------------------------------------------------------------------
 # Gaussian closed forms
 # ---------------------------------------------------------------------------
+#
+# Each formula below takes a mean (..., n) and a covariance (..., n, n), so it
+# serves one law and, in ``evolve_coupled``, a whole stack of laws at once.
 
 
-def _entropy(law: GaussianLaw) -> float:
-    sign, logdet = np.linalg.slogdet(law.cov)
-    if sign <= 0 or not np.isfinite(logdet):
+def _blocks(model: ValidatedModel) -> tuple[slice, slice, slice]:
+    d = model.d
+    dm = d * model.m
+    return slice(0, d), slice(d, 2 * d), slice(2 * d, 2 * d + dm)
+
+
+def _trace(M: np.ndarray) -> np.ndarray:
+    return np.trace(M, axis1=-2, axis2=-1)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _entropy(cov: np.ndarray) -> np.ndarray:
+    sign, logdet = np.linalg.slogdet(cov)
+    if np.any(sign <= 0) or not np.all(np.isfinite(logdet)):
         raise SingularCovariance("covariance is singular; entropy undefined")
-    n = law.dim
+    n = cov.shape[-1]
     return 0.5 * (n * math.log(2.0 * math.pi * math.e) + logdet)
+
+
+def _hamiltonian_of(model: ValidatedModel, mu, cov, v_shift: float = 0.0) -> np.ndarray:
+    sq, sp, sz = _blocks(model)
+    tr_q = _trace(cov[..., sq, sq])
+    kin = 0.5 * (_trace(cov[..., sp, sp]) + _dot(mu[..., sp], mu[..., sp]))
+    pot = 0.5 * model.omega2 * (tr_q + _dot(mu[..., sq], mu[..., sq])) + v_shift
+    inter = 0.5 * model.eta2 * tr_q
+    aux = 0.5 * (_trace(cov[..., sz, sz]) + _dot(mu[..., sz], mu[..., sz]))
+    return kin + pot + inter + aux
+
+
+def _a_form(model: ValidatedModel, mu_z, S) -> np.ndarray:
+    """Tr(A S) + mu_z . A mu_z."""
+    A = np.asarray(model.memory.A, dtype=float)
+    return _trace(A @ S) + _dot(mu_z @ A, mu_z)
+
+
+def _dissipation_of(model: ValidatedModel, mu, cov) -> np.ndarray:
+    _, _, sz = _blocks(model)
+    bi = model.beta_inv
+    try:
+        prec = np.linalg.inv(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance(str(exc)) from exc
+    nz = sz.stop - sz.start
+    cov_v = cov[..., sz, sz] - 2.0 * bi * np.eye(nz) + bi * bi * prec[..., sz, sz]
+    val = _a_form(model, mu[..., sz], cov_v)
+    return np.maximum(val, 0.0)
+
+
+def _heat_flux_of(model: ValidatedModel, mu, cov) -> np.ndarray:
+    _, _, sz = _blocks(model)
+    flux = _a_form(model, mu[..., sz], cov[..., sz, sz])
+    return flux - model.beta_inv * float(np.trace(model.memory.A))
 
 
 def hamiltonian(state: GaussianEnsembleLaw, v_shift: float = 0.0) -> float:
     """H(rho) as Gaussian moments; ``v_shift`` adds a constant to V."""
-    sq, sp, sz = state.blocks()
-    mu, cov = state.law.mean, state.law.cov
-    omega2 = state.model.omega2
-    eta2 = state.model.eta2
-    kin = 0.5 * (np.trace(cov[sp, sp]) + mu[sp] @ mu[sp])
-    pot = 0.5 * omega2 * (np.trace(cov[sq, sq]) + mu[sq] @ mu[sq]) + v_shift
-    inter = 0.5 * eta2 * np.trace(cov[sq, sq])
-    aux = 0.5 * (np.trace(cov[sz, sz]) + mu[sz] @ mu[sz])
-    return float(kin + pot + inter + aux)
+    return float(_hamiltonian_of(state.model, state.law.mean, state.law.cov, v_shift))
 
 
 def free_energy(state: GaussianEnsembleLaw, v_shift: float = 0.0) -> float:
     """F(rho) = H(rho) - entropy(rho)/beta, exactly, for the Gaussian law."""
-    return hamiltonian(state, v_shift) - state.model.beta_inv * _entropy(state.law)
+    return hamiltonian(state, v_shift) - state.model.beta_inv * float(_entropy(state.law.cov))
 
 
 def dissipation(state: GaussianEnsembleLaw) -> float:
@@ -135,34 +179,18 @@ def dissipation(state: GaussianEnsembleLaw) -> float:
 
     which vanishes exactly on the stationary product law.
     """
-    _, _, sz = state.blocks()
-    mu, cov = state.law.mean, state.law.cov
-    A = np.asarray(state.model.memory.A, dtype=float)
-    bi = state.model.beta_inv
-    try:
-        prec = np.linalg.inv(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    nz = sz.stop - sz.start
-    cov_v = cov[sz, sz] - 2.0 * bi * np.eye(nz) + bi * bi * prec[sz, sz]
-    val = float(np.trace(A @ cov_v) + mu[sz] @ A @ mu[sz])
-    return max(val, 0.0)
+    return float(_dissipation_of(state.model, state.law.mean, state.law.cov))
 
 
 def heat_flux(state: GaussianEnsembleLaw) -> float:
     """de/dt = int A z . z rho - Tr(A)/beta for the Gaussian law."""
-    _, _, sz = state.blocks()
-    mu, cov = state.law.mean, state.law.cov
-    A = np.asarray(state.model.memory.A, dtype=float)
-    return float(np.trace(A @ cov[sz, sz]) + mu[sz] @ A @ mu[sz]) - state.model.beta_inv * float(
-        np.trace(A)
-    )
+    return float(_heat_flux_of(state.model, state.law.mean, state.law.cov))
 
 
 def generic_functionals(state: GenericState, v_shift: float = 0.0) -> tuple[float, float]:
     """(E, S) = (H(rho) + e, entropy(rho)/beta + e)."""
     E = hamiltonian(state.rho, v_shift) + state.e
-    S = state.rho.model.beta_inv * _entropy(state.rho.law) + state.e
+    S = state.rho.model.beta_inv * _entropy(state.rho.law.cov) + state.e
     return float(E), float(S)
 
 
@@ -186,7 +214,9 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
 
     The law propagates with the exact one-step maps (matrix exponentials and
     the one-step Gram integral), so E-drift measures only the second-order
-    trapezoid error of e: halving dt cuts the drift about fourfold.
+    trapezoid error of e: halving dt cuts the drift about fourfold.  Every
+    propagated covariance passes the symmetric-PSD check of a Gaussian law
+    and must be nonsingular (:class:`SingularCovariance` otherwise).
     """
     if not (dt > 0 and T > 0 and dt <= T):
         raise ShapeMismatch(f"need 0 < dt <= T, got dt={dt}, T={T}")
@@ -197,37 +227,26 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
 
     n_steps = int(round(T / dt))
     law = state.rho.law
-    e = float(state.e)
-    times, energies, entropies, frees, diss, evals = [], [], [], [], [], []
-
-    def push(t, law, e):
-        st = GaussianEnsembleLaw(law=law, model=model)
-        H = hamiltonian(st)
-        ent = model.beta_inv * _entropy(law)
-        times.append(t)
-        energies.append(H + e)
-        entropies.append(ent + e)
-        frees.append(H - ent)
-        diss.append(dissipation(st))
-        evals.append(e)
-
-    push(0.0, law, e)
-    g_prev = heat_flux(GaussianEnsembleLaw(law=law, model=model))
+    mean = np.empty((n_steps + 1, law.dim))
+    cov = np.empty((n_steps + 1, law.dim, law.dim))
+    mean[0], cov[0] = law.mean, law.cov
     for k in range(1, n_steps + 1):
-        mean = Eb @ law.mean
-        cov = Em @ law.cov @ Em.T + Gd
-        law = GaussianLaw(mean=mean, cov=0.5 * (cov + cov.T))
-        g_new = heat_flux(GaussianEnsembleLaw(law=law, model=model))
-        e += 0.5 * dt * (g_prev + g_new)
-        g_prev = g_new
-        push(k * dt, law, e)
+        mean[k] = Eb @ mean[k - 1]
+        c = Em @ cov[k - 1] @ Em.T + Gd
+        cov[k] = 0.5 * (c + c.T)
+    check_covariances(cov[1:])
+
+    H = _hamiltonian_of(model, mean, cov)
+    ent = model.beta_inv * _entropy(cov)
+    g = _heat_flux_of(model, mean, cov)
+    e = np.cumsum(np.concatenate([[float(state.e)], 0.5 * dt * (g[:-1] + g[1:])]))
     return CoupledSeries(
-        times=np.asarray(times),
-        energy=np.asarray(energies),
-        entropy=np.asarray(entropies),
-        free_energy=np.asarray(frees),
-        dissipation=np.asarray(diss),
-        e=np.asarray(evals),
+        times=np.arange(n_steps + 1) * dt,
+        energy=H + e,
+        entropy=ent + e,
+        free_energy=H - ent,
+        dissipation=_dissipation_of(model, mean, cov),
+        e=e,
     )
 
 
@@ -250,29 +269,16 @@ def j_matrix(model: ValidatedModel) -> np.ndarray:
     return J
 
 
-def _grid_params(density: GridDensity, model: ValidatedModel):
-    density.check()
-    if model.kind is not Kind.GENERALIZED or model.d != 1 or model.m != 1:
-        raise ShapeMismatch("grid diagnostics implemented for the generalized kind, d = m = 1")
-    lam = float(np.asarray(model.memory.lam).reshape(()))
-    alpha = float(np.asarray(model.memory.A).reshape(()))
-    return lam, alpha, density.spacings()
-
-
 def _interaction_on_axis(density: GridDensity, eta2: float) -> np.ndarray:
     """(U * rho)(q) from the q-marginal: eta2 (q^2 m0 - 2 q m1 + m2) / 2."""
-    hq, hp, hz = density.spacings()
-    marg = density.values.sum(axis=(1, 2)) * hp * hz
-    m0 = float(np.sum(marg) * hq)
-    m1 = float(np.sum(density.q * marg) * hq)
-    m2 = float(np.sum(density.q**2 * marg) * hq)
+    m0, m1, m2 = density.q_moments()
     return 0.5 * eta2 * (density.q**2 * m0 - 2.0 * density.q * m1 + m2)
 
 
 def hamiltonian_grid(density: GridDensity, model: ValidatedModel) -> float:
     """H(rho) by tensor trapezoid-style quadrature on the grid."""
-    lam, alpha, (hq, hp, hz) = _grid_params(density, model)
-    q = density.q[:, None, None]
+    grid_memory(density, model)
+    hq, hp, hz = density.spacings()
     p = density.p[None, :, None]
     z = density.z[None, None, :]
     v = model.potential_energy(density.q[:, None])
@@ -283,7 +289,8 @@ def hamiltonian_grid(density: GridDensity, model: ValidatedModel) -> float:
 
 def entropy_grid(density: GridDensity, model: ValidatedModel) -> float:
     """Differential entropy -int rho log rho on the grid (0 log 0 = 0)."""
-    _, _, (hq, hp, hz) = _grid_params(density, model)
+    grid_memory(density, model)
+    hq, hp, hz = density.spacings()
     rho = density.values
     val = -np.sum(np.where(rho > 0, rho * np.log(np.maximum(rho, LOG_FLOOR)), 0.0))
     return float(val * hq * hp * hz)
@@ -298,10 +305,6 @@ def generic_functionals_grid(
     )
 
 
-def _grad(F: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return np.gradient(F, h, axis=axis, edge_order=2)
-
-
 def degeneracy_residual(density: GridDensity, model: ValidatedModel) -> tuple[float, float]:
     """Discrete norms of the two degeneracy identities.
 
@@ -313,30 +316,30 @@ def degeneracy_residual(density: GridDensity, model: ValidatedModel) -> tuple[fl
         central-difference stencil, so r2 cancels structurally (to rounding)
         whatever the matrix A.
     """
-    lam, alpha, (hq, hp, hz) = _grid_params(density, model)
+    lam, alpha = grid_memory(density, model)
+    hq, hp, hz = density.spacings()
     rho = density.values
     bi = model.beta_inv
 
     xi = -bi * (np.log(np.maximum(rho, LOG_FLOOR)) + 1.0)
-    gq = _grad(xi, hq, 0)
-    gp = _grad(xi, hp, 1)
-    gz = _grad(xi, hz, 2)
+    gq = d_axis(xi, hq, 0)
+    gp = d_axis(xi, hp, 1)
+    gz = d_axis(xi, hz, 2)
     flux_q = rho * (-gp)
     flux_p = rho * (gq - lam * gz)
     flux_z = rho * (lam * gp)
-    r1_field = _grad(flux_q, hq, 0) + _grad(flux_p, hp, 1) + _grad(flux_z, hz, 2)
+    r1_field = d_axis(flux_q, hq, 0) + d_axis(flux_p, hp, 1) + d_axis(flux_z, hz, 2)
     core = (slice(2, -2),) * 3
     r1 = float(np.sqrt(np.sum(r1_field[core] ** 2) * hq * hp * hz))
 
-    q = density.q[:, None, None]
     p = density.p[None, :, None]
     z = density.z[None, None, :]
     v = model.potential_energy(density.q[:, None])
     u = _interaction_on_axis(density, model.eta2)
     H = 0.5 * p**2 + (v + u)[:, None, None] + 0.5 * z**2
     H = np.broadcast_to(H, rho.shape)
-    gzH = _grad(np.ascontiguousarray(H), hz, 2)
-    r2_field = _grad(rho * alpha * (z - gzH), hz, 2)
+    gzH = d_axis(np.ascontiguousarray(H), hz, 2)
+    r2_field = d_axis(rho * alpha * (z - gzH), hz, 2)
     r2 = float(np.sqrt(np.sum(r2_field[core] ** 2) * hq * hp * hz))
     return r1, r2
 
@@ -345,18 +348,20 @@ def irreversible_quadratic_form(
     density: GridDensity, model: ValidatedModel, xi: np.ndarray
 ) -> float:
     """<xi, M xi> = int rho A grad_z(xi) . grad_z(xi): nonnegative for PSD A."""
-    lam, alpha, (hq, hp, hz) = _grid_params(density, model)
+    _, alpha = grid_memory(density, model)
+    hq, hp, hz = density.spacings()
     if xi.shape != density.values.shape:
         raise GridTooCoarse("test function must live on the density grid")
-    gz = _grad(xi, hz, 2)
+    gz = d_axis(xi, hz, 2)
     return float(np.sum(density.values * alpha * gz * gz) * hq * hp * hz)
 
 
 def irreversible_apply(density: GridDensity, model: ValidatedModel, xi: np.ndarray) -> np.ndarray:
     """M applied to a grid test function: -div_z(rho A grad_z xi)."""
-    lam, alpha, (hq, hp, hz) = _grid_params(density, model)
-    gz = _grad(xi, hz, 2)
-    return -_grad(density.values * alpha * gz, hz, 2)
+    _, alpha = grid_memory(density, model)
+    hz = density.spacings()[2]
+    gz = d_axis(xi, hz, 2)
+    return -d_axis(density.values * alpha * gz, hz, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -205,3 +205,43 @@ def test_seed_flag_overrides_run_seed(tmp_path):
     c = (out_c / "simulate.csv").read_bytes()
     assert a != b
     assert a == c
+
+
+DOUBLEWELL_GMV = REPO / "configs" / "doublewell_gmv.conf"
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [
+        ("greens", "--times", ","),
+        ("greens", "--times", "0.5,abc"),
+        ("greens", "--x0", "1,x,0"),
+        ("whitenoise", "--epsilons", "0.5,abc"),
+        ("whitenoise", "--checkpoints", ","),
+    ],
+)
+def test_malformed_list_flag_is_config_error(tmp_path, capsys, cmd, flag, value):
+    code = run_cli([cmd, "--config", QUAD_GMV, "--out", tmp_path, flag, value])
+    assert code == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checkpoints", ["5", "0", "-0.5", "0.0001"])
+def test_whitenoise_rejects_unrecorded_checkpoints(tmp_path, capsys, checkpoints):
+    # T = 0.01: a checkpoint beyond T, at or before 0, or below half a step is never recorded
+    code = run_cli(
+        ["whitenoise", "--config", QUAD_GMV, "--out", tmp_path, "--n", "50",
+         "--t-final", "0.01", "--checkpoints", checkpoints]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "whitenoise.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, error", [(QUAD_UMV, "MissingField"), (DOUBLEWELL_GMV, "UnsupportedPotential")]
+)
+def test_thermo_rejects_models_without_gaussian_flow(tmp_path, capsys, config, error):
+    code = run_cli(["thermo", "--config", config, "--out", tmp_path, "--t-final", "0.01"])
+    assert code == 1
+    assert error in capsys.readouterr().err

@@ -118,7 +118,7 @@ def test_run_study_smoke_and_determinism():
         checkpoints=(0.5, 1.0),
     )
     res1 = limits.run_study(study)
-    res2 = limits.run_study(study, map_fn=lambda f, xs: [f(x) for x in xs])
+    res2 = limits.run_study(study)
     assert res1.gamma == pytest.approx(1.0)
     assert [r.epsilon for r in res1.rows] == [0.5, 0.25]
     for a, b in zip(res1.rows, res2.rows):

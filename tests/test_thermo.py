@@ -5,6 +5,7 @@ import pytest
 
 from glekit import quadratic as qa
 from glekit import thermo
+from glekit.errors import ShapeMismatch, SingularCovariance
 from glekit.quadratic import GaussianLaw, propagate_gaussian, split_BK
 from glekit.stationary import GridDensity, SelfConsistencyProblem, fixed_points
 
@@ -209,6 +210,27 @@ def test_evolve_coupled_energy_drift_is_second_order():
         drifts.append(np.max(np.abs(series.energy - series.energy[0])))
     ratio = drifts[0] / drifts[1]
     assert 3.0 <= ratio <= 5.0, f"drift ratio {ratio}"
+
+
+def test_evolve_coupled_rejects_singular_start():
+    model = quadratic_gmv()
+    law = GaussianLaw(mean=[1.0, 0.0, 0.0], cov=np.diag([0.0, 1.0, 1.0]))
+    state = thermo.GenericState(rho=state_of(law, model), e=0.0)
+    with pytest.raises(SingularCovariance):
+        thermo.evolve_coupled(state, model, dt=1e-2, T=0.1)
+
+
+def test_covariance_check_covers_every_matrix_of_a_stack():
+    good = np.eye(3)
+    qa.check_covariances(np.stack([good, good]))
+    slightly_negative = np.diag([1.0, -0.5e-12, 1.0])  # within 1e-12 of PSD
+    qa.check_covariances(np.stack([good, slightly_negative]))
+    with pytest.raises(ShapeMismatch, match="negative eigenvalue"):
+        qa.check_covariances(np.stack([good, np.diag([1.0, -1e-9, 1.0])]))
+    asymmetric = good.copy()
+    asymmetric[0, 1] = 1e-9
+    with pytest.raises(ShapeMismatch, match="not symmetric"):
+        qa.check_covariances(np.stack([asymmetric, good]))
 
 
 # ---------------------------------------------------------------------------
