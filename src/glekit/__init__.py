@@ -25,7 +25,6 @@ from .errors import (
     RootFindingFailure,
     ShapeMismatch,
     SingularCovariance,
-    StiffnessBudgetExceeded,
     UnsupportedPotential,
 )
 from .model import (
@@ -69,6 +68,5 @@ __all__ = [
     "RootFindingFailure",
     "ShapeMismatch",
     "SingularCovariance",
-    "StiffnessBudgetExceeded",
     "UnsupportedPotential",
 ]

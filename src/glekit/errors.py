@@ -58,10 +58,6 @@ class InsufficientParticles(GlekitError):
     """An estimator needs more particles than the ensemble provides."""
 
 
-class StiffnessBudgetExceeded(GlekitError):
-    """The time-step policy would exceed the allowed step budget."""
-
-
 class DegenerateFriction(GlekitError):
     """Effective friction is zero: no noise reaches the momentum equation."""
 

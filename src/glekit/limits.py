@@ -12,9 +12,9 @@ simulates the rescaled system, compares the (q, p) empirical mean and
 covariance at checkpoints against the exact underdamped Gaussian law, and
 reports the worst moment error with its Monte Carlo standard error.
 
-The exact auxiliary-block transition inside the integrator removes any
-eps^2 step-size constraint; the remaining lam/eps coupling motivates the
-dt <= base_dt * min(1, eps) policy of ``stiffness_dt``.
+The integrator steps the whole (p, z) block exactly, so neither the lam/eps
+coupling nor the A/eps^2 relaxation constrains dt: every eps runs
+round(T/base_dt) steps of size base_dt.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matrixkit as mk
-from .errors import DegenerateFriction, NonSPDMatrix, ShapeMismatch, StiffnessBudgetExceeded
+from .errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
 from .model import Kind, MemorySpec, ModelSpec, ValidatedModel, validate
 from .particles import BlockLaw, InitProduct, covariance_se, init_ensemble, make_stepper
 from .quadratic import base_spectrum, meanfield_green, split_BK
-
-DEFAULT_STEP_CAP = 10_000_000
 
 
 def effective_gamma(lam, A):
@@ -76,18 +74,6 @@ def scaled_spec(model: ValidatedModel, epsilon: float) -> ValidatedModel:
     return validate(replace(model.spec, memory=scaled_mem))
 
 
-def stiffness_dt(scaled_model: ValidatedModel, base_dt: float, coupling_scale: float = 1.0) -> float:
-    """Step-size policy resolving the rescaled coupling: dt <= base_dt * min(1, eps).
-
-    The auxiliary block is integrated exactly, so only the coupling strength
-    ||lam||/coupling_scale constrains dt; with a unit-scale base coupling the
-    policy reduces to base_dt * min(1, eps).
-    """
-    lam_norm = float(np.linalg.norm(np.asarray(scaled_model.memory.lam, dtype=float), 2))
-    rel = lam_norm / max(coupling_scale, 1e-300)
-    return base_dt * min(1.0, 1.0 / rel) if rel > 0 else base_dt
-
-
 def underdamped_reference(model: ValidatedModel) -> ValidatedModel:
     """Underdamped model with gamma = lam^T A^{-1} lam derived from the memory."""
     g = effective_gamma(model.memory.lam, model.memory.A)
@@ -120,7 +106,10 @@ def slow_eigenvalues(model: ValidatedModel, epsilon: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalingStudy:
-    """A family of rescaled runs compared against the exact underdamped law."""
+    """A family of rescaled runs compared against the exact underdamped law.
+
+    ``base_dt`` is the step of every run, whatever its eps.
+    """
 
     base_model: ValidatedModel
     epsilons: tuple[float, ...]
@@ -131,7 +120,6 @@ class ScalingStudy:
     checkpoints: tuple[float, ...] = (0.5, 1.0, 2.0)
     q0: float = 1.0
     p0: float = 0.0
-    step_cap: int = DEFAULT_STEP_CAP
     metric: str = "qp_mean_and_cov"
 
     def __post_init__(self):
@@ -141,6 +129,10 @@ class ScalingStudy:
         if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ShapeMismatch("epsilons must be strictly decreasing, length >= 2")
         object.__setattr__(self, "epsilons", eps)
+        if self.N < 2:
+            raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={self.N}")
+        if not self.base_dt > 0:
+            raise ShapeMismatch(f"base_dt must be positive, got {self.base_dt}")
         g = effective_gamma(self.base_model.memory.lam, self.base_model.memory.A)
         g_min = float(g) if np.ndim(g) == 0 else float(np.linalg.eigvalsh(g)[0])
         if g_min <= 0:
@@ -187,31 +179,26 @@ def run_study(study: ScalingStudy) -> StudyResult:
     """Simulate each rescaled system and tabulate moment errors vs the limit law.
 
     Rows come in the input epsilon order; each run draws from its own
-    sub-stream of ``study.seed``.  Raises :class:`StiffnessBudgetExceeded`
-    when the dt policy would need more than ``study.step_cap`` steps, and
-    :class:`ShapeMismatch` unless every checkpoint falls on its own step in
-    (0, T].
+    sub-stream of ``study.seed`` and takes round(T/base_dt) steps.  Raises
+    :class:`ShapeMismatch` before simulating unless every checkpoint falls on
+    its own step in (0, T].
     """
+    dt = study.base_dt
+    n_steps = int(round(study.T / dt))
+    check_steps = {int(round(t / dt)): t for t in study.checkpoints}
+    if len(check_steps) < len(set(study.checkpoints)) or not all(
+        1 <= k <= n_steps for k in check_steps
+    ):
+        raise ShapeMismatch(
+            f"checkpoints {study.checkpoints} do not fall on distinct steps of "
+            f"(0, T={study.T}] at dt={dt}"
+        )
     gamma = effective_gamma(study.base_model.memory.lam, study.base_model.memory.A)
     ref = underdamped_reference(study.base_model)
     rows = []
     for idx, eps in enumerate(study.epsilons):
         t0 = time.perf_counter()
         scaled = scaled_spec(study.base_model, eps)
-        dt = stiffness_dt(scaled, study.base_dt)
-        n_steps = int(round(study.T / dt))
-        if n_steps > study.step_cap:
-            raise StiffnessBudgetExceeded(
-                f"epsilon={eps} needs {n_steps} steps, cap is {study.step_cap}"
-            )
-        check_steps = {int(round(t / dt)): t for t in study.checkpoints}
-        if len(check_steps) < len(set(study.checkpoints)) or not all(
-            1 <= k <= n_steps for k in check_steps
-        ):
-            raise ShapeMismatch(
-                f"checkpoints {study.checkpoints} do not fall on distinct steps of "
-                f"(0, T={study.T}] at epsilon={eps}, dt={dt}"
-            )
         seed_seq = np.random.SeedSequence(entropy=study.seed, spawn_key=(idx,))
         init = InitProduct(
             q=BlockLaw(point=study.q0),

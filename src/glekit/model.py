@@ -15,14 +15,12 @@ inverse temperature, and one of three dynamics kinds:
 
 State layout everywhere in the package is ``[q (d), p (d), z (dm)]``.
 
-``validate`` turns a :class:`ModelSpec` into an immutable
-:class:`ValidatedModel` with derived quantities cached; validated models are
-safe to share across worker threads.
+``validate`` checks a :class:`ModelSpec` and wraps it in an immutable
+:class:`ValidatedModel`, which is safe to share across threads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,8 +31,6 @@ import numpy as np
 from .errors import MissingField, NonSPDMatrix, ShapeMismatch, UnsupportedPotential
 
 SYMMETRY_TOL = 1e-12
-
-_serial_counter = itertools.count(1)
 
 
 class Kind(str, Enum):
@@ -202,15 +198,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """A checked :class:`ModelSpec` with derived quantities cached.
-
-    Immutable after construction; safe to share across threads.
-    """
+    """A checked :class:`ModelSpec`; immutable, safe to share across threads."""
 
     spec: ModelSpec
-    serial: int
-    A_eigvals: Optional[np.ndarray]
-    A_eigvecs: Optional[np.ndarray]
 
     # -- pass-through accessors ------------------------------------------------
 
@@ -311,7 +301,7 @@ def _probe_gradient(potential: CustomPotential, n_probe: int = 8, step: float = 
 
 
 def validate(spec: ModelSpec) -> ValidatedModel:
-    """Check a :class:`ModelSpec` and cache derived quantities.
+    """Check a :class:`ModelSpec` and wrap it in a :class:`ValidatedModel`.
 
     Raises
     ------
@@ -337,7 +327,6 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         if not spec.gamma > 0:
             raise NonSPDMatrix(f"friction gamma must be positive, got {spec.gamma}")
 
-    A_eigvals = A_eigvecs = None
     if spec.kind is Kind.GENERALIZED:
         if spec.memory is None:
             raise MissingField("generalized kind requires a memory spec")
@@ -353,16 +342,11 @@ def validate(spec: ModelSpec) -> ValidatedModel:
             raise ShapeMismatch("memory matrices contain non-finite entries")
         if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
             raise NonSPDMatrix("A is not symmetric")
-        A_eigvals, A_eigvecs = np.linalg.eigh(A)
-        if A_eigvals[0] <= 0:
-            raise NonSPDMatrix(f"A must be positive definite, min eigenvalue {A_eigvals[0]}")
+        a_min = np.linalg.eigvalsh(A)[0]
+        if a_min <= 0:
+            raise NonSPDMatrix(f"A must be positive definite, min eigenvalue {a_min}")
 
-    return ValidatedModel(
-        spec=spec,
-        serial=next(_serial_counter),
-        A_eigvals=A_eigvals,
-        A_eigvecs=A_eigvecs,
-    )
+    return ValidatedModel(spec=spec)
 
 
 def eval_potential(model: ValidatedModel | ModelSpec, q) -> tuple[float, np.ndarray]:

@@ -3,25 +3,30 @@
 Schemes, per dynamics kind:
 
 * overdamped   -- Euler-Maruyama,
-* underdamped  -- palindromic splitting (kick / drift / exact friction-noise
-  relaxation of p / drift / kick),
-* generalized  -- palindromic splitting where the auxiliary block uses the
-  exact relaxation transition z -> e^{-A dt} z + N(0, (I - e^{-2 A dt})/beta)
-  and the Hamiltonian/coupling parts are explicit updates (the p-z coupling
-  is a precomputed linear rotation, so stiff A never constrains dt).
+* underdamped  -- B-A-O-A-B splitting: half kick, half drift, exact
+  friction-noise relaxation of p, half drift, half kick,
+* generalized  -- the same B-A-O-A-B splitting, whose O step is the exact
+  transition of the linear (p, z) block
+  dp = lam^T z dt, dz = -lam p dt - A z dt + sqrt(2A/beta) dW:
+  x -> T x + S xi with T = e^{dt M}, M = [[0, lam^T], [-lam, -A]] and
+  S S^T = (I - T T^T)/beta, because that block leaves N(0, I/beta)
+  invariant.  Memory and coupling are exact for any size of lam and A, so
+  the rescaled white-noise models (lam/eps, A/eps^2) run at the same dt for
+  every eps.
 
-The Curie-Weiss force is computed in O(N) from the empirical mean: each step
-first reduces m1 = mean(q), then updates all particles -- the one reduction
-barrier that makes the mean-field coupling order-independent.  Randomness
-comes from a counter-based Philox generator seeded per run, so identical
-(model, N, seed, dt, T) reproduce observable series bitwise regardless of
-how outer parameter scans are parallelized.
+Both kinetic schemes evaluate one force per step: the force at the end of a
+step is kept on the ensemble and starts the next one.  The Curie-Weiss force
+is computed in O(N) from the empirical mean: each force first reduces
+m1 = mean(q), then updates all particles -- the one reduction barrier that
+makes the mean-field coupling order-independent.  Randomness comes from a
+counter-based Philox generator seeded per run, so identical
+(model, N, seed, dt, T) reproduce observable series bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -29,9 +34,6 @@ import numpy as np
 from . import matrixkit as mk
 from .errors import InsufficientParticles, NonFiniteState, ShapeMismatch
 from .model import Kind, ValidatedModel
-
-DEFAULT_BASE_DT = 1e-3
-
 
 # ---------------------------------------------------------------------------
 # initial laws
@@ -81,7 +83,14 @@ InitialLaw = Union[InitPoint, InitGaussian, InitProduct]
 
 @dataclass
 class ParticleEnsemble:
-    """N particle states in extended phase space with its own RNG and clock."""
+    """N particle states in extended phase space with its own RNG and clock.
+
+    ``end_force`` holds ``(q, model, force)`` from the end of the last
+    kinetic step, so the next step of the same model can start from it.  It
+    counts only while ``q`` is still that very array: rebinding ``q``
+    discards it, and code that edits ``q`` in place between steps must set
+    ``end_force = None``.
+    """
 
     N: int
     q: np.ndarray
@@ -89,6 +98,7 @@ class ParticleEnsemble:
     z: Optional[np.ndarray]
     time: float
     rng: np.random.Generator
+    end_force: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def state_matrix(self) -> np.ndarray:
         """(N, state_dim) array in [q, p, z] layout."""
@@ -181,14 +191,15 @@ class _Stepper:
             mem = model.memory
             dm = d * mem.m
             lam = np.asarray(mem.lam, dtype=float)
-            A = np.asarray(mem.A, dtype=float)
-            S = np.zeros((d + dm, d + dm))
-            S[:d, d:] = lam.T
-            S[d:, :d] = -lam
-            self.rot_half = mk.expm(0.5 * dt * S)
-            self.z_decay = mk.expm(-dt * A)
-            cov = bi * (np.eye(dm) - mk.expm(-2.0 * dt * A))
-            self.z_noise_chol = mk.psd_sqrt(0.5 * (cov + cov.T))
+            M = np.zeros((d + dm, d + dm))
+            M[:d, d:] = lam.T
+            M[d:, :d] = -lam
+            M[d:, d:] = -np.asarray(mem.A, dtype=float)
+            # exact (p, z) Ornstein-Uhlenbeck map x -> T x + S xi; the
+            # invariant covariance is I/beta, so S S^T = (I - T T^T)/beta
+            self.T = mk.expm(dt * M)
+            Q = bi * (np.eye(d + dm) - self.T @ self.T.T)
+            self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
             self.d = d
             self.dm = dm
 
@@ -196,65 +207,61 @@ class _Stepper:
         # confining force plus O(N) Curie-Weiss mean-field force
         return -self.model.grad_potential(q) - self.eta2 * (q - m1)
 
+    def _start_force(self, ens: ParticleEnsemble) -> np.ndarray:
+        """The force at the start of a step: the previous step's end force when it still holds."""
+        cached = ens.end_force
+        if cached is not None and cached[0] is ens.q and cached[1] is self.model:
+            return cached[2]
+        return self.force(ens.q, ens.q.mean(axis=0))
+
+    def _end_force(self, ens: ParticleEnsemble) -> np.ndarray:
+        F = self.force(ens.q, ens.q.mean(axis=0))
+        ens.end_force = (ens.q, self.model, F)
+        return F
+
+    def _ou(self, ens: ParticleEnsemble) -> None:
+        """Exact (p, z) step, one fused affine update per output column."""
+        d, n = self.d, self.d + self.dm
+        xi = ens.rng.standard_normal((n, ens.N))
+        cols = [ens.p[:, j] for j in range(d)] + [ens.z[:, j] for j in range(self.dm)]
+        p, z = np.empty_like(ens.p), np.empty_like(ens.z)
+        out = [p[:, i] for i in range(d)] + [z[:, i] for i in range(self.dm)]
+        T, S = self.T, self.S
+        for i in range(n):
+            np.multiply(cols[0], T[i, 0], out=out[i])
+            for j in range(1, n):
+                out[i] += T[i, j] * cols[j]
+            for j in range(n):
+                out[i] += S[i, j] * xi[j]
+        ens.p, ens.z = p, z
+
     def step(self, ens: ParticleEnsemble) -> ParticleEnsemble:
         dt = self.dt
         if self.kind is Kind.OVERDAMPED:
             m1 = ens.q.mean(axis=0)
             xi = ens.rng.standard_normal(ens.q.shape)
             ens.q += self.force(ens.q, m1) * dt + self.noise_std * xi
-        elif self.kind is Kind.UNDERDAMPED:
-            m1 = ens.q.mean(axis=0)
-            ens.p += 0.5 * dt * self.force(ens.q, m1)
-            ens.q += 0.5 * dt * ens.p
-            xi = ens.rng.standard_normal(ens.p.shape)
-            ens.p *= self.ou_decay
-            ens.p += self.noise_std * xi
-            ens.q += 0.5 * dt * ens.p
-            m1 = ens.q.mean(axis=0)
-            ens.p += 0.5 * dt * self.force(ens.q, m1)
         else:
-            m1 = ens.q.mean(axis=0)
-            ens.p += 0.5 * dt * self.force(ens.q, m1)
+            # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
+            ens.p += 0.5 * dt * self._start_force(ens)
             ens.q += 0.5 * dt * ens.p
-            pz = np.hstack([ens.p, ens.z]) @ self.rot_half.T
-            z = pz[:, self.d :] @ self.z_decay.T
-            z += ens.rng.standard_normal((ens.N, self.dm)) @ self.z_noise_chol.T
-            pz[:, self.d :] = z
-            pz = pz @ self.rot_half.T
-            ens.p = pz[:, : self.d]
-            ens.z = pz[:, self.d :]
+            if self.kind is Kind.UNDERDAMPED:
+                xi = ens.rng.standard_normal(ens.p.shape)
+                ens.p *= self.ou_decay
+                ens.p += self.noise_std * xi
+            else:
+                self._ou(ens)
             ens.q += 0.5 * dt * ens.p
-            m1 = ens.q.mean(axis=0)
-            ens.p += 0.5 * dt * self.force(ens.q, m1)
+            ens.p += 0.5 * dt * self._end_force(ens)
         ens.time += dt
         if not np.isfinite(np.sum(ens.q)):
             raise NonFiniteState(f"state became non-finite at t={ens.time}")
         return ens
 
 
-_stepper_cache: dict[tuple[int, float], _Stepper] = {}
-
-
 def make_stepper(model: ValidatedModel, dt: float) -> _Stepper:
-    key = (model.serial, float(dt))
-    st = _stepper_cache.get(key)
-    if st is None:
-        st = _Stepper(model, dt)
-        _stepper_cache[key] = st
-    return st
-
-
-def step(ens: ParticleEnsemble, model: ValidatedModel, dt: float) -> ParticleEnsemble:
-    """Advance the ensemble by one integrator step of size dt (in place)."""
-    return make_stepper(model, dt).step(ens)
-
-
-def default_dt(model: ValidatedModel, base: float = DEFAULT_BASE_DT) -> float:
-    """Step-size policy: base scaled down when the memory relaxation is fast."""
-    if model.kind is Kind.GENERALIZED:
-        a_norm = float(np.max(model.A_eigvals))
-        return base * min(1.0, 1.0 / a_norm)
-    return base
+    """Build the stepper of one (model, dt) pair."""
+    return _Stepper(model, dt)
 
 
 # ---------------------------------------------------------------------------

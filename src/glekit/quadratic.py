@@ -22,6 +22,9 @@ and everything here is exact:
   (or whenever B+K and D commute and are symmetric) it coincides with the
   covariance above; in general it does not and the Gaussian law carries the
   Gram form, which is what particle simulations reproduce.
+* ``stepper_law``       -- the exact N -> infinity law a particle stepper
+  produces, which measures an integrator's weak bias without Monte Carlo
+  noise.
 """
 
 from __future__ import annotations
@@ -245,6 +248,8 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
     base = np.asarray(base, dtype=complex)
     if base.size == 0:
         raise ShapeMismatch("base spectrum must be nonempty")
+    if cap < 0:
+        raise ShapeMismatch(f"lattice cap must be nonnegative, got {cap}")
     r = base.size
     entries: list[tuple[int, tuple[int, ...], complex]] = []
 
@@ -498,3 +503,58 @@ def meanfield_law(model: ValidatedModel, t: float, x0) -> GaussianLaw:
     """Convenience: meanfield_green evaluated on the model's own (B, K, D)."""
     B, K, D = split_BK(model)
     return meanfield_green(B, K, D, t, x0)
+
+
+def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
+    """Exact N -> infinity law of a particle stepper after ``n_steps`` steps.
+
+    For quadratic V and a Curie-Weiss U every stepper of ``glekit.particles``
+    is affine in the state, and the interaction enters only through
+    q - mean(q).  So the ensemble mean follows mu -> Phi mu, where Phi is the
+    one-step map with force constant omega2, and the fluctuations follow
+    Sigma -> Phi~ Sigma Phi~^T + Q, where Phi~ uses omega2 + eta2 and Q is
+    the step's injected noise carried through the rest of the step.  The
+    maps are read from the stepper's own ``dt``, ``noise_std`` and
+    ``ou_decay`` or (p, z) map ``T``, ``S``, so comparing the result with
+    :func:`meanfield_law` gives the scheme's weak bias with no Monte Carlo
+    noise.  Euler-Maruyama has bias O(dt); the B-A-O-A-B splittings have
+    O(dt^2), with a constant that stays bounded, though not constant, as the
+    white-noise scaling lam/eps, A/eps^2 sends eps -> 0.
+    """
+    model = stepper.model
+    omega2, eta2 = _require_quadratic(model)
+    d, dt, n = model.d, stepper.dt, model.state_dim()
+    eye = np.eye(n)
+    # the O step of the kinetic kinds: its map and the covariance of its noise
+    o_map, o_noise = eye.copy(), np.zeros((n, n))
+    if model.kind is Kind.UNDERDAMPED:
+        o_map[d:, d:] *= stepper.ou_decay
+        o_noise[d:, d:] = stepper.noise_std**2 * np.eye(d)
+    elif model.kind is Kind.GENERALIZED:
+        o_map[d:, d:] = stepper.T
+        o_noise[d:, d:] = stepper.S @ stepper.S.T
+    drift = eye.copy()
+    drift[:d, d : 2 * d] = 0.5 * dt * np.eye(d)
+
+    def one_step(c):
+        """The step's affine map under force constant c, and the noise it injects."""
+        if model.kind is Kind.OVERDAMPED:
+            return (1.0 - dt * c) * eye, stepper.noise_std**2 * eye
+        kick = eye.copy()
+        kick[d : 2 * d, :d] = -0.5 * dt * c * np.eye(d)
+        tail = kick @ drift
+        return tail @ o_map @ drift @ kick, tail @ o_noise @ tail.T
+
+    Phi, _ = one_step(omega2)
+    Phi_t, Q = one_step(omega2 + eta2)
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if mean.shape != (n,) or cov.shape != (n, n):
+        raise ShapeMismatch(f"stepper_law needs a mean of length {n} and a {n}x{n} covariance")
+    if n_steps < 0:
+        raise ShapeMismatch(f"n_steps must be nonnegative, got {n_steps}")
+    for _ in range(int(n_steps)):
+        mean = Phi @ mean
+        cov = Phi_t @ cov @ Phi_t.T + Q
+        cov = 0.5 * (cov + cov.T)
+    return GaussianLaw(mean=mean, cov=cov)

@@ -214,18 +214,21 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
 
     The law propagates with the exact one-step maps (matrix exponentials and
     the one-step Gram integral), so E-drift measures only the second-order
-    trapezoid error of e: halving dt cuts the drift about fourfold.  Every
-    propagated covariance passes the symmetric-PSD check of a Gaussian law
-    and must be nonsingular (:class:`SingularCovariance` otherwise).
+    trapezoid error of e: halving dt cuts the drift about fourfold.  T must
+    be a whole number of steps, to 1e-9 max(1, T).  Every propagated
+    covariance passes the symmetric-PSD check of a Gaussian law and must be
+    nonsingular (:class:`SingularCovariance` otherwise).
     """
     if not (dt > 0 and T > 0 and dt <= T):
         raise ShapeMismatch(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ShapeMismatch(f"T={T} is not a whole number of steps dt={dt}")
     B, K, D = split_BK(model)
     Eb = mk.expm(dt * B)
     Em = mk.expm(dt * (B + K))
     Gd = mk.gram_integral(B + K, 2.0 * D, dt)
 
-    n_steps = int(round(T / dt))
     law = state.rho.law
     mean = np.empty((n_steps + 1, law.dim))
     cov = np.empty((n_steps + 1, law.dim, law.dim))

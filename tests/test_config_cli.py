@@ -245,3 +245,41 @@ def test_thermo_rejects_models_without_gaussian_flow(tmp_path, capsys, config, e
     code = run_cli(["thermo", "--config", config, "--out", tmp_path, "--t-final", "0.01"])
     assert code == 1
     assert error in capsys.readouterr().err
+
+
+def test_whitenoise_rejects_a_single_particle(tmp_path, capsys):
+    # one particle has no standard error: no table of NaNs
+    code = run_cli(
+        ["whitenoise", "--config", QUAD_GMV, "--out", tmp_path, "--n", "1",
+         "--t-final", "0.01", "--checkpoints", "0.01"]
+    )
+    assert code == 1
+    assert "InsufficientParticles" in capsys.readouterr().err
+    assert not (tmp_path / "whitenoise.csv").exists()
+
+
+@pytest.mark.parametrize("base_dt", ["0", "-0.001"])
+def test_whitenoise_rejects_a_nonpositive_step(tmp_path, capsys, base_dt):
+    code = run_cli(
+        ["whitenoise", "--config", QUAD_GMV, "--out", tmp_path, "--n", "10",
+         "--t-final", "0.01", "--checkpoints", "0.01", "--base-dt", base_dt]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+
+
+def test_thermo_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
+    # 1 / 0.3 steps: the rows would stop at t = 0.9 under a summary saying T = 1
+    code = run_cli(
+        ["thermo", "--config", QUAD_GMV, "--out", tmp_path, "--dt", "0.3", "--t-final", "1"]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "thermo.csv").exists()
+
+
+def test_spectrum_rejects_a_negative_cap(tmp_path, capsys):
+    code = run_cli(["spectrum", "--config", QUAD_GMV, "--out", tmp_path, "--cap", "-1"])
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()

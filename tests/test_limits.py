@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from glekit import limits
-from glekit.errors import DegenerateFriction, NonSPDMatrix, StiffnessBudgetExceeded
+from glekit.errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix
 from glekit.quadratic import base_spectrum
 
 from conftest import quadratic_gmv, quadratic_umv
@@ -61,19 +61,10 @@ def test_effective_gamma_is_scaling_invariant(lam, alpha, eps):
     assert abs(g0 - g1) <= 1e-14 * max(1.0, abs(g0))
 
 
-def test_stiffness_dt_policy():
-    model = quadratic_gmv()
-    assert limits.stiffness_dt(limits.scaled_spec(model, 1.0), 1e-3) == pytest.approx(1e-3)
-    assert limits.stiffness_dt(limits.scaled_spec(model, 0.1), 1e-3) == pytest.approx(1e-4)
-
-
-def test_run_study_enforces_step_budget():
-    model = quadratic_gmv()
-    study = limits.ScalingStudy(
-        base_model=model, epsilons=(0.5, 0.01), N=8, T=2.0, base_dt=1e-3, step_cap=10_000
-    )
-    with pytest.raises(StiffnessBudgetExceeded):
-        limits.run_study(study)
+def test_scaling_study_needs_two_particles():
+    # one particle has no sample covariance: the study refuses before simulating
+    with pytest.raises(InsufficientParticles):
+        limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=(0.5, 0.25), N=1, T=0.5)
 
 
 def test_slow_eigenvalues_approach_underdamped_spectrum():
@@ -123,4 +114,6 @@ def test_run_study_smoke_and_determinism():
     assert [r.epsilon for r in res1.rows] == [0.5, 0.25]
     for a, b in zip(res1.rows, res2.rows):
         assert a.error == b.error and a.se == b.se and a.steps == b.steps
+    # every eps runs at base_dt
+    assert [r.steps for r in res1.rows] == [500, 500]
     assert all(np.isfinite(r.error) and r.se > 0 for r in res1.rows)

@@ -17,7 +17,6 @@ from glekit.particles import (
     init_ensemble,
     make_stepper,
     simulate,
-    step,
 )
 
 from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
@@ -70,8 +69,9 @@ def test_harmonic_oscillator_period_with_noise_off():
     )
     ens = init_ensemble(model, 1, seed=0, init=InitPoint([1.0, 0.0, 0.0]))
     dt = 1e-4
+    stepper = make_stepper(model, dt)
     for _ in range(int(round(2 * math.pi / dt))):
-        step(ens, model, dt)
+        stepper.step(ens)
     assert abs(ens.q[0, 0] - 1.0) <= 1e-3
 
 
@@ -81,8 +81,9 @@ def test_deterministic_self_convergence_is_at_least_first_order():
 
     def final_q(dt, T=1.0):
         ens = init_ensemble(model, 1, seed=0, init=InitPoint(x0))
+        stepper = make_stepper(model, dt)
         for _ in range(int(round(T / dt))):
-            step(ens, model, dt)
+            stepper.step(ens)
         return ens.q[0, 0]
 
     ref = final_q(1.0 / 4096)
@@ -148,13 +149,44 @@ def test_exchangeability_of_observables():
     ens_perm.q = ens_perm.q[perm]
     ens_perm.p = ens_perm.p[perm]
     ens_perm.z = ens_perm.z[perm]
+    stepper = make_stepper(model, 1e-2)
     for _ in range(100):
-        step(ens, model, 1e-2)
-        step(ens_perm, model, 1e-2)
+        stepper.step(ens)
+        stepper.step(ens_perm)
     m1, c1, _ = empirical_moments(ens)
     m2, c2, _ = empirical_moments(ens_perm)
     assert np.allclose(m1, m2, atol=1e-12)
     assert np.allclose(c1, c2, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["underdamped", "generalized"])
+def test_force_reuse_matches_recomputing_the_force_every_step(kind):
+    # the end-of-step force starts the next step only while it still belongs
+    # to that ensemble, that q array and that model
+    if kind == "underdamped":
+        model, other = quadratic_umv(gamma=1.5), quadratic_umv(eta2=3.0, gamma=1.5)
+        init = InitProduct(q=BlockLaw(var=1.0), p=BlockLaw(var=1.0))
+    else:
+        model = quadratic_gmv(lambdas=(1.0, 2.0), alphas=(1.0, 3.0))
+        other = quadratic_gmv(eta2=3.0, lambdas=(1.0, 2.0), alphas=(1.0, 3.0))
+        init = InitProduct(q=BlockLaw(var=1.0), p=BlockLaw(var=1.0), z=BlockLaw(var=1.0))
+    stepper, other_stepper = make_stepper(model, 1e-2), make_stepper(other, 1e-2)
+    a = init_ensemble(model, 64, seed=5, init=init)
+    b = init_ensemble(model, 64, seed=6, init=init)
+    ref_a, ref_b = copy.deepcopy(a), copy.deepcopy(b)
+    for k in range(60):
+        st = other_stepper if k == 20 else stepper
+        for ens, ref in ((a, ref_a), (b, ref_b)):
+            st.step(ens)
+            ref.end_force = None  # the reference recomputes the start force
+            st.step(ref)
+        if k % 7 == 3:
+            b.q = 0.5 * b.q
+            ref_b.q = 0.5 * ref_b.q
+    for ens, ref in ((a, ref_a), (b, ref_b)):
+        assert np.array_equal(ens.q, ref.q) and np.array_equal(ens.p, ref.p)
+        if kind == "generalized":
+            assert np.array_equal(ens.z, ref.z)
 
 
 def test_empirical_moments_two_particles():
@@ -194,9 +226,10 @@ def test_empirical_covariance_clt_bound():
 def test_blow_up_raises_non_finite_state():
     model = quadratic_omv(omega2=1.0, eta2=0.0)
     ens = init_ensemble(model, 4, seed=0, init=InitProduct(q=BlockLaw(point=1.0)))
+    stepper = make_stepper(model, dt=1000.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
         for _ in range(500):
-            step(ens, model, dt=1000.0)
+            stepper.step(ens)
 
 
 def test_underdamped_relaxes_to_momentum_temperature():
@@ -214,14 +247,6 @@ def test_underdamped_relaxes_to_momentum_temperature():
     var_p = series.var_p[-1, 0]
     se = 0.5 * math.sqrt(2.0 / (N - 1))
     assert abs(var_p - 0.5) <= 4.0 * se
-
-
-def test_default_dt_policy_scales_with_relaxation_rate():
-    from glekit.particles import default_dt
-
-    assert default_dt(quadratic_gmv(alphas=(1.0,))) == pytest.approx(1e-3)
-    assert default_dt(quadratic_gmv(alphas=(50.0,))) == pytest.approx(1e-3 / 50.0)
-    assert default_dt(quadratic_umv()) == pytest.approx(1e-3)
 
 
 def test_two_dimensional_states_are_supported():

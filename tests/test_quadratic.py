@@ -6,7 +6,8 @@ from scipy.optimize import linear_sum_assignment
 
 from glekit import matrixkit as mk
 from glekit import quadratic as qa
-from glekit.errors import SingularCovariance, UnsupportedPotential
+from glekit import limits
+from glekit.errors import ShapeMismatch, SingularCovariance, UnsupportedPotential
 from glekit.model import Kind
 from glekit.particles import InitPoint, init_ensemble, make_stepper, empirical_moments
 
@@ -124,6 +125,11 @@ def test_lattice_two_reals():
 def test_lattice_single_value():
     rep = qa.spectrum_lattice([-1.0], cap=3)
     assert multisets_match(rep.lattice, [0.0, -1.0, -2.0, -3.0])
+
+
+def test_lattice_rejects_negative_cap():
+    with pytest.raises(ShapeMismatch):
+        qa.spectrum_lattice([-1.0], cap=-1)
 
 
 def test_lattice_complex_pair():
@@ -315,3 +321,71 @@ def test_meanfield_green_matches_particle_moments():
 
     cse = covariance_se(cov, N)
     assert np.all(np.abs(cov - law.cov) <= 4.0 * cse)
+
+
+# ---------------------------------------------------------------------------
+# integrator-law oracle
+# ---------------------------------------------------------------------------
+
+
+def stepper_bias(model, dt, x0, T=1.0):
+    """Max entrywise distance of the stepper's exact law at T from the true law."""
+    n = len(x0)
+    law = qa.stepper_law(make_stepper(model, dt), x0, np.zeros((n, n)), int(round(T / dt)))
+    ref = qa.meanfield_law(model, T, x0)
+    return max(np.max(np.abs(law.mean - ref.mean)), np.max(np.abs(law.cov - ref.cov)))
+
+
+@pytest.mark.parametrize(
+    "label, model, x0, lo, hi",
+    [
+        ("overdamped", quadratic_omv(), [1.0], 1.8, 2.2),
+        ("underdamped", quadratic_umv(gamma=1.5), [1.0, 0.0], 3.5, 4.5),
+        ("generalized m=2", quadratic_gmv(lambdas=(1.0, 0.5), alphas=(1.0, 3.0)),
+         [1.0, 0.0, 0.0, 0.0], 3.5, 4.5),
+    ]
+    + [
+        (f"generalized eps={eps}", limits.scaled_spec(quadratic_gmv(), eps), [1.0, 0.0, 0.0],
+         3.5, 4.5)
+        for eps in (1.0, 1 / 8, 1 / 32)
+    ],
+)
+def test_stepper_law_bias_order(label, model, x0, lo, hi):
+    # Euler-Maruyama is first order in dt, the B-A-O-A-B splittings second
+    fine = stepper_bias(model, 1e-3, x0)
+    ratio = stepper_bias(model, 2e-3, x0) / fine
+    assert lo <= ratio <= hi, f"{label}: bias ratio {ratio}"
+    if model.kind is Kind.GENERALIZED:
+        # bounded uniformly in eps: the exact (p, z) step needs no smaller dt
+        assert fine <= 1e-5, f"{label}: bias {fine}"
+
+
+@pytest.mark.parametrize(
+    "model, x0",
+    [
+        (quadratic_omv(beta=np.inf, eta2=2.0), [0.3]),
+        (quadratic_umv(beta=np.inf, eta2=2.0, gamma=1.5), [0.3, -0.2]),
+        (quadratic_gmv(beta=np.inf, eta2=2.0, lambdas=(1.0, 0.5), alphas=(1.0, 3.0)),
+         [0.3, -0.2, 0.1, 0.4]),
+    ],
+)
+def test_stepper_law_follows_a_noise_free_particle_pair(model, x0):
+    # two particles at mu +/- delta: the mean moves with Phi, delta with Phi~
+    dt, n_steps = 1e-2, 150
+    delta = np.array([0.5, 0.1, -0.3, 0.2])[: len(x0)]
+    mean0 = np.array([1.0, 0.0, 0.5, -0.5])[: len(x0)]
+    ens = init_ensemble(model, 2, seed=0, init=InitPoint(x0))
+    X = np.vstack([mean0 + delta, mean0 - delta])
+    d = model.d
+    ens.q = X[:, :d].copy()
+    if ens.p is not None:
+        ens.p = X[:, d : 2 * d].copy()
+    if ens.z is not None:
+        ens.z = X[:, 2 * d :].copy()
+    stepper = make_stepper(model, dt)
+    for _ in range(n_steps):
+        stepper.step(ens)
+    law = qa.stepper_law(stepper, mean0, np.outer(delta, delta), n_steps)
+    Y = ens.state_matrix()
+    assert np.allclose(Y.mean(axis=0), law.mean, rtol=0, atol=1e-12)
+    assert np.allclose(np.cov(Y.T, ddof=0), law.cov, rtol=0, atol=1e-12)
