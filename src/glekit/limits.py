@@ -75,9 +75,11 @@ def scaled_spec(model: ValidatedModel, epsilon: float) -> ValidatedModel:
 
 
 def underdamped_reference(model: ValidatedModel) -> ValidatedModel:
-    """Underdamped model with gamma = lam^T A^{-1} lam derived from the memory."""
-    g = effective_gamma(model.memory.lam, model.memory.A)
-    g_scalar = float(g) if np.isscalar(g) or np.ndim(g) == 0 else float(np.trace(g) / g.shape[0])
+    """Underdamped model with gamma = lam^T A^{-1} lam, which must be a multiple of I."""
+    g = np.atleast_2d(effective_gamma(model.memory.lam, model.memory.A))
+    g_scalar = float(np.mean(np.diag(g)))
+    if np.max(np.abs(g - g_scalar * np.eye(model.d))) > 1e-12 * abs(g_scalar):
+        raise ShapeMismatch(f"effective friction {g} is not a multiple of the identity")
     if g_scalar <= 0:
         raise DegenerateFriction("effective friction is zero; no noise reaches p")
     return validate(
@@ -125,6 +127,8 @@ class ScalingStudy:
     def __post_init__(self):
         if self.base_model.kind is not Kind.GENERALIZED:
             raise ShapeMismatch("scaling study needs a generalized base model")
+        if self.base_model.d != 1:
+            raise ShapeMismatch(f"scaling study needs d = 1, got d = {self.base_model.d}")
         eps = tuple(float(e) for e in self.epsilons)
         if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ShapeMismatch("epsilons must be strictly decreasing, length >= 2")
@@ -133,9 +137,7 @@ class ScalingStudy:
             raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={self.N}")
         if not self.base_dt > 0:
             raise ShapeMismatch(f"base_dt must be positive, got {self.base_dt}")
-        g = effective_gamma(self.base_model.memory.lam, self.base_model.memory.A)
-        g_min = float(g) if np.ndim(g) == 0 else float(np.linalg.eigvalsh(g)[0])
-        if g_min <= 0:
+        if effective_gamma(self.base_model.memory.lam, self.base_model.memory.A) <= 0:
             raise DegenerateFriction("effective friction is zero; study refuses to run")
 
 
@@ -225,5 +227,4 @@ def run_study(study: ScalingStudy) -> StudyResult:
                 wallclock_s=time.perf_counter() - t0,
             )
         )
-    g_scalar = float(gamma) if np.ndim(gamma) == 0 else float(np.trace(gamma) / gamma.shape[0])
-    return StudyResult(rows=tuple(rows), gamma=g_scalar, checkpoints=study.checkpoints)
+    return StudyResult(rows=tuple(rows), gamma=gamma, checkpoints=study.checkpoints)

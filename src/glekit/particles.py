@@ -337,7 +337,8 @@ def simulate(
         raise ShapeMismatch(f"T must be positive, got {T}")
     if dt > T:
         raise ShapeMismatch(f"dt={dt} exceeds T={T}")
-    record_every = max(1, int(record_every))
+    if record_every < 1:
+        raise ShapeMismatch(f"record_every must be a positive step count, got {record_every}")
     ens = init_ensemble(model, N, seed, init)
     stepper = make_stepper(model, dt)
     n_steps = int(round(T / dt))

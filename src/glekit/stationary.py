@@ -12,10 +12,13 @@ m = R(m) for the magnetization, with
     R(m) = int q exp(-beta [V(q) + eta2 (q-m)^2 / 2]) dq
          / int   exp(-beta [V(q) + eta2 (q-m)^2 / 2]) dq.
 
-The solver works entirely on R: fixed points by bisection on sign changes,
-stability from |R'(m*)| vs 1, and the critical inverse temperature from the
-crossing R'(0; beta) = 1.  Because only (V, eta2, beta) enter, the branch
-structure is identical for all three dynamics kinds.
+The exponent is -beta [V(q) + eta2 q^2 / 2] + beta eta2 q m plus a constant
+in m, so one set of log-weights on fixed Gauss nodes per problem gives the
+log-mass, R(m) and Var_m(q) for a vector of m in one log-sum-exp pass, and
+R'(m) = beta eta2 Var_m(q) exactly.  Fixed points are bracketed on a scan of
+R(m) - m and bisected, stability is |R'(m*)| vs 1, and the critical inverse
+temperature is the bisected root of R'(0; beta) = 1.  Only (V, eta2, beta)
+enter, so the branch structure is the same for all three dynamics kinds.
 
 ``kfp_residual`` provides the independent verification route: it evaluates
 the full stationary operator on a (q, p, z) grid with second-order central
@@ -27,7 +30,8 @@ also serve the grid diagnostics of :mod:`glekit.thermo`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,10 +40,12 @@ from numpy.polynomial.legendre import leggauss
 from .errors import GridTooCoarse, QuadratureFailure, ShapeMismatch
 from .model import Kind, Potential, ValidatedModel
 
-FIXED_POINT_TOL = 1e-10
-QUAD_ABS_TOL = 1e-11
 MARGINAL_BAND = 1e-8
-STABILITY_STEP = 1e-5
+
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+_PANEL_LADDER = (8, 16, 32, 64, 128, 256)
+_SCAN_HALF = 40  # the m scan has 2 * 40 + 1 nodes on [-L, L]
+_ROOT_WIDTH = 1e-14  # bracket width at which a fixed point is accepted
 
 
 # ---------------------------------------------------------------------------
@@ -61,82 +67,114 @@ def default_window(potential: Potential, eta2: float, beta: float) -> float:
     return max(L, 3.0)
 
 
+def _scan(L: float) -> np.ndarray:
+    """The m scan on [-L, L]: exactly mirrored, with m = 0 among its nodes."""
+    return np.arange(-_SCAN_HALF, _SCAN_HALF + 1) * (L / _SCAN_HALF)
+
+
+class _Quadrature:
+    """Composite Gauss rule on [-L, L] with the m-independent Boltzmann log-weights.
+
+    The nodes of the rule come in mirrored pairs +q, -q, stored as the
+    positive half ``q`` with one log-weight array per sign.  This makes R
+    exactly odd, and R(0) exactly 0, for an even potential.
+    """
+
+    def __init__(self, prob: SelfConsistencyProblem, L: float, n_panels: int):
+        half = L / n_panels
+        self.L = L
+        self.c = prob.beta * prob.eta2
+        self.q = ((2 * np.arange(n_panels // 2) + 1)[:, None] * half + half * _GL_NODES).ravel()
+        log_w = np.log(np.tile(half * _GL_WEIGHTS, n_panels // 2))
+
+        def base(x):  # -beta [V(x) + eta2 x^2 / 2]
+            return -prob.beta * (prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2)
+
+        self.log_w_pos = log_w + base(self.q)
+        self.log_w_neg = log_w + base(-self.q)
+
+    def moments(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log Z, mean R and variance of q under exp(-beta [V + eta2 (q - m)^2 / 2]), per m."""
+        m = np.atleast_1d(np.asarray(m, dtype=float))
+        cm = self.c * m[:, None]
+        a_pos = self.log_w_pos + cm * self.q
+        a_neg = self.log_w_neg - cm * self.q
+        shift = np.maximum(a_pos.max(axis=1), a_neg.max(axis=1))
+        w_pos = np.exp(a_pos - shift[:, None])
+        w_neg = np.exp(a_neg - shift[:, None])
+        z = np.sum(w_pos + w_neg, axis=1)
+        if not np.all(np.isfinite(z)):
+            raise QuadratureFailure(f"non-finite normalization on [-{self.L}, {self.L}]")
+        mean = np.sum(self.q * (w_pos - w_neg), axis=1) / z
+        mu = mean[:, None]
+        var = np.sum((self.q - mu) ** 2 * w_pos + (self.q + mu) ** 2 * w_neg, axis=1) / z
+        return shift + np.log(z) - 0.5 * self.c * m**2, mean, var
+
+
 @dataclass(frozen=True)
 class SelfConsistencyProblem:
-    """Scalar self-consistency problem in one spatial dimension."""
+    """Scalar self-consistency problem in one spatial dimension.
+
+    ``L`` fixes the truncation half-width; by default :func:`default_window`
+    sets it.  The window and the quadrature are worked out once per problem.
+    """
 
     potential: Potential
     eta2: float
     beta: float
     L: Optional[float] = None
-    quad_tol: float = QUAD_ABS_TOL
 
     def window(self) -> float:
-        if self.L is not None:
-            return float(self.L)
-        return default_window(self.potential, self.eta2, self.beta)
+        return float(self._quadrature.L)
+
+    @cached_property
+    def _quadrature(self) -> _Quadrature:
+        """The first ladder rule whose R and R' on the m scan agree with the rule before."""
+        L = self.L if self.L is not None else default_window(self.potential, self.eta2, self.beta)
+        scan = _scan(L)
+        prev = None
+        for n_panels in _PANEL_LADDER:
+            quad = _Quadrature(self, L, n_panels)
+            _, mean, var = quad.moments(scan)
+            cur = np.concatenate([mean, quad.c * var])
+            if prev is not None and np.max(np.abs(cur - prev)) <= 5e-12:
+                return quad
+            prev = cur
+        raise QuadratureFailure(f"quadrature did not stabilize on [-{L}, {L}]")
 
     @staticmethod
-    def from_model(model: ValidatedModel, L: Optional[float] = None) -> "SelfConsistencyProblem":
+    def from_model(model: ValidatedModel) -> "SelfConsistencyProblem":
         if model.d != 1:
             raise ShapeMismatch("self-consistency solver is one-dimensional")
-        return SelfConsistencyProblem(
-            potential=model.potential, eta2=model.eta2, beta=model.beta, L=L
-        )
-
-
-def _exponent(prob: SelfConsistencyProblem, q: np.ndarray, m: float) -> np.ndarray:
-    v = prob.potential.energy(np.atleast_2d(q).T.reshape(-1, 1))
-    return -prob.beta * (v + 0.5 * prob.eta2 * (q - m) ** 2)
-
-
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-_PANEL_LADDER = (8, 16, 32, 64, 128, 256)
-
-
-def _weighted_integrals(
-    prob: SelfConsistencyProblem, m: float, moments=(0, 1)
-) -> tuple[float, list[float]]:
-    """Moments int q^k exp(phi - shift) dq over [-L, L], phi the Boltzmann exponent.
-
-    Composite 16-point Gauss panels, doubled until the normalized mean is
-    self-consistent below ``quad_tol``; returns (shift, values) where shift
-    is the exponent maximum factored out for stability.
-    """
-    L = prob.window()
-    shift = None
-    prev_ratio = None
-    for n_panels in _PANEL_LADDER:
-        edges = np.linspace(-L, L, n_panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        qs = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES[None, :]).ravel()
-        phi = _exponent(prob, qs, m)
-        if shift is None:
-            shift = float(np.max(phi))
-        w = np.exp(phi - shift) * np.tile(half * _GL_WEIGHTS, n_panels)
-        vals = [float(np.sum((qs**k) * w)) for k in moments]
-        if vals[0] <= 0 or not np.isfinite(vals[0]):
-            raise QuadratureFailure(f"degenerate normalization at m={m}: {vals[0]}")
-        ratio = tuple(v / vals[0] for v in vals)
-        if prev_ratio is not None and all(
-            abs(a - b) <= prob.quad_tol * 0.5 for a, b in zip(ratio, prev_ratio)
-        ):
-            return shift, vals
-        prev_ratio = ratio
-    raise QuadratureFailure(f"quadrature did not stabilize at m={m} with L={L}")
+        return SelfConsistencyProblem(potential=model.potential, eta2=model.eta2, beta=model.beta)
 
 
 def self_consistency_map(prob: SelfConsistencyProblem, m: float) -> float:
     """R(m): the mean of the density proportional to exp(-beta [V + eta2 (q-m)^2/2])."""
-    _, (i0, i1) = _weighted_integrals(prob, float(m), (0, 1))
-    return i1 / i0
+    return float(prob._quadrature.moments(m)[1][0])
 
 
-def map_derivative(prob: SelfConsistencyProblem, m: float, step: float = STABILITY_STEP) -> float:
-    """Centered-difference derivative R'(m)."""
-    return (self_consistency_map(prob, m + step) - self_consistency_map(prob, m - step)) / (
-        2.0 * step
-    )
+def map_derivative(prob: SelfConsistencyProblem, m: float) -> float:
+    """R'(m) = beta eta2 Var_m(q), exact: m enters the exponent only through beta eta2 q m."""
+    quad = prob._quadrature
+    return float(quad.c * quad.moments(m)[2][0])
+
+
+def _bisect(f, lo, hi, s_lo, width: float) -> np.ndarray:
+    """Bisect every bracket [lo_i, hi_i] at once until each is narrower than ``width``.
+
+    f (vectorized) has sign ``s_lo_i`` just above lo_i and the opposite sign
+    at hi_i; a midpoint where f vanishes closes its bracket.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(200):
+        if not np.any(hi - lo > width):
+            break
+        mid = 0.5 * (lo + hi)
+        s_mid = np.sign(f(mid))
+        lo = np.where(s_mid != -s_lo, mid, lo)
+        hi = np.where(s_mid != s_lo, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,56 +200,33 @@ def _classify(r_prime: float) -> str:
     return "stable" if abs(r_prime) < 1.0 else "unstable"
 
 
-def fixed_points(
-    prob: SelfConsistencyProblem, m_scan: Optional[Sequence[float]] = None
-) -> list[FixedPoint]:
-    """All solutions of R(m) = m located by sign changes of R(m) - m plus bisection.
+def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
+    """All solutions of R(m) = m, bracketed on a scan of f = R - m and bisected.
 
-    The default scan grid covers [-L, L]; roots are refined until the
-    residual |R(m*) - m*| drops below 1e-10 and deduplicated to 1e-8.
+    The scan has 81 nodes on [-L, L].  A node where f vanishes is a root, and
+    the sign of f' = R' - 1 there is the sign of f beside it, so a second
+    root between it and the next node is bracketed too.  Roots are bisected
+    to a bracket width of 1e-14 and deduplicated to 1e-8.
     """
-    L = prob.window()
-    if m_scan is None:
-        m_scan = np.linspace(-L, L, 81)
-    m_scan = np.asarray(m_scan, dtype=float)
-    f_vals = np.array([self_consistency_map(prob, m) - m for m in m_scan])
-
+    quad = prob._quadrature
+    ms = _scan(quad.L)
+    _, mean, var = quad.moments(ms)
+    f, df = mean - ms, quad.c * var - 1.0
+    above = np.where(f == 0.0, np.sign(df), np.sign(f))  # sign of f just above each node
+    below = np.where(f == 0.0, -np.sign(df), np.sign(f))  # and just below it
+    i = np.flatnonzero(above[:-1] * below[1:] < 0)
+    bracketed = _bisect(
+        lambda x: quad.moments(x)[1] - x, ms[i], ms[i + 1], above[i], _ROOT_WIDTH
+    )
     roots: list[float] = []
-    for i in range(len(m_scan) - 1):
-        a, b = m_scan[i], m_scan[i + 1]
-        fa, fb = f_vals[i], f_vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0:
-            roots.append(_bisect(prob, a, b, fa, fb))
-    if f_vals[-1] == 0.0:
-        roots.append(float(m_scan[-1]))
-
-    out: list[FixedPoint] = []
-    for r in sorted(roots):
-        if out and abs(r - out[-1].m_star) < 1e-8:
-            continue
-        rp = map_derivative(prob, r)
-        resid = abs(self_consistency_map(prob, r) - r)
-        out.append(FixedPoint(m_star=r, stability=_classify(rp), residual=resid, r_prime=rp))
-    return out
-
-
-def _bisect(prob, a, b, fa, fb, tol=FIXED_POINT_TOL, max_iter=200) -> float:
-    best, best_f = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = self_consistency_map(prob, mid) - mid
-        if abs(fm) < best_f:
-            best, best_f = mid, abs(fm)
-        if abs(fm) <= tol * 0.1 or (b - a) < 1e-14:
-            return mid if abs(fm) <= best_f else best
-        if (fm < 0) == (fa < 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return best
+    for r in np.sort(np.concatenate([ms[f == 0.0], bracketed])):
+        if not roots or r - roots[-1] >= 1e-8:
+            roots.append(float(r))
+    _, mean, var = quad.moments(roots)
+    return [
+        FixedPoint(m_star=r, stability=_classify(rp), residual=float(abs(R - r)), r_prime=float(rp))
+        for r, R, rp in zip(roots, mean, quad.c * var)
+    ]
 
 
 @dataclass(frozen=True)
@@ -229,31 +244,20 @@ class BifurcationDiagram:
                 yield float(beta), pt.m_star, pt.stability, pt.residual
 
 
-def _at_beta(prob: SelfConsistencyProblem, beta: float) -> SelfConsistencyProblem:
-    return SelfConsistencyProblem(
-        potential=prob.potential, eta2=prob.eta2, beta=beta, L=prob.L, quad_tol=prob.quad_tol
-    )
-
-
 def critical_beta(
-    prob: SelfConsistencyProblem, beta_lo: float, beta_hi: float, tol: float = 1e-6
+    prob: SelfConsistencyProblem, beta_lo: float, beta_hi: float, tol: float = 1e-12
 ) -> Optional[float]:
-    """Bisection on g(beta) = R'(0; beta) - 1; None when g does not change sign."""
-    g_lo = map_derivative(_at_beta(prob, beta_lo), 0.0) - 1.0
-    g_hi = map_derivative(_at_beta(prob, beta_hi), 0.0) - 1.0
+    """Root of g(beta) = R'(0; beta) - 1, bisected to width ``tol``; None when g keeps its sign."""
+
+    def g(betas):
+        return np.array([map_derivative(replace(prob, beta=float(b)), 0.0) - 1.0 for b in betas])
+
+    g_lo, g_hi = g([beta_lo, beta_hi])
     if g_lo == 0.0:
         return beta_lo
     if g_lo * g_hi > 0:
         return None
-    lo, hi = beta_lo, beta_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = map_derivative(_at_beta(prob, mid), 0.0) - 1.0
-        if (gm < 0) == (g_lo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_bisect(g, [beta_lo], [beta_hi], np.sign(g_lo), tol)[0])
 
 
 def bifurcation_diagram(
@@ -261,15 +265,15 @@ def bifurcation_diagram(
 ) -> BifurcationDiagram:
     """Fixed-point branches over an increasing beta grid.
 
-    The critical inverse temperature is refined by bisection whenever
-    R'(0) - 1 changes sign between consecutive grid points.
+    The critical inverse temperature is refined by :func:`critical_beta`
+    whenever R'(0) - 1 changes sign between consecutive grid points.
     """
     betas = np.asarray(list(beta_grid), dtype=float)
     if betas.size < 1 or np.any(np.diff(betas) <= 0):
         raise ShapeMismatch("beta grid must be strictly increasing")
     branches, slopes = [], []
     for beta in betas:
-        p = _at_beta(prob, beta)
+        p = replace(prob, beta=float(beta))
         branches.append(tuple(fixed_points(p)))
         slopes.append(map_derivative(p, 0.0))
     slopes = np.array(slopes)
@@ -306,10 +310,10 @@ class StationaryDensity:
 
     def q_density(self, q):
         q = np.asarray(q, dtype=float)
-        prob = SelfConsistencyProblem(
-            potential=self.model.potential, eta2=self.model.eta2, beta=self.model.beta
-        )
-        return np.exp(_exponent(prob, q, self.m_star) - self.q_log_norm)
+        model = self.model
+        v = model.potential_energy(q.reshape(-1, 1)).reshape(q.shape)
+        phi = -model.beta * (v + 0.5 * model.eta2 * (q - self.m_star) ** 2)
+        return np.exp(phi - self.q_log_norm)
 
     def gaussian_factor(self, x):
         """Standard stationary factor exp(-beta |x|^2/2), normalized per coordinate."""
@@ -330,18 +334,14 @@ class StationaryDensity:
 
 def extend_to_full_state(m_star: float, model: ValidatedModel) -> StationaryDensity:
     """Closed-form product density for a fixed point of the scalar map."""
-    if model.d != 1:
-        raise ShapeMismatch("full-state stationary density implemented for d = 1")
-    prob = SelfConsistencyProblem(potential=model.potential, eta2=model.eta2, beta=model.beta)
-    L = prob.window()
-    shift, (i0, i1, i2) = _weighted_integrals(prob, float(m_star), (0, 1, 2))
-    mean = i1 / i0
+    quad = SelfConsistencyProblem.from_model(model)._quadrature
+    log_z, _, var = quad.moments(m_star)
     return StationaryDensity(
         model=model,
         m_star=float(m_star),
-        q_log_norm=shift + math.log(i0),
-        q_var=i2 / i0 - mean**2,
-        window=L,
+        q_log_norm=float(log_z[0]),
+        q_var=float(var[0]),
+        window=quad.L,
     )
 
 

@@ -414,10 +414,7 @@ def max_entropy_stationary(
     self-consistency problem is used.
     """
     if m_star is None:
-        prob = SelfConsistencyProblem(
-            potential=model.potential, eta2=model.eta2, beta=model.beta
-        )
-        pts = fixed_points(prob)
+        pts = fixed_points(SelfConsistencyProblem.from_model(model))
         stable = [p for p in pts if p.stable] or list(pts)
         m_star = max(stable, key=lambda p: p.m_star).m_star
     density = extend_to_full_state(m_star, model)

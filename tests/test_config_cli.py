@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,16 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    # importing scipy.optimize adds about 0.2 s to the start-up of every subcommand
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, glekit.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_validate_exits_zero_and_reports_derived_quantities(tmp_path, capsys):
     code = run_cli(["validate", "--config", QUAD_GMV, "--out", tmp_path])
     assert code == 0
@@ -139,6 +152,17 @@ def test_simulate_csv_contract(tmp_path):
         "t,mean_q,mean_p,var_q,var_p,cov_qp,magnetization,se_mean_q,se_mean_p"
     )
     assert len(lines) == 4  # header + t=0, t=0.025, t=0.05
+
+
+@pytest.mark.parametrize("record_every", ["0", "-5"])
+def test_simulate_rejects_a_nonpositive_record_interval(tmp_path, capsys, record_every):
+    code = run_cli(
+        ["simulate", "--config", QUAD_GMV, "--out", tmp_path, "--n", "8", "--t-final", "0.05",
+         "--dt", "0.005", "--record-every", record_every]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
 
 
 def test_stationary_and_bifurcation_outputs(tmp_path):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from glekit import limits
-from glekit.errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix
+from glekit.errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
+from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
 from glekit.quadratic import base_spectrum
 
 from conftest import quadratic_gmv, quadratic_umv
@@ -95,6 +96,29 @@ def test_underdamped_reference_carries_effective_gamma():
     ref = limits.underdamped_reference(model)
     assert ref.gamma == pytest.approx(2.0)
     assert ref.omega2 == model.omega2
+
+
+def _gmv_2d(memory):
+    return validate(
+        ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), interaction=CurieWeiss(1.0),
+                  memory=memory, kind=Kind.GENERALIZED)
+    )
+
+
+def test_scaling_study_rejects_two_dimensions():
+    # the moment errors compare (q, p) against a d = 1 reference law
+    with pytest.raises(ShapeMismatch):
+        limits.ScalingStudy(base_model=_gmv_2d(MemorySpec.diagonal([1.0], [1.0], d=2)),
+                            epsilons=(0.5, 0.25), N=10, T=0.5)
+
+
+def test_underdamped_reference_needs_an_isotropic_friction():
+    iso = limits.underdamped_reference(_gmv_2d(MemorySpec.diagonal([1.0], [1.0], d=2)))
+    assert iso.gamma == pytest.approx(1.0)
+    # gamma = diag(1, 4) has no scalar underdamped counterpart
+    aniso = _gmv_2d(MemorySpec(m=1, lam=np.diag([1.0, 2.0]), A=np.eye(2)))
+    with pytest.raises(ShapeMismatch):
+        limits.underdamped_reference(aniso)
 
 
 def test_run_study_smoke_and_determinism():

@@ -52,6 +52,13 @@ def test_map_quadratic_closed_form():
         assert map_derivative(prob, m) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_map_derivative_is_exact_for_quadratic():
+    # R'(m) = beta eta2 Var_m(q) = beta eta2 / (beta (omega2 + eta2)) = 1/2, with no step error
+    prob = SelfConsistencyProblem(potential=Quadratic(1.0), eta2=1.0, beta=1.7)
+    for m in (-2.0, 0.3, 1.5):
+        assert map_derivative(prob, m) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_map_vanishes_at_zero_for_even_potential():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=4.0)
     assert abs(self_consistency_map(prob, 0.0)) <= 1e-12
@@ -117,6 +124,24 @@ def test_fixed_points_low_temperature_pitchfork():
     assert ms[0] == pytest.approx(-ms[2], abs=1e-9)
     assert ms[1] == pytest.approx(0.0, abs=1e-10)
     assert [p.stability for p in pts] == ["stable", "unstable", "stable"]
+    assert all(p.residual <= 1e-10 for p in pts)
+
+
+@pytest.mark.parametrize(
+    "offset, stabilities",
+    [(1e-4, ["stable", "unstable", "stable"]), (1e-3, ["stable", "unstable", "stable"]),
+     (-1e-3, ["stable"])],
+)
+def test_fixed_points_near_beta_c(offset, stabilities):
+    # just above beta_c the stable pair sits within one scan spacing of the root at m = 0
+    prob = SelfConsistencyProblem(
+        potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=BETA_CRITICAL_DW11_ETA1 + offset
+    )
+    pts = fixed_points(prob)
+    assert [p.stability for p in pts] == stabilities
+    ms = [p.m_star for p in pts]
+    assert ms[len(ms) // 2] == pytest.approx(0.0, abs=1e-10)
+    assert ms[0] == pytest.approx(-ms[-1], abs=1e-9)
     assert all(p.residual <= 1e-10 for p in pts)
 
 
@@ -186,6 +211,12 @@ def test_critical_beta_bisection_accuracy():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
     bc = critical_beta(prob, 1.0, 4.0, tol=1e-6)
     assert bc == pytest.approx(BETA_CRITICAL_DW11_ETA1, abs=1e-4)
+
+
+def test_critical_beta_reaches_the_oracle_at_tight_tolerance():
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    bc = critical_beta(prob, 1.0, 4.0, tol=1e-12)
+    assert abs(bc - BETA_CRITICAL_DW11_ETA1) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
