@@ -1,6 +1,8 @@
 """Dense linear-algebra kernels used by the analytics.
 
-Four operations: matrix exponential, the Gram-type integral
+Four operations, on numpy alone: the matrix exponential (Higham's 2005
+scaling and squaring with a Pade approximant of degree 3 to 13), the
+Gram-type integral
 
     D_t = int_0^t exp(s B) D exp(s B^T) ds,
 
@@ -17,13 +19,31 @@ the test suite keeps an adaptive-quadrature oracle for cross-checking.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, MatrixOverflow, NonSPDMatrix, ShapeMismatch
 
 # controllability rank threshold, relative to the largest singular value
 RANK_RTOL = 1e-10
+
+# Pade numerator coefficients b_0..b_m of degree m = 3, 5, 7, 9 and 13, each
+# with the largest 1-norm theta_m at which the approximant reaches double
+# precision (Higham 2005, Table 2.3)
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+      2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152,
+     (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
@@ -63,13 +83,35 @@ def psd_sqrt(D: np.ndarray) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential e^M (scaling-and-squaring Pade).
+    """Matrix exponential e^M by scaling and squaring with a Pade approximant.
 
-    Raises :class:`MatrixOverflow` when the result leaves floating range.
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179: the degree m (3, 5,
+    7, 9 or 13) is the lowest whose bound theta_m covers the 1-norm of M;
+    above theta_13, M is scaled by 2^-s and the approximant squared s times.
+    e^0 = I exactly.  Raises :class:`MatrixOverflow` when the result leaves
+    floating range.
     """
     M = _as_square(M, "M")
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(M)
+        norm = float(np.linalg.norm(M, 1))
+        if not math.isfinite(norm):
+            raise MatrixOverflow("matrix 1-norm overflowed floating-point range")
+        for theta, b in _PADE:
+            if norm <= theta:
+                break
+        s = 0 if norm <= theta else math.ceil(math.log2(norm / theta))
+        A = np.ldexp(M, -s)
+        # r(A) = (V - U)^-1 (V + U), U and V the odd and even parts of sum_k b_k A^k
+        A2 = A @ A
+        powers = [np.eye(A.shape[0]), A2]  # A^0, A^2, A^4, ...
+        while len(powers) < len(b) // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ sum(c * P for c, P in zip(b[1::2], powers))
+        V = sum(c * P for c, P in zip(b[0::2], powers))
+        E = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            E = E @ E
     if not np.all(np.isfinite(E)):
         raise MatrixOverflow("matrix exponential overflowed floating-point range")
     return E

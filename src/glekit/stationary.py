@@ -124,6 +124,11 @@ class SelfConsistencyProblem:
     beta: float
     L: Optional[float] = None
 
+    def __post_init__(self):
+        # exp(-beta V) has no normalizable density unless 0 < beta < inf
+        if not 0.0 < self.beta < math.inf:
+            raise ShapeMismatch(f"beta must be finite and positive, got {self.beta}")
+
     def window(self) -> float:
         return float(self._quadrature.L)
 

@@ -86,6 +86,17 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; importing scipy.linalg alone costs about 0.3 s of start-up
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, glekit.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_validate_exits_zero_and_reports_derived_quantities(tmp_path, capsys):
     code = run_cli(["validate", "--config", QUAD_GMV, "--out", tmp_path])
     assert code == 0
@@ -182,6 +193,19 @@ def test_stationary_and_bifurcation_outputs(tmp_path):
     assert lines[0] == "beta,m_star,stable,residual"
     summary = json.loads((tmp_path / "bifurcation_summary.json").read_text())
     assert summary["beta_critical"] == pytest.approx(2.1884396, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "beta_min, beta_max", [("0", "1"), ("-1", "1"), ("1", "nan"), ("1", "inf")]
+)
+def test_bifurcation_rejects_a_beta_grid_off_the_positive_reals(tmp_path, capsys, beta_min, beta_max):
+    code = run_cli(
+        ["bifurcation", "--config", REPO / "configs" / "doublewell_gmv.conf", "--out", tmp_path,
+         "--beta-min", beta_min, "--beta-max", beta_max, "--beta-steps", "3"]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "bifurcation.csv").exists()
 
 
 def test_thermo_outputs(tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,10 +8,18 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from glekit import matrixkit as mk
-from glekit.errors import NonSPDMatrix
+from glekit import particles, thermo
+from glekit.config import load_config
+from glekit.errors import MatrixOverflow, NonSPDMatrix
+from glekit.model import Kind, Quadratic
 
 from conftest import quadratic_gmv
-from glekit.quadratic import assemble
+from glekit.quadratic import assemble, split_BK
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.conf"))
+# the 1-norm bounds at which expm switches Pade degree (3, 5, 7, 9) or starts scaling (13)
+PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068, 5.371920351148152)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +103,56 @@ def test_expm_multiplicative_on_commuting_matrices(seed):
     left = mk.expm(M + N)
     right = mk.expm(M) @ mk.expm(N)
     assert np.max(np.abs(left - right)) <= 1e-10 * max(1.0, np.max(np.abs(left)))
+
+
+def _rel_err_vs_scipy(M) -> float:
+    ref = scipy.linalg.expm(M)
+    return float(np.max(np.abs(mk.expm(M) - ref)) / np.max(np.abs(ref)))
+
+
+def test_expm_matches_scipy_across_the_degree_switches(rng):
+    # 1-norms just below and just above every theta, then up to 60 (2^3 scaling or more)
+    norms = [theta * f for theta in PADE_THETAS for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+    norms += [10.0, 25.0, 60.0]
+    worst = 0.0
+    for n in range(1, 9):
+        for norm in norms:
+            for _ in range(3):
+                A = rng.standard_normal((n, n))
+                worst = max(worst, _rel_err_vs_scipy(A * (norm / np.linalg.norm(A, 1))))
+    assert worst <= 1e-11
+
+
+def test_expm_matches_scipy_on_the_matrices_glekit_builds(monkeypatch):
+    # record every matrix the stepper, the Gram integral and the GENERIC law flow exponentiate
+    models = [load_config(path).model() for path in CONFIGS]
+    quadratic = [m for m in models if isinstance(m.potential, Quadratic)]
+    seen, real = [], mk.expm
+    monkeypatch.setattr(mk, "expm", lambda M: seen.append(np.array(M, dtype=float)) or real(M))
+    for model in models:
+        for dt in (1e-3, 1e-2, 0.1):
+            particles.make_stepper(model, dt)
+    for model in quadratic:
+        B, K, D = split_BK(model)
+        for t in (0.5, 1.0, 2.0, 50.0):
+            mk.gram_integral(B + K, 2.0 * D, t)
+    for model in (m for m in quadratic if m.kind is Kind.GENERALIZED):
+        rho = thermo.GaussianEnsembleLaw(law=thermo.stationary_law(model), model=model)
+        for dt in (1e-3, 1e-2, 0.1):
+            thermo.evolve_coupled(thermo.GenericState(rho=rho, e=0.0), model, dt, dt)
+    monkeypatch.undo()
+    assert seen
+    assert max(_rel_err_vs_scipy(M) for M in seen) <= 1e-13
+
+
+def test_expm_of_zero_is_the_identity_bitwise():
+    for n in range(1, 9):
+        assert np.array_equal(mk.expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_reports_an_overflowing_norm():
+    with pytest.raises(MatrixOverflow):
+        mk.expm(np.full((2, 2), 1e308))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glekit.errors import GridTooCoarse
+from glekit.errors import GridTooCoarse, ShapeMismatch
 from glekit.model import DoubleWell, Quadratic
 from glekit.stationary import (
     SelfConsistencyProblem,
@@ -82,6 +82,16 @@ def test_map_is_odd_for_even_potential(beta, eta2, m):
     assert self_consistency_map(prob, m) == pytest.approx(
         -self_consistency_map(prob, -m), abs=1e-11
     )
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_problem_rejects_a_beta_that_is_not_finite_and_positive(beta):
+    # exp(-beta V) with beta <= 0 cannot be normalized, and beta = inf has no density
+    with pytest.raises(ShapeMismatch):
+        SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=beta)
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    with pytest.raises(ShapeMismatch):
+        critical_beta(prob, beta, 2.0)
 
 
 def test_window_tail_bound():
