@@ -28,6 +28,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__
 from . import limits, particles, quadratic, stationary, thermo
 from .config import Config, load_config
-from .errors import ConfigError, GlekitError
+from .errors import ConfigError, GlekitError, ShapeMismatch
 from .model import Kind
 
 
@@ -279,6 +280,11 @@ def cmd_stationary(args, cfg: Config, out_dir: Path):
 def cmd_bifurcation(args, cfg: Config, out_dir: Path):
     model = cfg.model()
     prob = stationary.SelfConsistencyProblem.from_model(model)
+    for flag, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if not 0.0 < beta < math.inf:
+            raise ShapeMismatch(f"{flag} must be finite and positive, got {beta}")
+    if args.beta_steps < 1:
+        raise ShapeMismatch(f"--beta-steps must be at least 1, got {args.beta_steps}")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     diagram = stationary.bifurcation_diagram(prob, betas)
     rows = [[b, m, stab, resid] for (b, m, stab, resid) in diagram.rows()]

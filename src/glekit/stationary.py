@@ -14,11 +14,17 @@ m = R(m) for the magnetization, with
 
 The exponent is -beta [V(q) + eta2 q^2 / 2] + beta eta2 q m plus a constant
 in m, so one set of log-weights on fixed Gauss nodes per problem gives the
-log-mass, R(m) and Var_m(q) for a vector of m in one log-sum-exp pass, and
-R'(m) = beta eta2 Var_m(q) exactly.  Fixed points are bracketed on a scan of
-R(m) - m and bisected, stability is |R'(m*)| vs 1, and the critical inverse
-temperature is the bisected root of R'(0; beta) = 1.  Only (V, eta2, beta)
-enter, so the branch structure is the same for all three dynamics kinds.
+log-mass, R(m) and Var_m(q) for a vector of m in one log-sum-exp pass.  The
+slopes are exact: R'(m) = beta eta2 Var_m(q) and R''(m) = (beta eta2)^2
+kappa3_m(q), the third central moment.  Fixed points are bracketed on a scan
+of f = R(m) - m, with a fold (an extremum of f between two scan nodes that
+crosses zero) split into two brackets, and each bracket is solved by one
+vectorized, safeguarded Newton iteration (``_newton``) on f and f' = R' - 1.
+Stability is |R'(m*)| vs 1.  The critical inverse temperature is the root of
+g(beta) = R'(0; beta) - 1, found by the same solver with the exact slope
+g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, E), since the log-weights
+are -beta E with E = V + eta2 q^2 / 2.  Only (V, eta2, beta) enter, so the
+branch structure is the same for all three dynamics kinds.
 
 ``kfp_residual`` provides the independent verification route: it evaluates
 the full stationary operator on a (q, p, z) grid with second-order central
@@ -45,7 +51,8 @@ MARGINAL_BAND = 1e-8
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _PANEL_LADDER = (8, 16, 32, 64, 128, 256)
 _SCAN_HALF = 40  # the m scan has 2 * 40 + 1 nodes on [-L, L]
-_ROOT_WIDTH = 1e-14  # bracket width at which a fixed point is accepted
+_ROOT_WIDTH = 1e-14  # bracket width or last step at which a fixed point is accepted
+_FOLD_WIDTH = 1e-8  # an extremum of f only has to decide the sign of f there
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +84,9 @@ class _Quadrature:
 
     The nodes of the rule come in mirrored pairs +q, -q, stored as the
     positive half ``q`` with one log-weight array per sign.  This makes R
-    exactly odd, and R(0) exactly 0, for an even potential.
+    exactly odd, and R(0) exactly 0, for an even potential.  The energy
+    E = V + eta2 q^2 / 2 at the nodes is kept too: the log-weights are
+    log w - beta E, so E gives the slopes in beta.
     """
 
     def __init__(self, prob: SelfConsistencyProblem, L: float, n_panels: int):
@@ -87,14 +96,15 @@ class _Quadrature:
         self.q = ((2 * np.arange(n_panels // 2) + 1)[:, None] * half + half * _GL_NODES).ravel()
         log_w = np.log(np.tile(half * _GL_WEIGHTS, n_panels // 2))
 
-        def base(x):  # -beta [V(x) + eta2 x^2 / 2]
-            return -prob.beta * (prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2)
+        def energy(x):  # V(x) + eta2 x^2 / 2
+            return prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2
 
-        self.log_w_pos = log_w + base(self.q)
-        self.log_w_neg = log_w + base(-self.q)
+        self.e_pos, self.e_neg = energy(self.q), energy(-self.q)
+        self.log_w_pos = log_w - prob.beta * self.e_pos
+        self.log_w_neg = log_w - prob.beta * self.e_neg
 
-    def moments(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log Z, mean R and variance of q under exp(-beta [V + eta2 (q - m)^2 / 2]), per m."""
+    def _weights(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum."""
         m = np.atleast_1d(np.asarray(m, dtype=float))
         cm = self.c * m[:, None]
         a_pos = self.log_w_pos + cm * self.q
@@ -105,10 +115,29 @@ class _Quadrature:
         z = np.sum(w_pos + w_neg, axis=1)
         if not np.all(np.isfinite(z)):
             raise QuadratureFailure(f"non-finite normalization on [-{self.L}, {self.L}]")
+        return m, shift, w_pos, w_neg, z
+
+    def moments(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log Z, mean R and variance of q under exp(-beta [V + eta2 (q - m)^2 / 2]), per m."""
+        m, shift, w_pos, w_neg, z = self._weights(m)
         mean = np.sum(self.q * (w_pos - w_neg), axis=1) / z
         mu = mean[:, None]
         var = np.sum((self.q - mu) ** 2 * w_pos + (self.q + mu) ** 2 * w_neg, axis=1) / z
         return shift + np.log(z) - 0.5 * self.c * m**2, mean, var
+
+    def central(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per m: Var(q), the third central moment kappa3 and Cov((q - mu)^2, E)."""
+        _, _, w_pos, w_neg, z = self._weights(m)
+        w_pos, w_neg = w_pos / z[:, None], w_neg / z[:, None]
+        mu = np.sum(self.q * (w_pos - w_neg), axis=1)[:, None]
+        d_pos, d_neg = self.q - mu, -self.q - mu
+        e_bar = (w_pos @ self.e_pos + w_neg @ self.e_neg)[:, None]
+        var = np.sum(d_pos**2 * w_pos + d_neg**2 * w_neg, axis=1)
+        k3 = np.sum(d_pos**3 * w_pos + d_neg**3 * w_neg, axis=1)
+        cov = np.sum(
+            d_pos**2 * (self.e_pos - e_bar) * w_pos + d_neg**2 * (self.e_neg - e_bar) * w_neg, axis=1
+        )
+        return var, k3, cov
 
 
 @dataclass(frozen=True)
@@ -165,21 +194,40 @@ def map_derivative(prob: SelfConsistencyProblem, m: float) -> float:
     return float(quad.c * quad.moments(m)[2][0])
 
 
-def _bisect(f, lo, hi, s_lo, width: float) -> np.ndarray:
-    """Bisect every bracket [lo_i, hi_i] at once until each is narrower than ``width``.
+def _newton(fdf, lo, hi, s_lo, width: float) -> np.ndarray:
+    """The root of f in every bracket [lo_i, hi_i] at once, by safeguarded Newton.
 
-    f (vectorized) has sign ``s_lo_i`` just above lo_i and the opposite sign
-    at hi_i; a midpoint where f vanishes closes its bracket.
+    ``fdf`` maps a vector of points to (f, f') there; f has sign ``s_lo_i``
+    just above lo_i and the opposite sign at hi_i.  As in rtsafe (Press et
+    al., Numerical Recipes, 9.4), each iterate takes the Newton step when it
+    lands strictly inside the bracket and is shorter than half the step
+    before last, and bisects otherwise; f at the new point then shrinks the
+    bracket.  A bracket is done when its width or its last step is at most
+    ``width``, or when f vanishes.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    s_lo = np.asarray(s_lo, dtype=float)
+    x = 0.5 * (lo + hi)
+    step = np.abs(hi - lo)
+    prev = step.copy()
+    todo = np.flatnonzero(step > width)
     for _ in range(200):
-        if not np.any(hi - lo > width):
+        if not todo.size:
             break
-        mid = 0.5 * (lo + hi)
-        s_mid = np.sign(f(mid))
-        lo = np.where(s_mid != -s_lo, mid, lo)
-        hi = np.where(s_mid != s_lo, mid, hi)
-    return 0.5 * (lo + hi)
+        xt = x[todo]
+        f, df = fdf(xt)
+        s = np.sign(f)
+        lo[todo] = np.where(s == s_lo[todo], xt, lo[todo])
+        hi[todo] = np.where(s == -s_lo[todo], xt, hi[todo])
+        a, b = lo[todo], hi[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xt - f / df
+        take = (a < newton) & (newton < b) & (2.0 * np.abs(f) < np.abs(prev[todo] * df))
+        x_new = np.where(take, newton, 0.5 * (a + b))
+        prev[todo], step[todo] = step[todo], np.abs(x_new - xt)
+        x[todo] = np.where(s == 0.0, xt, x_new)
+        todo = todo[(s != 0.0) & (step[todo] > width) & (b - a > width)]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +253,25 @@ def _classify(r_prime: float) -> str:
     return "stable" if abs(r_prime) < 1.0 else "unstable"
 
 
+def _fold_slopes(quad: _Quadrature, m) -> tuple[np.ndarray, np.ndarray]:
+    """f' = R' - 1 and f'' = R'' = c^2 kappa3 per m, for f = R - m and c = beta eta2."""
+    var, k3, _ = quad.central(m)
+    return quad.c * var - 1.0, quad.c**2 * k3
+
+
 def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
-    """All solutions of R(m) = m, bracketed on a scan of f = R - m and bisected.
+    """All solutions of R(m) = m, bracketed on a scan of f = R - m and solved by Newton.
 
     The scan has 81 nodes on [-L, L].  A node where f vanishes is a root, and
     the sign of f' = R' - 1 there is the sign of f beside it, so a second
-    root between it and the next node is bracketed too.  Roots are bisected
-    to a bracket width of 1e-14 and deduplicated to 1e-8.
+    root between it and the next node is bracketed too.  Where f keeps its
+    nonzero sign over a scan interval while f' turns from towards zero to
+    away from it, f has an extremum there that may cross zero (a fold); it
+    is found by :func:`_newton` on f' with the exact f'' = R'' = c^2 kappa3,
+    c = beta eta2, to 1e-8, and if f has the other sign there, the interval
+    splits into two brackets.  Every bracket is solved by :func:`_newton` on
+    f and f' = c Var - 1, both from one quadrature pass, to a bracket width
+    or last step of 1e-14; roots are deduplicated to 1e-8.
     """
     quad = prob._quadrature
     ms = _scan(quad.L)
@@ -220,9 +280,23 @@ def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
     above = np.where(f == 0.0, np.sign(df), np.sign(f))  # sign of f just above each node
     below = np.where(f == 0.0, -np.sign(df), np.sign(f))  # and just below it
     i = np.flatnonzero(above[:-1] * below[1:] < 0)
-    bracketed = _bisect(
-        lambda x: quad.moments(x)[1] - x, ms[i], ms[i + 1], above[i], _ROOT_WIDTH
-    )
+    lo, hi, s_lo = ms[i], ms[i + 1], above[i]
+
+    j = np.flatnonzero((f[:-1] * f[1:] > 0) & (f[:-1] * df[:-1] < 0) & (df[:-1] * df[1:] < 0))
+    if j.size:
+        m_ext = _newton(lambda x: _fold_slopes(quad, x), ms[j], ms[j + 1], np.sign(df[j]),
+                        _FOLD_WIDTH)
+        f_ext = quad.moments(m_ext)[1] - m_ext
+        k = np.sign(f_ext) == -np.sign(f[j])
+        lo = np.concatenate([lo, ms[j[k]], m_ext[k]])
+        hi = np.concatenate([hi, m_ext[k], ms[j[k] + 1]])
+        s_lo = np.concatenate([s_lo, np.sign(f[j[k]]), np.sign(f_ext[k])])
+
+    def fdf(x):
+        _, mean_x, var_x = quad.moments(x)
+        return mean_x - x, quad.c * var_x - 1.0
+
+    bracketed = _newton(fdf, lo, hi, s_lo, _ROOT_WIDTH)
     roots: list[float] = []
     for r in np.sort(np.concatenate([ms[f == 0.0], bracketed])):
         if not roots or r - roots[-1] >= 1e-8:
@@ -249,20 +323,36 @@ class BifurcationDiagram:
                 yield float(beta), pt.m_star, pt.stability, pt.residual
 
 
+def _critical_gap(prob: SelfConsistencyProblem, betas) -> tuple[np.ndarray, np.ndarray]:
+    """g(beta) = R'(0; beta) - 1 and its exact slope g'(beta), per beta.
+
+    g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, E) with E = V + eta2 q^2 / 2,
+    all at m = 0: the log-weights are -beta E, so d Var / d beta = -Cov.
+    """
+    out = []
+    for b in betas:
+        quad = replace(prob, beta=float(b))._quadrature
+        var, _, cov = quad.central(0.0)
+        out.append((quad.c * var[0] - 1.0, prob.eta2 * (var[0] - b * cov[0])))
+    return tuple(np.array(out).T)
+
+
 def critical_beta(
     prob: SelfConsistencyProblem, beta_lo: float, beta_hi: float, tol: float = 1e-12
 ) -> Optional[float]:
-    """Root of g(beta) = R'(0; beta) - 1, bisected to width ``tol``; None when g keeps its sign."""
+    """Root of g(beta) = R'(0; beta) - 1 to width ``tol``; None when g keeps its sign.
 
-    def g(betas):
-        return np.array([map_derivative(replace(prob, beta=float(b)), 0.0) - 1.0 for b in betas])
-
-    g_lo, g_hi = g([beta_lo, beta_hi])
+    The root is found by :func:`_newton` with the exact slope g'(beta) of
+    :func:`_critical_gap`, one quadrature per beta.
+    """
+    (g_lo, g_hi), _ = _critical_gap(prob, [beta_lo, beta_hi])
     if g_lo == 0.0:
         return beta_lo
     if g_lo * g_hi > 0:
         return None
-    return float(_bisect(g, [beta_lo], [beta_hi], np.sign(g_lo), tol)[0])
+    return float(
+        _newton(lambda b: _critical_gap(prob, b), [beta_lo], [beta_hi], [np.sign(g_lo)], tol)[0]
+    )
 
 
 def bifurcation_diagram(

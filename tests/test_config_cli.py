@@ -195,16 +195,24 @@ def test_stationary_and_bifurcation_outputs(tmp_path):
     assert summary["beta_critical"] == pytest.approx(2.1884396, abs=1e-4)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning must not precede the error
 @pytest.mark.parametrize(
-    "beta_min, beta_max", [("0", "1"), ("-1", "1"), ("1", "nan"), ("1", "inf")]
+    "beta_min, beta_max, beta_steps, flag",
+    [("0", "1", "3", "--beta-min"), ("-1", "1", "3", "--beta-min"), ("1", "nan", "3", "--beta-max"),
+     ("1", "inf", "3", "--beta-max"), ("1", "2", "-1", "--beta-steps"),
+     ("1", "2", "0", "--beta-steps")],
+    ids=["0-1", "-1-1", "1-nan", "1-inf", "1-2-steps-1", "1-2-steps0"],
 )
-def test_bifurcation_rejects_a_beta_grid_off_the_positive_reals(tmp_path, capsys, beta_min, beta_max):
+def test_bifurcation_rejects_a_beta_grid_off_the_positive_reals(
+    tmp_path, capsys, beta_min, beta_max, beta_steps, flag
+):
     code = run_cli(
         ["bifurcation", "--config", REPO / "configs" / "doublewell_gmv.conf", "--out", tmp_path,
-         "--beta-min", beta_min, "--beta-max", beta_max, "--beta-steps", "3"]
+         "--beta-min", beta_min, "--beta-max", beta_max, "--beta-steps", beta_steps]
     )
     assert code == 1
-    assert "ShapeMismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ShapeMismatch" in err and flag in err
     assert not (tmp_path / "bifurcation.csv").exists()
 
 

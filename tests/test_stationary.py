@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glekit.stationary as stationary
 from glekit.errors import GridTooCoarse, ShapeMismatch
-from glekit.model import DoubleWell, Quadratic
+from glekit.model import CustomPotential, DoubleWell, Quadratic
 from glekit.stationary import (
     SelfConsistencyProblem,
+    _critical_gap,
+    _fold_slopes,
     bifurcation_diagram,
     critical_beta,
     default_window,
@@ -25,6 +29,15 @@ from conftest import doublewell_gmv, quadratic_gmv
 # R'(0; beta) = 1; agrees with the Gamma-function closed form for this family
 BETA_CRITICAL_DW11_ETA1 = 2.188439615226477
 
+# V = q^4/4 - q^2/2 + 0.05 q: the tilt turns the pitchfork into a fold (saddle-node)
+# at beta_f ~ 3.2219453 for eta2 = 1, where an unstable and a stable root appear
+# together at m ~ 0.415, within one scan spacing (2L/80 = 0.075) of each other
+TILTED = CustomPotential(
+    energy=lambda q: np.sum(0.25 * q**4 - 0.5 * q**2 + 0.05 * q, axis=-1),
+    gradient=lambda q: q**3 - q + 0.05,
+)
+BETA_FOLD_TILTED = 3.2219453
+
 
 # ---------------------------------------------------------------------------
 # independent trapezoid oracle
@@ -37,6 +50,30 @@ def r_trapezoid(potential, eta2, beta, m, L=10.0, n=100_001):
     phi -= phi.max()
     w = np.exp(phi)
     return float(np.trapezoid(q * w, q) / np.trapezoid(w, q))
+
+
+def bisected_roots(prob, width=1e-14):
+    """The bisection solver fixed_points used before Newton: scan brackets, then halving."""
+    quad = prob._quadrature
+    ms = np.arange(-40, 41) * (quad.L / 40)
+    _, mean, var = quad.moments(ms)
+    f, df = mean - ms, quad.c * var - 1.0
+    above = np.where(f == 0.0, np.sign(df), np.sign(f))
+    below = np.where(f == 0.0, -np.sign(df), np.sign(f))
+    i = np.flatnonzero(above[:-1] * below[1:] < 0)
+    lo, hi, s_lo = ms[i], ms[i + 1], above[i]
+    for _ in range(200):
+        if not np.any(hi - lo > width):
+            break
+        mid = 0.5 * (lo + hi)
+        s_mid = np.sign(quad.moments(mid)[1] - mid)
+        lo = np.where(s_mid != -s_lo, mid, lo)
+        hi = np.where(s_mid != s_lo, mid, hi)
+    roots = []
+    for r in np.sort(np.concatenate([ms[f == 0.0], 0.5 * (lo + hi)])):
+        if not roots or r - roots[-1] >= 1e-8:
+            roots.append(float(r))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +119,29 @@ def test_map_is_odd_for_even_potential(beta, eta2, m):
     assert self_consistency_map(prob, m) == pytest.approx(
         -self_consistency_map(prob, -m), abs=1e-11
     )
+
+
+@pytest.mark.parametrize("potential", [DoubleWell(1.0, 1.0), TILTED], ids=["doublewell", "tilted"])
+@pytest.mark.parametrize("m", [-0.6, 0.1, 0.45, 1.3])
+def test_second_slope_is_c_squared_times_the_third_central_moment(potential, m):
+    # R''(m) = (beta eta2)^2 kappa3_m(q), against a central difference of the exact R'
+    prob = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=3.0)
+    df, d2f = _fold_slopes(prob._quadrature, [m])
+    assert df[0] == pytest.approx(map_derivative(prob, m) - 1.0, abs=1e-14)
+    h = 1e-4
+    fd = (map_derivative(prob, m + h) - map_derivative(prob, m - h)) / (2 * h)
+    assert d2f[0] == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("beta", [1.5, BETA_CRITICAL_DW11_ETA1, 3.0])
+def test_critical_gap_slope_matches_a_central_difference(beta):
+    # g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, V + eta2 q^2 / 2) at m = 0
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    g, dg = _critical_gap(prob, [beta])
+    assert g[0] == pytest.approx(map_derivative(replace(prob, beta=beta), 0.0) - 1.0, abs=1e-14)
+    h = 1e-4
+    (g_hi, g_lo), _ = _critical_gap(prob, [beta + h, beta - h])
+    assert dg[0] == pytest.approx((g_hi - g_lo) / (2 * h), rel=1e-6)
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
@@ -184,6 +244,50 @@ def test_fixed_points_agree_with_trapezoid_scan_oracle():
             assert abs(r - p.m_star) <= 1e-7
 
 
+def test_fixed_points_find_both_roots_born_past_a_fold():
+    # just past the fold both new roots fall in one scan interval, where f < 0 at
+    # both nodes; a dense scan of the same map finds -0.7761, 0.3830 and 0.4490
+    prob = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=BETA_FOLD_TILTED + 0.01)
+    pts = fixed_points(prob)
+    assert [p.stability for p in pts] == ["stable", "unstable", "stable"]
+    assert [p.m_star for p in pts] == pytest.approx([-0.7761, 0.3830, 0.4490], abs=1e-4)
+    assert all(p.residual <= 1e-12 for p in pts)
+    ms = np.linspace(-2.0, 2.0, 4001)
+    f = prob._quadrature.moments(ms)[1] - ms
+    assert np.count_nonzero(np.sign(f[:-1]) != np.sign(f[1:])) == len(pts)
+
+
+def test_fixed_points_before_the_fold_keep_one_root():
+    prob = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=BETA_FOLD_TILTED - 0.01)
+    assert [p.stability for p in fixed_points(prob)] == ["stable"]
+
+
+@pytest.mark.parametrize(
+    "potential, betas",
+    [
+        (DoubleWell(1.0, 1.0), [*np.linspace(1.0, 4.0, 13), BETA_CRITICAL_DW11_ETA1 - 1e-3,
+                                BETA_CRITICAL_DW11_ETA1 + 1e-3, 6.0]),
+        (Quadratic(1.0), [0.5, 1.0, BETA_CRITICAL_DW11_ETA1 - 1e-3, BETA_CRITICAL_DW11_ETA1 + 1e-3,
+                          4.0]),
+        (TILTED, [*np.linspace(1.0, 4.0, 13), BETA_CRITICAL_DW11_ETA1 - 1e-3,
+                  BETA_CRITICAL_DW11_ETA1 + 1e-3, BETA_FOLD_TILTED + 0.05, 6.0]),
+    ],
+    ids=["doublewell", "quadratic", "tilted"],
+)
+@pytest.mark.parametrize("eta2", [0.5, 1.0])
+def test_newton_roots_agree_with_the_bisection_oracle(potential, betas, eta2):
+    for beta in betas:
+        prob = SelfConsistencyProblem(potential=potential, eta2=eta2, beta=float(beta))
+        pts = fixed_points(prob)
+        found = np.array([p.m_star for p in pts])
+        for r in bisected_roots(prob):
+            p = pts[int(np.argmin(np.abs(found - r)))]
+            if abs(p.r_prime - 1.0) >= 1e-2:
+                assert abs(p.m_star - r) <= 1e-12, f"beta={beta}, root {r}"
+            else:  # near-double roots are fixed only to eps / |f'| by either solver
+                assert abs(p.m_star - r) <= 1e-9, f"beta={beta}, root {r}"
+
+
 # ---------------------------------------------------------------------------
 # bifurcation diagram
 # ---------------------------------------------------------------------------
@@ -215,6 +319,29 @@ def test_bifurcation_without_interaction_is_flat():
     for pts in diag.branches:
         assert len(pts) == 1
         assert pts[0].m_star == pytest.approx(0.0, abs=1e-10)
+
+
+def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
+    # the 32-beta scan of the bifurcation benchmark: 1094 quadrature passes and
+    # 71 windows with bisection; the Newton solver needs about 265 and 38
+    calls = {"passes": 0, "windows": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("moments", "central"):
+        monkeypatch.setattr(stationary._Quadrature, name,
+                            counted(getattr(stationary._Quadrature, name), "passes"))
+    monkeypatch.setattr(stationary, "default_window", counted(default_window, "windows"))
+    prob = SelfConsistencyProblem.from_model(doublewell_gmv())
+    diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
+    assert abs(diag.beta_critical - BETA_CRITICAL_DW11_ETA1) <= 1e-12
+    assert calls["passes"] <= 450
+    assert calls["windows"] <= 45
 
 
 def test_critical_beta_bisection_accuracy():
