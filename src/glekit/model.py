@@ -351,6 +351,5 @@ def validate(spec: ModelSpec) -> ValidatedModel:
 
 def eval_potential(model: ValidatedModel | ModelSpec, q) -> tuple[float, np.ndarray]:
     """Evaluate (V(q), grad V(q)) for the configured confining potential."""
-    potential = model.potential if isinstance(model, ValidatedModel) else model.potential
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return float(potential.energy(q)), np.asarray(potential.gradient(q), dtype=float)
+    return float(model.potential.energy(q)), np.asarray(model.potential.gradient(q), dtype=float)

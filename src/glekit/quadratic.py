@@ -14,6 +14,9 @@ and everything here is exact:
 * ``spectrum_lattice``  -- the generator spectrum, all nonnegative-integer
   combinations of the drift eigenvalues
 * ``ou_fundamental``    -- transition kernel of a hypoelliptic linear diffusion
+* ``affine_laws``       -- the one Gaussian-law recursion mu -> Phi mu,
+  Sigma -> Phi~ Sigma Phi~^T + Q, stacked over k steps; ``flow_maps`` gives
+  its exact time-t maps (e^{tB}, e^{t(B+K)}, Gram integral of (B+K, 2D))
 * ``meanfield_green``   -- Gaussian law of the mean-field dynamics
   dX = BX dt + K(X - <X>) dt + sqrt(2D) dW started at a point:
   mean e^{tB} x0, covariance int_0^t e^{s(B+K)} (2D) e^{s(B+K)^T} ds
@@ -403,40 +406,59 @@ def fundamental_mc_discrepancy(
 # ---------------------------------------------------------------------------
 
 
-def meanfield_green(B, K, D, t: float, x0) -> GaussianLaw:
-    """Gaussian law at time t of dX = BX dt + K(X - <X>) dt + sqrt(2D) dW from x0.
+def affine_laws(Phi, Phi_t, Q, mean, cov, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laws k = 0..n_steps of mu -> Phi mu, Sigma -> Phi_t Sigma Phi_t^T + Q from (mean, cov).
 
-    Mean e^{tB} x0 (the self-interaction K drops out of the mean equation);
-    covariance the Gram integral of (B+K, 2D), i.e. the solution of the
-    Lyapunov flow dS/dt = (B+K)S + S(B+K)^T + 2D from S(0) = 0.  This is the
-    law that empirical moments of the interacting particle system converge
-    to; see ``riccati_covariance`` for the one-sided variant.
+    Returns the means (n_steps + 1, n) and the covariances (n_steps + 1, n, n),
+    each covariance after the start symmetrized as (c + c^T) / 2.
+    """
+    n = Phi.shape[0]
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if mean.shape != (n,) or cov.shape != (n, n):
+        raise ShapeMismatch(f"the law needs a mean of length {n} and a {n}x{n} covariance")
+    if n_steps < 0:
+        raise ShapeMismatch(f"n_steps must be nonnegative, got {n_steps}")
+    means, covs = np.empty((n_steps + 1, n)), np.empty((n_steps + 1, n, n))
+    means[0], covs[0] = mean, cov
+    for k in range(1, n_steps + 1):
+        means[k] = Phi @ means[k - 1]
+        c = Phi_t @ covs[k - 1] @ Phi_t.T + Q
+        covs[k] = 0.5 * (c + c.T)
+    return means, covs
+
+
+def flow_maps(B, K, D, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact time-t maps (e^{tB}, e^{t(B+K)}, Gram integral of (B+K, 2D)) for affine_laws."""
+    M = B + K
+    return mk.expm(t * B), mk.expm(t * M), mk.gram_integral(M, 2.0 * D, t)
+
+
+def propagate_gaussian(B, K, D, t: float, law: GaussianLaw) -> GaussianLaw:
+    """Gaussian law at time t of dX = BX dt + K(X - <X>) dt + sqrt(2D) dW from ``law``.
+
+    Mean e^{tB} mu (K drops out of the mean equation); covariance the solution
+    of the Lyapunov flow dS/dt = (B+K)S + S(B+K)^T + 2D from S(0) = Sigma.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = B.shape[0]
-    if K.shape != (n, n) or D.shape != (n, n) or x0.shape != (n,):
-        raise ShapeMismatch("B, K, D, x0 dimensions are inconsistent")
+    if K.shape != B.shape or D.shape != B.shape:
+        raise ShapeMismatch(f"B, K, D shapes {B.shape}, {K.shape}, {D.shape} are inconsistent")
     if t < 0:
         raise ShapeMismatch(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return GaussianLaw(mean=x0.copy(), cov=np.zeros((n, n)))
-    mean = mk.expm(t * B) @ x0
-    cov = mk.gram_integral(B + K, 2.0 * D, t)
-    return GaussianLaw(mean=mean, cov=cov)
+    mean, cov = affine_laws(*flow_maps(B, K, D, t), law.mean, law.cov, 1)
+    return GaussianLaw(mean=mean[-1], cov=cov[-1])
 
 
-def propagate_gaussian(B, K, D, t: float, law: GaussianLaw) -> GaussianLaw:
-    """Propagate a Gaussian initial law under the same mean-field dynamics."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    M = B + np.atleast_2d(np.asarray(K, dtype=float))
-    if t == 0.0:
-        return law
-    E = mk.expm(t * M)
-    cov = E @ law.cov @ E.T + mk.gram_integral(M, 2.0 * np.atleast_2d(np.asarray(D, float)), t)
-    return GaussianLaw(mean=mk.expm(t * B) @ law.mean, cov=0.5 * (cov + cov.T))
+def meanfield_green(B, K, D, t: float, x0) -> GaussianLaw:
+    """:func:`propagate_gaussian` from the point x0: mean e^{tB} x0, covariance Gram(B+K, 2D).
+
+    This is the law that empirical moments of the interacting particle system
+    converge to; see ``riccati_covariance`` for the one-sided variant.
+    """
+    x0 = np.array(x0, dtype=float, ndmin=1)  # a copy: the law must not alias the caller's x0
+    return propagate_gaussian(B, K, D, t, GaussianLaw(mean=x0, cov=np.zeros((x0.size, x0.size))))
 
 
 def riccati_covariance(B, K, D, t: float) -> np.ndarray:
@@ -463,40 +485,16 @@ def riccati_covariance(B, K, D, t: float) -> np.ndarray:
 def split_BK(model: ValidatedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean-field (B, K, D) matrices of the model's kind.
 
-    B carries confinement, transport, and memory; K carries only the
+    B is the one-particle drift of :func:`assemble`; K carries only the
     interaction response -eta2 (q - <q>) in the force row; D is the
     Fokker-Planck diffusion including the 1/beta factor.
     """
-    omega2, eta2 = _require_quadratic(model)
+    dd = assemble(model, 1)
     d = model.d
-    eye = np.eye(d)
-    bi = model.beta_inv
-    if model.kind is Kind.OVERDAMPED:
-        return -omega2 * eye, -eta2 * eye, bi * eye
-    if model.kind is Kind.UNDERDAMPED:
-        Z = np.zeros((d, d))
-        B = np.block([[Z, eye], [-omega2 * eye, -model.gamma * eye]])
-        K = np.zeros((2 * d, 2 * d))
-        K[d:, :d] = -eta2 * eye
-        D = np.zeros((2 * d, 2 * d))
-        D[d:, d:] = model.gamma * bi * eye
-        return B, K, D
-    mem = model.memory
-    dm = d * mem.m
-    lam = np.asarray(mem.lam, dtype=float)
-    A = np.asarray(mem.A, dtype=float)
-    n = 2 * d + dm
-    B = np.zeros((n, n))
-    B[:d, d : 2 * d] = eye
-    B[d : 2 * d, :d] = -omega2 * eye
-    B[d : 2 * d, 2 * d :] = lam.T
-    B[2 * d :, d : 2 * d] = -lam
-    B[2 * d :, 2 * d :] = -A
-    K = np.zeros((n, n))
-    K[d : 2 * d, :d] = -eta2 * eye
-    D = np.zeros((n, n))
-    D[2 * d :, 2 * d :] = bi * A
-    return B, K, D
+    K = np.zeros_like(dd.B)
+    force = slice(0, d) if model.kind is Kind.OVERDAMPED else slice(d, 2 * d)
+    K[force, :d] = -model.eta2 * np.eye(d)
+    return dd.B, K, model.beta_inv * dd.D
 
 
 def meanfield_law(model: ValidatedModel, t: float, x0) -> GaussianLaw:
@@ -547,14 +545,5 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
 
     Phi, _ = one_step(omega2)
     Phi_t, Q = one_step(omega2 + eta2)
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if mean.shape != (n,) or cov.shape != (n, n):
-        raise ShapeMismatch(f"stepper_law needs a mean of length {n} and a {n}x{n} covariance")
-    if n_steps < 0:
-        raise ShapeMismatch(f"n_steps must be nonnegative, got {n_steps}")
-    for _ in range(int(n_steps)):
-        mean = Phi @ mean
-        cov = Phi_t @ cov @ Phi_t.T + Q
-        cov = 0.5 * (cov + cov.T)
-    return GaussianLaw(mean=mean, cov=cov)
+    means, covs = affine_laws(Phi, Phi_t, Q, mean, cov, n_steps)
+    return GaussianLaw(mean=means[-1], cov=covs[-1])

@@ -310,7 +310,7 @@ def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
 
 @dataclass(frozen=True)
 class BifurcationDiagram:
-    """Per-beta fixed points with stability flags plus the critical crossing."""
+    """Per-beta fixed points and stability flags; ``beta_critical`` is None without a pitchfork."""
 
     betas: np.ndarray
     branches: tuple[tuple[FixedPoint, ...], ...]
@@ -360,21 +360,25 @@ def bifurcation_diagram(
 ) -> BifurcationDiagram:
     """Fixed-point branches over an increasing beta grid.
 
-    The critical inverse temperature is refined by :func:`critical_beta`
-    whenever R'(0) - 1 changes sign between consecutive grid points.
+    The critical inverse temperature is refined by :func:`critical_beta` in
+    the first grid interval where R'(0) - 1 changes sign and |R(0)| <= 1e-14
+    at both ends: a pitchfork needs m = 0 to be a fixed point.  It is None
+    when no interval qualifies, as for a potential that is not even.
     """
     betas = np.asarray(list(beta_grid), dtype=float)
     if betas.size < 1 or np.any(np.diff(betas) <= 0):
         raise ShapeMismatch("beta grid must be strictly increasing")
-    branches, slopes = [], []
+    branches, at_zero = [], []
     for beta in betas:
         p = replace(prob, beta=float(beta))
         branches.append(tuple(fixed_points(p)))
-        slopes.append(map_derivative(p, 0.0))
-    slopes = np.array(slopes)
+        _, mean, var = p._quadrature.moments(0.0)
+        at_zero.append((mean[0], p._quadrature.c * var[0]))  # R(0) and R'(0)
+    r0, slopes = np.array(at_zero).T
+    fixed = np.abs(r0) <= _ROOT_WIDTH
 
     beta_c = None
-    crossings = np.where(np.diff(np.sign(slopes - 1.0)) != 0)[0]
+    crossings = np.flatnonzero((np.diff(np.sign(slopes - 1.0)) != 0) & fixed[:-1] & fixed[1:])
     if crossings.size:
         i = int(crossings[0])
         beta_c = critical_beta(prob, float(betas[i]), float(betas[i + 1]))

@@ -33,10 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import matrixkit as mk
 from .errors import GridTooCoarse, ShapeMismatch, SingularCovariance
 from .model import Kind, ValidatedModel
-from .quadratic import GaussianLaw, check_covariances, split_BK
+from .quadratic import GaussianLaw, affine_laws, check_covariances, flow_maps, split_BK
 from .stationary import (
     GridDensity,
     SelfConsistencyProblem,
@@ -69,9 +68,6 @@ class GaussianEnsembleLaw:
             raise ShapeMismatch(
                 f"law dimension {self.law.dim} != model state dimension {self.model.state_dim()}"
             )
-
-    def blocks(self):
-        return _blocks(self.model)
 
 
 @dataclass(frozen=True)
@@ -212,8 +208,9 @@ class CoupledSeries:
 def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: float) -> CoupledSeries:
     """March the Gaussian law exactly and the auxiliary energy by trapezoid.
 
-    The law propagates with the exact one-step maps (matrix exponentials and
-    the one-step Gram integral), so E-drift measures only the second-order
+    The law propagates by ``quadratic.affine_laws`` with the exact one-step
+    maps of ``quadratic.flow_maps`` (matrix exponentials and the one-step
+    Gram integral), so E-drift measures only the second-order
     trapezoid error of e: halving dt cuts the drift about fourfold.  T must
     be a whole number of steps, to 1e-9 max(1, T).  Every propagated
     covariance passes the symmetric-PSD check of a Gaussian law and must be
@@ -224,19 +221,8 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ShapeMismatch(f"T={T} is not a whole number of steps dt={dt}")
-    B, K, D = split_BK(model)
-    Eb = mk.expm(dt * B)
-    Em = mk.expm(dt * (B + K))
-    Gd = mk.gram_integral(B + K, 2.0 * D, dt)
-
     law = state.rho.law
-    mean = np.empty((n_steps + 1, law.dim))
-    cov = np.empty((n_steps + 1, law.dim, law.dim))
-    mean[0], cov[0] = law.mean, law.cov
-    for k in range(1, n_steps + 1):
-        mean[k] = Eb @ mean[k - 1]
-        c = Em @ cov[k - 1] @ Em.T + Gd
-        cov[k] = 0.5 * (c + c.T)
+    mean, cov = affine_laws(*flow_maps(*split_BK(model), dt), law.mean, law.cov, n_steps)
     check_covariances(cov[1:])
 
     H = _hamiltonian_of(model, mean, cov)

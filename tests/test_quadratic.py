@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,14 @@ from scipy.optimize import linear_sum_assignment
 from glekit import matrixkit as mk
 from glekit import quadratic as qa
 from glekit import limits
+from glekit.config import load_config
 from glekit.errors import ShapeMismatch, SingularCovariance, UnsupportedPotential
-from glekit.model import Kind
+from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
 from glekit.particles import InitPoint, init_ensemble, make_stepper, empirical_moments
 
 from conftest import quadratic_gmv, quadratic_omv, quadratic_umv, random_quadratic
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def multisets_match(a, b, tol=1e-10):
@@ -280,6 +285,45 @@ def test_meanfield_green_covariance_psd_along_time(rng):
             assert w[0] >= -1e-10 * max(1.0, w[-1])
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: sign bits of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _hand_built_split(model):
+    """(B, K, D) written out block by block in the [q, p, z] layout."""
+    d, w2, e2, bi = model.d, model.omega2, model.eta2, model.beta_inv
+    eye = np.eye(d)
+    if model.kind is Kind.OVERDAMPED:
+        return -w2 * eye, -e2 * eye, bi * eye
+    if model.kind is Kind.UNDERDAMPED:
+        Z = np.zeros((d, d))
+        B = np.block([[Z, eye], [-w2 * eye, -model.gamma * eye]])
+        K = np.zeros((2 * d, 2 * d))
+        K[d:, :d] = -e2 * eye
+        D = np.zeros((2 * d, 2 * d))
+        D[d:, d:] = model.gamma * bi * eye
+        return B, K, D
+    lam, A = np.asarray(model.memory.lam, float), np.asarray(model.memory.A, float)
+    n = 2 * d + lam.shape[0]
+    B, K, D = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    B[:d, d : 2 * d] = eye
+    B[d : 2 * d, :d] = -w2 * eye
+    B[d : 2 * d, 2 * d :] = lam.T
+    B[2 * d :, d : 2 * d] = -lam
+    B[2 * d :, 2 * d :] = -A
+    K[d : 2 * d, :d] = -e2 * eye
+    D[2 * d :, 2 * d :] = bi * A
+    return B, K, D
+
+
+def _spec(kind, d, **kw):
+    return validate(
+        ModelSpec(d=d, potential=Quadratic(1.5), interaction=CurieWeiss(0.7), kind=kind, **kw)
+    )
+
+
 def test_split_bk_examples():
     B, K, D = qa.split_BK(quadratic_omv(1.0, 1.0, beta=1.0))
     assert (B[0, 0], K[0, 0], D[0, 0]) == (-1.0, -1.0, 1.0)
@@ -295,6 +339,52 @@ def test_split_bk_examples():
     expected_K[1, 0] = -1.0
     assert np.allclose(K, expected_K)
     assert np.allclose(D, np.diag([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _spec(
+            Kind.GENERALIZED, 2, beta=2.0,
+            memory=MemorySpec(
+                m=2,
+                lam=np.array([[1.0, -0.5], [0.25, 2.0], [-1.5, 0.0], [0.75, -1.0]]),
+                A=np.array([[3.0, 0.5, -0.25, 0.0], [0.5, 2.0, 0.5, -0.5],
+                            [-0.25, 0.5, 2.5, 0.25], [0.0, -0.5, 0.25, 1.5]]),
+            ),
+        ),
+        _spec(Kind.OVERDAMPED, 3, beta=2.0),
+        _spec(Kind.UNDERDAMPED, 3, beta=2.0, gamma=1.25),
+    ],
+    ids=["generalized d=2 m=2 full", "overdamped d=3", "underdamped d=3"],
+)
+def test_split_bk_matches_hand_built_blocks_bitwise(model):
+    for got, want in zip(qa.split_BK(model), _hand_built_split(model)):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("conf", ["quadratic_gmv.conf", "quadratic_umv.conf"])
+def test_meanfield_green_is_expm_mean_and_gram_covariance_bitwise(conf):
+    model = load_config(CONFIGS / conf).model()
+    B, K, D = qa.split_BK(model)
+    x0 = np.eye(B.shape[0])[0]
+    for t in (0.5, 1.0, 2.0):
+        law = qa.meanfield_green(B, K, D, t, x0)
+        assert _same_bits(law.mean, mk.expm(t * B) @ x0)
+        assert _same_bits(law.cov, mk.gram_integral(B + K, 2.0 * D, t))
+
+
+@pytest.mark.parametrize(
+    "B, K, law",
+    [
+        (np.eye(3), np.zeros((3, 3)), qa.GaussianLaw(mean=[1.0, 0.0], cov=np.eye(2))),
+        (np.eye(2), np.zeros((3, 3)), qa.GaussianLaw(mean=[1.0, 0.0], cov=np.eye(2))),
+    ],
+    ids=["B wider than the law", "K wider than B"],
+)
+def test_propagate_gaussian_rejects_inconsistent_shapes(B, K, law):
+    with pytest.raises(ShapeMismatch):
+        qa.propagate_gaussian(-B, K, np.eye(B.shape[0]), 0.5, law)
 
 
 def test_generalized_models_are_hypoelliptic(rng):
@@ -358,6 +448,22 @@ def test_stepper_law_bias_order(label, model, x0, lo, hi):
     if model.kind is Kind.GENERALIZED:
         # bounded uniformly in eps: the exact (p, z) step needs no smaller dt
         assert fine <= 1e-5, f"{label}: bias {fine}"
+
+
+@pytest.mark.parametrize(
+    "model", [quadratic_omv(), quadratic_umv(gamma=1.5),
+              quadratic_gmv(lambdas=(1.0, 0.5), alphas=(1.0, 3.0))]
+)
+def test_chained_stepper_laws_equal_one_multi_step_law_bitwise(model):
+    stepper = make_stepper(model, 1e-2)
+    n = model.state_dim()
+    mean, cov = np.linspace(1.0, -0.5, n), 0.1 * np.eye(n)
+    law = qa.GaussianLaw(mean=mean, cov=cov)
+    for _ in range(7):
+        law = qa.stepper_law(stepper, law.mean, law.cov, 1)
+    whole = qa.stepper_law(stepper, mean, cov, 7)
+    assert _same_bits(law.mean, whole.mean)
+    assert _same_bits(law.cov, whole.cov)
 
 
 @pytest.mark.parametrize(

@@ -312,6 +312,27 @@ def test_bifurcation_doublewell_branch_transition():
     assert np.all((counts == 1) == (betas < diag.beta_critical))
 
 
+@pytest.mark.parametrize(
+    "potential, beta_c",
+    [
+        (DoubleWell(1.0, 1.0), BETA_CRITICAL_DW11_ETA1),
+        (CustomPotential(energy=lambda q: np.sum(0.25 * q**4 - 0.5 * q**2, axis=-1),
+                         gradient=lambda q: q**3 - q), BETA_CRITICAL_DW11_ETA1),
+        (TILTED, None),
+    ],
+    ids=["double well", "even custom well", "tilted well"],
+)
+def test_bifurcation_reports_beta_critical_only_at_a_pitchfork(potential, beta_c):
+    # the tilted well's R'(0) crosses 1 near beta = 2.2, but R(0) = -0.05 there:
+    # m = 0 is no fixed point, and its branches are born at the fold near 3.22
+    prob = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=1.0)
+    diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
+    if beta_c is None:
+        assert diag.beta_critical is None
+    else:
+        assert abs(diag.beta_critical - beta_c) <= 1e-12
+
+
 def test_bifurcation_without_interaction_is_flat():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=0.0, beta=1.0)
     diag = bifurcation_diagram(prob, np.linspace(1.0, 6.0, 6))
