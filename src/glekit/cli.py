@@ -7,19 +7,22 @@ Subcommands: ``validate``, ``simulate``, ``spectrum``, ``greens``,
 
 Command-line flags may override scalar run parameters (N, T, dt, grids);
 the physics always comes from the config file.  Every run writes the result
-table, a ``<cmd>_summary.json``, and a ``manifest.json`` with config echo,
-seed, version, and sha256 checksums of the outputs.  Identical config, seed,
-and flags reproduce the result files byte-identically; the one inherently
-nondeterministic field (the wallclock column of ``whitenoise``) is
-checksummed in canonical form (column zeroed) and recorded separately in the
-manifest timings.  ``--threads`` is accepted and recorded in the manifest;
-every run is sequential.
+table ``<cmd>.<fmt>``, a ``<cmd>_summary.json``, and a ``manifest.json`` with
+config echo, seed, version, and sha256 checksums of the outputs.  Identical
+config, seed, and flags reproduce the result files byte-identically; a table
+column named ``wallclock_s`` (``whitenoise``) is the one inherently
+nondeterministic field, so that table is also checksummed in canonical form
+(the column zeroed, rendered again in the run's format) and the measured
+values are recorded in the manifest timings.  ``--threads`` is accepted and
+recorded in the manifest; every run is sequential.
 
-Each subparser names its handler ``cmd_<name>(args, cfg, out_dir)``, which
-returns ``(outputs, timings or None)``.
+Each subparser names its handler ``cmd_<name>(args, cfg)``, which returns
+``(table, summary, timings)``: the table as ``(header, rows)`` (None for
+``validate``), the summary dict, and the manifest timings or None.  ``main``
+alone writes files.
 
 Exit codes: 0 success, 1 domain error (error class name on stderr),
-2 usage or config-grammar error.
+2 usage or config error (grammar, or a value of the wrong type).
 """
 
 from __future__ import annotations
@@ -56,16 +59,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_table(out_dir: Path, name: str, header: list[str], rows: list[list], fmt: str) -> Path:
+def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
-        path = out_dir / f"{name}.json"
         payload = [dict(zip(header, [_json_safe(v) for v in row])) for row in rows]
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        return path
-    path = out_dir / f"{name}.csv"
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_table(out_dir: Path, name: str, header: list[str], rows: list[list], fmt: str) -> Path:
+    path = out_dir / f"{name}.{fmt}"
+    path.write_text(_render_table(header, rows, fmt), encoding="utf-8")
     return path
 
 
@@ -91,30 +95,17 @@ def write_summary(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _canonical_sha256(path: Path, zero_columns: tuple[str, ...]) -> str:
-    """Checksum with the named CSV columns zeroed (for wallclock fields)."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    idxs = [header.index(c) for c in zero_columns if c in header]
-    out = [lines[0]]
-    for line in lines[1:]:
-        parts = line.split(",")
-        for i in idxs:
-            parts[i] = "0.0"
-        out.append(",".join(parts))
-    return hashlib.sha256(("\n".join(out) + "\n").encode("utf-8")).hexdigest()
-
-
-def write_manifest(out_dir, args, cfg: Config, outputs: list[Path], timings=None) -> Path:
+def write_manifest(out_dir, args, cfg: Config, outputs: list[Path], timings, canonical) -> Path:
+    """The run manifest; ``canonical`` maps an output name to its canonical sha256."""
     entries = []
     for p in outputs:
-        entry = {"path": p.name, "sha256": _sha256(p)}
-        if p.name == "whitenoise.csv":
-            entry["canonical_sha256"] = _canonical_sha256(p, ("wallclock_s",))
+        entry = {"path": p.name, "sha256": _sha256(p.read_bytes())}
+        if p.name in canonical:
+            entry["canonical_sha256"] = canonical[p.name]
             entry["note"] = "canonical form zeroes the wallclock_s column"
         entries.append(entry)
     manifest = {
@@ -178,7 +169,7 @@ def _run_params(args, cfg: Config):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args, cfg: Config, out_dir: Path):
+def cmd_validate(args, cfg: Config):
     model = cfg.model()
     summary = {
         "kind": model.kind.value,
@@ -191,40 +182,34 @@ def cmd_validate(args, cfg: Config, out_dir: Path):
         g = limits.effective_gamma(model.memory.lam, model.memory.A)
         summary["effective_gamma"] = g if np.ndim(g) == 0 else np.asarray(g)
     try:
-        rep = quadratic.spectrum_report(model, cap=1)
+        rep = quadratic.spectrum_report(model, cap=4)
         summary["base_spectrum"] = [[v.real, v.imag] for v in rep.base_eigenvalues]
-        summary["spectral_gap"] = quadratic.spectral_gap(quadratic.spectrum_report(model, cap=4))
+        summary["spectral_gap"] = quadratic.spectral_gap(rep)
     except GlekitError:
         pass  # non-quadratic models have no closed-form spectrum
-    path = write_summary(out_dir, "validate", summary)
     print(json.dumps(_json_safe(summary), sort_keys=True))
-    return [path], None
+    return None, summary, None
 
 
-def cmd_spectrum(args, cfg: Config, out_dir: Path):
+def cmd_spectrum(args, cfg: Config):
     model = cfg.model()
     rep = quadratic.spectrum_report(model, cap=args.cap)
     rows = [
         [pt.real, pt.imag, ";".join(str(k) for k in idx)]
         for pt, idx in zip(rep.lattice, rep.multi_indices)
     ]
-    t = write_table(out_dir, "spectrum", ["re", "im", "k_multiindex"], rows, args.format)
-    s = write_summary(
-        out_dir,
-        "spectrum",
-        {
-            "kind": rep.kind,
-            "cap": rep.cap,
-            "parameters": rep.parameters,
-            "base_eigenvalues": [[v.real, v.imag] for v in rep.base_eigenvalues],
-            "spectral_gap": quadratic.spectral_gap(rep),
-            "lattice_size": int(rep.lattice.size),
-        },
-    )
-    return [t, s], None
+    summary = {
+        "kind": rep.kind,
+        "cap": rep.cap,
+        "parameters": rep.parameters,
+        "base_eigenvalues": [[v.real, v.imag] for v in rep.base_eigenvalues],
+        "spectral_gap": quadratic.spectral_gap(rep),
+        "lattice_size": int(rep.lattice.size),
+    }
+    return (["re", "im", "k_multiindex"], rows), summary, None
 
 
-def cmd_greens(args, cfg: Config, out_dir: Path):
+def cmd_greens(args, cfg: Config):
     model = cfg.model()
     B, K, D = quadratic.split_BK(model)
     n = B.shape[0]
@@ -245,38 +230,27 @@ def cmd_greens(args, cfg: Config, out_dir: Path):
         law = quadratic.meanfield_green(B, K, D, t, x0)
         row = [t] + list(law.mean) + [law.cov[i, j] for i in range(n) for j in range(i, n)]
         rows.append(row)
-    t_path = write_table(out_dir, "greens", header, rows, args.format)
-    s_path = write_summary(
-        out_dir,
-        "greens",
-        {"times": times, "x0": x0, "final_mean": law.mean, "final_cov": law.cov},
-    )
-    return [t_path, s_path], None
+    summary = {"times": times, "x0": x0, "final_mean": law.mean, "final_cov": law.cov}
+    return (header, rows), summary, None
 
 
-def cmd_stationary(args, cfg: Config, out_dir: Path):
+def cmd_stationary(args, cfg: Config):
     model = cfg.model()
     prob = stationary.SelfConsistencyProblem.from_model(model)
     pts = stationary.fixed_points(prob)
     rows = [[p.m_star, p.stability, p.residual] for p in pts]
-    t = write_table(out_dir, "stationary", ["m_star", "stability", "residual"], rows, args.format)
-    s = write_summary(
-        out_dir,
-        "stationary",
-        {
-            "beta": prob.beta,
-            "eta2": prob.eta2,
-            "window": prob.window(),
-            "fixed_points": [
-                {"m_star": p.m_star, "stability": p.stability, "residual": p.residual}
-                for p in pts
-            ],
-        },
-    )
-    return [t, s], None
+    summary = {
+        "beta": prob.beta,
+        "eta2": prob.eta2,
+        "window": prob.window(),
+        "fixed_points": [
+            {"m_star": p.m_star, "stability": p.stability, "residual": p.residual} for p in pts
+        ],
+    }
+    return (["m_star", "stability", "residual"], rows), summary, None
 
 
-def cmd_bifurcation(args, cfg: Config, out_dir: Path):
+def cmd_bifurcation(args, cfg: Config):
     model = cfg.model()
     prob = stationary.SelfConsistencyProblem.from_model(model)
     for flag, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
@@ -287,43 +261,32 @@ def cmd_bifurcation(args, cfg: Config, out_dir: Path):
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     diagram = stationary.bifurcation_diagram(prob, betas)
     rows = [[b, m, stab, resid] for (b, m, stab, resid) in diagram.rows()]
-    t = write_table(out_dir, "bifurcation", ["beta", "m_star", "stable", "residual"], rows, args.format)
-    s = write_summary(
-        out_dir,
-        "bifurcation",
-        {
-            "beta_critical": diagram.beta_critical,
-            "beta_min": args.beta_min,
-            "beta_max": args.beta_max,
-            "beta_steps": args.beta_steps,
-            "branch_counts": [len(b) for b in diagram.branches],
-        },
-    )
-    return [t, s], None
+    summary = {
+        "beta_critical": diagram.beta_critical,
+        "beta_min": args.beta_min,
+        "beta_max": args.beta_max,
+        "beta_steps": args.beta_steps,
+        "branch_counts": [len(b) for b in diagram.branches],
+    }
+    return (["beta", "m_star", "stable", "residual"], rows), summary, None
 
 
-def cmd_simulate(args, cfg: Config, out_dir: Path):
+def cmd_simulate(args, cfg: Config):
     model = cfg.model()
     rp = _run_params(args, cfg)
     seed = _effective_seed(args, cfg)
     init = _default_init(model)
     series = particles.simulate(model, rp.N, rp.T, rp.dt, seed, init, rp.record_every)
-    header, rows = _series_rows(model, series)
-    t = write_table(out_dir, "simulate", header, rows, args.format)
-    s = write_summary(
-        out_dir,
-        "simulate",
-        {
-            "N": rp.N,
-            "T": rp.T,
-            "dt": rp.dt,
-            "seed": seed,
-            "record_every": rp.record_every,
-            "records": series.n_records(),
-            "final_time": float(series.times[-1]),
-        },
-    )
-    return [t, s], None
+    summary = {
+        "N": rp.N,
+        "T": rp.T,
+        "dt": rp.dt,
+        "seed": seed,
+        "record_every": rp.record_every,
+        "records": series.n_records(),
+        "final_time": float(series.times[-1]),
+    }
+    return _series_rows(series), summary, None
 
 
 def _default_init(model) -> particles.InitProduct:
@@ -336,55 +299,33 @@ def _default_init(model) -> particles.InitProduct:
     )
 
 
-def _series_rows(model, series: particles.ObservableSeries):
-    d = model.d
-    has_p = series.mean_p is not None
-    has_z = series.mean_z is not None
-
-    def names(base, width):
-        return [base] if width == 1 else [f"{base}_{i}" for i in range(width)]
-
-    header = ["t"]
-    for base, width in (
-        ("mean_q", d),
-        ("mean_p", d),
-        ("var_q", d),
-        ("var_p", d),
-        ("cov_qp", d),
-        ("magnetization", d),
-        ("se_mean_q", d),
-        ("se_mean_p", d),
-    ):
-        header += names(base, width)
-    if has_z:
-        dm = series.mean_z.shape[1]
-        for base in ("mean_z", "var_z", "se_mean_z"):
-            header += names(base, dm)
-
-    # overdamped runs carry no momentum block; the pinned header keeps zeros there
-    zeros = np.zeros((len(series.times), d))
-    cols = [
-        series.mean_q,
-        series.mean_p if has_p else zeros,
-        series.var_q,
-        series.var_p if has_p else zeros,
-        series.cov_qp if has_p else zeros,
-        series.magnetization,
-        series.se_mean_q,
-        series.se_mean_p if has_p else zeros,
-    ]
-    if has_z:
-        cols += [series.mean_z, series.var_z, series.se_mean_z]
-    rows = []
-    for i, t in enumerate(series.times):
-        row = [float(t)]
-        for c in cols:
-            row += [float(v) for v in np.atleast_1d(c[i])]
-        rows.append(row)
-    return header, rows
+# the simulate table after its t column, in order: ObservableSeries fields
+_SERIES_COLUMNS = (
+    "mean_q", "mean_p", "var_q", "var_p", "cov_qp", "magnetization", "se_mean_q", "se_mean_p",
+    "mean_z", "var_z", "se_mean_z",
+)
 
 
-def cmd_thermo(args, cfg: Config, out_dir: Path):
+def _series_rows(series: particles.ObservableSeries):
+    """Header and rows of the simulate table; a block wider than 1 gets ``_i`` suffixes.
+
+    Overdamped runs carry no momentum block, and the pinned header keeps zeros
+    there; the z columns appear only for the generalized kind.
+    """
+    header, cols = ["t"], [series.times[:, None]]
+    for name in _SERIES_COLUMNS:
+        col = getattr(series, name)
+        if col is None:
+            if name.endswith("_z"):
+                continue
+            col = np.zeros_like(series.mean_q)
+        width = col.shape[1]
+        header += [name] if width == 1 else [f"{name}_{i}" for i in range(width)]
+        cols.append(col)
+    return header, np.hstack(cols).tolist()
+
+
+def cmd_thermo(args, cfg: Config):
     model = cfg.model()
     law0 = thermo.stationary_law(model)
     cov = law0.cov.copy()
@@ -405,56 +346,41 @@ def cmd_thermo(args, cfg: Config, out_dir: Path):
             series.times, series.energy, series.entropy, series.free_energy, series.dissipation
         )
     ]
-    t_path = write_table(out_dir, "thermo", ["t", "E", "S", "F", "dissipation"], rows, args.format)
-    drift = float(np.max(np.abs(series.energy - series.energy[0])))
-    s_path = write_summary(
-        out_dir,
-        "thermo",
-        {
-            "T": T,
-            "dt": dt,
-            "z_var_factor": args.z_var_factor,
-            "energy_drift": drift,
-            "entropy_monotone": bool(np.all(np.diff(series.entropy) >= -1e-8)),
-            "free_energy_monotone": bool(np.all(np.diff(series.free_energy) <= 1e-8)),
-        },
-    )
-    return [t_path, s_path], None
+    summary = {
+        "T": T,
+        "dt": dt,
+        "z_var_factor": args.z_var_factor,
+        "energy_drift": float(np.max(np.abs(series.energy - series.energy[0]))),
+        "entropy_monotone": bool(np.all(np.diff(series.entropy) >= -1e-8)),
+        "free_energy_monotone": bool(np.all(np.diff(series.free_energy) <= 1e-8)),
+    }
+    return (["t", "E", "S", "F", "dissipation"], rows), summary, None
 
 
-def cmd_whitenoise(args, cfg: Config, out_dir: Path):
+def cmd_whitenoise(args, cfg: Config):
     model = cfg.model()
     rp = _run_params(args, cfg)
-    epsilons = tuple(_parse_floats(args.epsilons))
-    checkpoints = tuple(_parse_floats(args.checkpoints))
     study = limits.ScalingStudy(
         base_model=model,
-        epsilons=epsilons,
+        epsilons=tuple(_parse_floats(args.epsilons)),
         N=rp.N,
         T=rp.T,
         base_dt=args.base_dt if args.base_dt is not None else rp.dt,
         seed=_effective_seed(args, cfg),
-        checkpoints=checkpoints,
+        checkpoints=tuple(_parse_floats(args.checkpoints)),
     )
     result = limits.run_study(study)
     rows = [[r.epsilon, r.error, r.se, r.steps, r.wallclock_s] for r in result.rows]
-    t = write_table(
-        out_dir, "whitenoise", ["epsilon", "error", "se", "steps", "wallclock_s"], rows, args.format
-    )
-    s = write_summary(
-        out_dir,
-        "whitenoise",
-        {
-            "gamma": result.gamma,
-            "checkpoints": result.checkpoints,
-            "rows": [
-                {"epsilon": r.epsilon, "error": r.error, "se": r.se, "steps": r.steps}
-                for r in result.rows
-            ],
-        },
-    )
+    summary = {
+        "gamma": result.gamma,
+        "checkpoints": result.checkpoints,
+        "rows": [
+            {"epsilon": r.epsilon, "error": r.error, "se": r.se, "steps": r.steps}
+            for r in result.rows
+        ],
+    }
     timings = {repr(r.epsilon): r.wallclock_s for r in result.rows}
-    return [t, s], timings
+    return (["epsilon", "error", "se", "steps", "wallclock_s"], rows), summary, timings
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +445,7 @@ def main(argv=None) -> int:
     args._started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         cfg = load_config(args.config)
+        cfg.run_params()  # every manifest records run.seed; a mistyped [run] value stops any run
     except FileNotFoundError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
@@ -530,14 +457,24 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs, timings = args._run(args, cfg, out_dir)
+        table, summary, timings = args._run(args, cfg)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
     except GlekitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    write_manifest(out_dir, args, cfg, outputs, timings)
+    outputs, canonical = [], {}
+    if table is not None:
+        header, rows = table
+        path = write_table(out_dir, args.command, header, rows, args.format)
+        outputs.append(path)
+        if "wallclock_s" in header:
+            i = header.index("wallclock_s")
+            zeroed = [row[:i] + [0.0] + row[i + 1 :] for row in rows]
+            canonical[path.name] = _sha256(_render_table(header, zeroed, args.format).encode())
+    outputs.append(write_summary(out_dir, args.command, summary))
+    write_manifest(out_dir, args, cfg, outputs, timings, canonical)
     return 0
 
 

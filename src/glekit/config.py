@@ -88,19 +88,39 @@ class Config:
         return validate(self.model_spec())
 
     def run_params(self) -> RunParams:
-        run = self.sections.get("run", {})
-        rp = RunParams()
-        if "N" in run:
-            rp.N = int(run["N"])
-        if "T" in run:
-            rp.T = float(run["T"])
-        if "dt" in run:
-            rp.dt = float(run["dt"])
-        if "seed" in run:
-            rp.seed = int(run["seed"])
-        if "record_every" in run:
-            rp.record_every = int(run["record_every"])
-        return rp
+        run, rp = self.sections.get("run", {}), RunParams()
+        return RunParams(
+            N=_whole(run, "N", rp.N),
+            T=_number(run, "T", rp.T),
+            dt=_number(run, "dt", rp.dt),
+            seed=_whole(run, "seed", rp.seed),
+            record_every=_whole(run, "record_every", rp.record_every),
+        )
+
+
+def _number(section: dict, key: str, default) -> float:
+    """``section[key]`` as a float; ConfigError naming the key unless it parsed as a number."""
+    value = section.get(key, default)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(section: dict, key: str, default) -> int:
+    """``section[key]`` as an int; ConfigError naming the key unless it is a finite whole number."""
+    value = section.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return value
+
+
+def _numbers(section: dict, key: str) -> np.ndarray:
+    """``section[key]`` as a float array; ConfigError naming the key for a bare word."""
+    if isinstance(section[key], str):
+        raise ConfigError(f"{key} must be a list of numbers, got {section[key]!r}")
+    return np.atleast_1d(np.asarray(section[key], dtype=float))
 
 
 def _parse_scalar(text: str):
@@ -120,16 +140,17 @@ def _parse_scalar(text: str):
     raise ConfigError(f"cannot parse value {text!r}")
 
 
-def _parse_value(text: str):
+def _parse_value(key: str, text: str):
     text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"unterminated list {text!r}")
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [float(_parse_scalar(tok)) for tok in inner.split(",")]
-    return _parse_scalar(text)
+    if not text.startswith("["):
+        return _parse_scalar(text)
+    if not text.endswith("]"):
+        raise ConfigError(f"unterminated list {text!r}")
+    inner = text[1:-1].strip()
+    values = [_parse_scalar(tok) for tok in inner.split(",")] if inner else []
+    if any(isinstance(v, str) for v in values):
+        raise ConfigError(f"{key} must be a list of numbers, got {text!r}")
+    return [float(v) for v in values]
 
 
 def parse_config(text: str) -> Config:
@@ -158,7 +179,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        sections[current][key] = _parse_value(val)
+        sections[current][key] = _parse_value(key, val)
     if "model" not in sections:
         raise ConfigError("config must contain a [model] section")
     return Config(sections=sections)
@@ -175,40 +196,36 @@ def build_model_spec(sections: dict) -> ModelSpec:
         kind = Kind(str(model["kind"]).lower())
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"model.kind missing or invalid: {exc}") from exc
-    d = int(model.get("d", 1))
-    beta = float(model.get("beta", 1.0))
+    d = _whole(model, "d", 1)
+    beta = _number(model, "beta", 1.0)
 
     pkind = str(model.get("potential.kind", "quadratic")).lower()
-    params = model.get("potential.params", None)
+    params = _numbers(model, "potential.params") if "potential.params" in model else []
     if pkind == "quadratic":
-        omega2 = float(params[0]) if params else 1.0
-        potential = Quadratic(omega2=omega2)
+        potential = Quadratic(omega2=float(params[0]) if len(params) else 1.0)
     elif pkind == "double_well":
-        if not params or len(params) != 2:
+        if len(params) != 2:
             raise ConfigError("double_well needs potential.params = [a, b]")
         potential = DoubleWell(a=float(params[0]), b=float(params[1]))
     else:
         raise ConfigError(f"unknown potential.kind {pkind!r}")
 
     if "interaction.eta2" in model:
-        interaction = CurieWeiss(eta2=float(model["interaction.eta2"]))
+        interaction = CurieWeiss(eta2=_number(model, "interaction.eta2", None))
     else:
         interaction = NoInteraction()
 
-    gamma = float(model["gamma"]) if "gamma" in model else None
+    gamma = _number(model, "gamma", None) if "gamma" in model else None
 
     memory = None
     if "memory" in sections:
         mem = sections["memory"]
-        try:
-            m = int(mem["m"])
-        except KeyError as exc:
-            raise ConfigError("memory section needs m") from exc
+        for key in ("m", "lambda"):
+            if key not in mem:
+                raise ConfigError(f"memory section needs {key}")
+        m = _whole(mem, "m", None)
         dm = d * m
-        lam_list = mem.get("lambda")
-        if lam_list is None:
-            raise ConfigError("memory section needs lambda")
-        lam = np.asarray(lam_list, dtype=float)
+        lam = _numbers(mem, "lambda")
         if lam.size == m and d == 1:
             lam = lam.reshape(dm, 1)
         elif lam.size == dm * d:
@@ -218,12 +235,12 @@ def build_model_spec(sections: dict) -> ModelSpec:
         if "A" in mem and "diag" in mem:
             raise ConfigError("give either A or diag, not both")
         if "diag" in mem:
-            diag = np.asarray(mem["diag"], dtype=float)
+            diag = _numbers(mem, "diag")
             if diag.size != dm:
                 raise ConfigError(f"diag needs {dm} entries")
             A = np.diag(diag)
         elif "A" in mem:
-            A = np.asarray(mem["A"], dtype=float)
+            A = _numbers(mem, "A")
             if A.size != dm * dm:
                 raise ConfigError(f"A needs {dm * dm} entries")
             A = A.reshape(dm, dm)

@@ -19,6 +19,7 @@ round(T/base_dt) steps of size base_dt.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,9 @@ from .errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, Sha
 from .model import Kind, MemorySpec, ModelSpec, ValidatedModel, validate
 from .particles import BlockLaw, InitProduct, covariance_se, init_ensemble, make_stepper
 from .quadratic import base_spectrum, meanfield_green, split_BK
+
+# every particle of a study starts at q = 1, p = 0
+Q0, P0 = 1.0, 0.0
 
 
 def effective_gamma(lam, A):
@@ -120,9 +124,6 @@ class ScalingStudy:
     base_dt: float = 1e-3
     seed: int = 0
     checkpoints: tuple[float, ...] = (0.5, 1.0, 2.0)
-    q0: float = 1.0
-    p0: float = 0.0
-    metric: str = "qp_mean_and_cov"
 
     def __post_init__(self):
         if self.base_model.kind is not Kind.GENERALIZED:
@@ -135,6 +136,8 @@ class ScalingStudy:
         object.__setattr__(self, "epsilons", eps)
         if self.N < 2:
             raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={self.N}")
+        if not 0 < self.T < math.inf:
+            raise ShapeMismatch(f"T must be positive and finite, got {self.T}")
         if not self.base_dt > 0:
             raise ShapeMismatch(f"base_dt must be positive, got {self.base_dt}")
         if effective_gamma(self.base_model.memory.lam, self.base_model.memory.A) <= 0:
@@ -157,24 +160,17 @@ class StudyResult:
     checkpoints: tuple[float, ...]
 
 
-def _moment_errors_vs_reference(model_ref, study, ens_moments):
+def _moment_errors_vs_reference(model_ref, ens_moments):
     """Max abs (q,p) moment error across checkpoints, with the matching SE."""
     B, K, D = split_BK(model_ref)
-    x0 = np.array([study.q0, study.p0])
-    worst_err, worst_se = -1.0, 0.0
+    errs, ses = [], []
     for t, (mean_qp, cov_qp, N) in ens_moments.items():
-        law = meanfield_green(B, K, D, t, x0)
-        err_mean = np.abs(mean_qp - law.mean)
-        se_mean = np.sqrt(np.diag(cov_qp) / N)
-        err_cov = np.abs(cov_qp - law.cov)
-        se_cov = covariance_se(cov_qp, N)
-        for e, s in zip(
-            np.concatenate([err_mean, err_cov.ravel()]),
-            np.concatenate([se_mean, se_cov.ravel()]),
-        ):
-            if e > worst_err:
-                worst_err, worst_se = float(e), float(s)
-    return worst_err, worst_se
+        law = meanfield_green(B, K, D, t, np.array([Q0, P0]))
+        errs += [np.abs(mean_qp - law.mean), np.abs(cov_qp - law.cov).ravel()]
+        ses += [np.sqrt(np.diag(cov_qp) / N), covariance_se(cov_qp, N).ravel()]
+    errs, ses = np.concatenate(errs), np.concatenate(ses)
+    i = np.argmax(errs)  # the first maximum
+    return float(errs[i]), float(ses[i])
 
 
 def run_study(study: ScalingStudy) -> StudyResult:
@@ -182,13 +178,13 @@ def run_study(study: ScalingStudy) -> StudyResult:
 
     Rows come in the input epsilon order; each run draws from its own
     sub-stream of ``study.seed`` and takes round(T/base_dt) steps.  Raises
-    :class:`ShapeMismatch` before simulating unless every checkpoint falls on
-    its own step in (0, T].
+    :class:`ShapeMismatch` before simulating unless there is a checkpoint and
+    each falls on its own step in (0, T].
     """
     dt = study.base_dt
     n_steps = int(round(study.T / dt))
     check_steps = {int(round(t / dt)): t for t in study.checkpoints}
-    if len(check_steps) < len(set(study.checkpoints)) or not all(
+    if not check_steps or len(check_steps) < len(set(study.checkpoints)) or not all(
         1 <= k <= n_steps for k in check_steps
     ):
         raise ShapeMismatch(
@@ -203,8 +199,8 @@ def run_study(study: ScalingStudy) -> StudyResult:
         scaled = scaled_spec(study.base_model, eps)
         seed_seq = np.random.SeedSequence(entropy=study.seed, spawn_key=(idx,))
         init = InitProduct(
-            q=BlockLaw(point=study.q0),
-            p=BlockLaw(point=study.p0),
+            q=BlockLaw(point=Q0),
+            p=BlockLaw(point=P0),
             z=BlockLaw(mean=0.0, var=scaled.beta_inv),
         )
         ens = init_ensemble(scaled, study.N, seed_seq, init)
@@ -217,7 +213,7 @@ def run_study(study: ScalingStudy) -> StudyResult:
                 mean = qp.mean(axis=0)
                 cov = np.cov(qp.T, ddof=1).reshape(2 * scaled.d, 2 * scaled.d)
                 moments[check_steps[k]] = (mean, cov, study.N)
-        err, se = _moment_errors_vs_reference(ref, study, moments)
+        err, se = _moment_errors_vs_reference(ref, moments)
         rows.append(
             StudyRow(
                 epsilon=eps,

@@ -295,22 +295,18 @@ class ObservableSeries:
 
 
 def _record(ens: ParticleEnsemble) -> dict:
+    """One record, keyed by :class:`ObservableSeries` field names."""
     N = ens.N
     ddof = 1 if N > 1 else 0
-    rec = {
-        "t": ens.time,
-        "mean_q": ens.q.mean(axis=0),
-        "var_q": ens.q.var(axis=0, ddof=ddof),
-        "magnetization": ens.q.mean(axis=0),
-    }
-    rec["se_mean_q"] = np.sqrt(rec["var_q"] / N)
+    mean_q = ens.q.mean(axis=0)
+    var_q = ens.q.var(axis=0, ddof=ddof)
+    rec = {"times": ens.time, "mean_q": mean_q, "var_q": var_q,
+           "se_mean_q": np.sqrt(var_q / N), "magnetization": mean_q}
     if ens.p is not None:
         rec["mean_p"] = ens.p.mean(axis=0)
         rec["var_p"] = ens.p.var(axis=0, ddof=ddof)
         rec["se_mean_p"] = np.sqrt(rec["var_p"] / N)
-        qc = ens.q - rec["mean_q"]
-        pc = ens.p - rec["mean_p"]
-        rec["cov_qp"] = (qc * pc).sum(axis=0) / max(N - 1, 1)
+        rec["cov_qp"] = ((ens.q - mean_q) * (ens.p - rec["mean_p"])).sum(axis=0) / max(N - 1, 1)
     if ens.z is not None:
         rec["mean_z"] = ens.z.mean(axis=0)
         rec["var_z"] = ens.z.var(axis=0, ddof=ddof)
@@ -333,8 +329,8 @@ def simulate(
     the final state is always recorded.  Raises :class:`NonFiniteState` with
     the failing time on blow-up.
     """
-    if not T > 0:
-        raise ShapeMismatch(f"T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ShapeMismatch(f"T must be positive and finite, got {T}")
     if dt > T:
         raise ShapeMismatch(f"dt={dt} exceeds T={T}")
     if record_every < 1:
@@ -347,29 +343,7 @@ def simulate(
         stepper.step(ens)
         if k % record_every == 0 or k == n_steps:
             records.append(_record(ens))
-    return _series_from_records(records)
-
-
-def _series_from_records(records: list[dict]) -> ObservableSeries:
-    def col(key):
-        if key not in records[0]:
-            return None
-        return np.asarray([r[key] for r in records])
-
-    return ObservableSeries(
-        times=np.asarray([r["t"] for r in records]),
-        mean_q=col("mean_q"),
-        var_q=col("var_q"),
-        se_mean_q=col("se_mean_q"),
-        magnetization=col("magnetization"),
-        mean_p=col("mean_p"),
-        var_p=col("var_p"),
-        cov_qp=col("cov_qp"),
-        se_mean_p=col("se_mean_p"),
-        mean_z=col("mean_z"),
-        var_z=col("var_z"),
-        se_mean_z=col("se_mean_z"),
-    )
+    return ObservableSeries(**{key: np.asarray([r[key] for r in records]) for key in records[0]})
 
 
 def empirical_moments(ens: ParticleEnsemble):

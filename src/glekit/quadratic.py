@@ -32,7 +32,7 @@ and everything here is exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,8 +60,6 @@ class DriftDiffusion:
 
     B: np.ndarray
     D: np.ndarray
-    dim: int
-    labels: tuple[str, ...]
 
 
 def check_covariances(cov: np.ndarray) -> None:
@@ -145,20 +143,17 @@ def assemble(model: ValidatedModel, N: int) -> DriftDiffusion:
     Bo = _omv_drift(omega2, eta2, N, d)
 
     if model.kind is Kind.OVERDAMPED:
-        labels = tuple(f"q{i}" for i in range(n))
-        return DriftDiffusion(B=Bo, D=np.eye(n), dim=n, labels=labels)
+        return DriftDiffusion(B=Bo, D=np.eye(n))
 
     if model.kind is Kind.UNDERDAMPED:
         Z = np.zeros((n, n))
         B = np.block([[Z, np.eye(n)], [Bo, -model.gamma * np.eye(n)]])
         D = np.zeros((2 * n, 2 * n))
         D[n:, n:] = model.gamma * np.eye(n)
-        labels = tuple(f"q{i}" for i in range(n)) + tuple(f"p{i}" for i in range(n))
-        return DriftDiffusion(B=B, D=D, dim=2 * n, labels=labels)
+        return DriftDiffusion(B=B, D=D)
 
     mem = model.memory
-    dm = d * mem.m
-    nz = N * dm
+    nz = N * d * mem.m
     lam = np.kron(np.eye(N), np.asarray(mem.lam, dtype=float))
     A = np.kron(np.eye(N), np.asarray(mem.A, dtype=float))
     B = np.zeros((2 * n + nz, 2 * n + nz))
@@ -169,12 +164,7 @@ def assemble(model: ValidatedModel, N: int) -> DriftDiffusion:
     B[2 * n :, 2 * n :] = -A
     D = np.zeros_like(B)
     D[2 * n :, 2 * n :] = A
-    labels = (
-        tuple(f"q{i}" for i in range(n))
-        + tuple(f"p{i}" for i in range(n))
-        + tuple(f"z{i}" for i in range(nz))
-    )
-    return DriftDiffusion(B=B, D=D, dim=2 * n + nz, labels=labels)
+    return DriftDiffusion(B=B, D=D)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +277,7 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
 
 def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> SpectrumReport:
     """Base spectrum plus lattice, tagged with the model's kind and parameters."""
-    base = base_spectrum(model)
-    rep = spectrum_lattice(base, cap)
+    rep = spectrum_lattice(base_spectrum(model), cap)  # before omega2: it names the bad potential
     params = {"beta": model.beta, "d": model.d, "kind": model.kind.value}
     params["omega2"] = model.omega2
     params["eta2"] = model.eta2
@@ -298,14 +287,7 @@ def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> Sp
         lambdas, alphas = model.memory.diagonal_rates()
         params["lambdas"] = lambdas
         params["alphas"] = alphas
-    return SpectrumReport(
-        base_eigenvalues=rep.base_eigenvalues,
-        lattice=rep.lattice,
-        multi_indices=rep.multi_indices,
-        kind=model.kind.value,
-        parameters=params,
-        cap=int(cap),
-    )
+    return replace(rep, kind=model.kind.value, parameters=params)
 
 
 def spectral_gap(report: SpectrumReport) -> float:

@@ -216,8 +216,8 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
     covariance passes the symmetric-PSD check of a Gaussian law and must be
     nonsingular (:class:`SingularCovariance` otherwise).
     """
-    if not (dt > 0 and T > 0 and dt <= T):
-        raise ShapeMismatch(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    if not (dt > 0 and dt <= T < math.inf):
+        raise ShapeMismatch(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ShapeMismatch(f"T={T} is not a whole number of steps dt={dt}")

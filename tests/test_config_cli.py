@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -339,3 +340,129 @@ def test_spectrum_rejects_a_negative_cap(tmp_path, capsys):
     assert code == 1
     assert "ShapeMismatch" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "whitenoise", "thermo"])
+def test_infinite_horizon_is_a_typed_error(tmp_path, capsys, cmd):
+    code = run_cli(
+        [cmd, "--config", QUAD_GMV, "--out", tmp_path, "--t-final", "inf"]
+        + {"simulate": ["--n", "8"], "whitenoise": ["--n", "8", "--checkpoints", "0.01"],
+           "thermo": []}[cmd]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / f"{cmd}.csv").exists()
+
+
+SMALL_GMV = """\
+[model]
+kind = generalized
+d = 1
+beta = 1.0
+potential.kind = quadratic
+potential.params = [1.0]
+interaction.eta2 = 1.0
+[memory]
+m = 1
+lambda = [1.0]
+A = [1.0]
+[run]
+N = 16
+T = 0.01
+dt = 0.005
+seed = 3
+record_every = 1
+"""
+
+
+def _config_with(tmp_path, key, value):
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in SMALL_GMV.splitlines()]
+    path = tmp_path / "model.conf"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", "abc"), ("beta", "abc"), ("dt", "fast"), ("lambda", "[one]"), ("N", "inf"),
+     ("d", "nan"), ("N", "16.7"), ("d", "1.9"), ("seed", "4.5")],
+)
+def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, key, value):
+    code = run_cli(["simulate", "--config", _config_with(tmp_path, key, value), "--out", tmp_path,
+                    "--n", "16"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ConfigError" in err and key in err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
+D2_DIAG_GMV = SMALL_GMV.replace("d = 1", "d = 2").replace(
+    "lambda = [1.0]\nA = [1.0]", "lambda = [1.0, 0.0, 0.0, 1.0]\ndiag = [1.0, 2.0]")
+OVERDAMPED = "[model]\nkind = overdamped\nd = 1\nbeta = 1.0\ninteraction.eta2 = 1.0\n"
+QP = "t,mean_q,mean_p,var_q,var_p,cov_qp,magnetization,se_mean_q,se_mean_p"
+
+
+@pytest.mark.parametrize(
+    "config, header",
+    [
+        (OVERDAMPED, QP),
+        (QUAD_UMV, QP),
+        (QUAD_GMV, QP + ",mean_z,var_z,se_mean_z"),
+        (D2_DIAG_GMV, "t,mean_q_0,mean_q_1,mean_p_0,mean_p_1,var_q_0,var_q_1,var_p_0,var_p_1,"
+         "cov_qp_0,cov_qp_1,magnetization_0,magnetization_1,se_mean_q_0,se_mean_q_1,"
+         "se_mean_p_0,se_mean_p_1,mean_z_0,mean_z_1,var_z_0,var_z_1,se_mean_z_0,se_mean_z_1"),
+    ],
+    ids=["overdamped", "underdamped", "generalized", "generalized-d2"],
+)
+def test_simulate_header_is_pinned(tmp_path, config, header):
+    if isinstance(config, str):
+        (tmp_path / "model.conf").write_text(config)
+        config = tmp_path / "model.conf"
+    code = run_cli(["simulate", "--config", config, "--out", tmp_path, "--n", "8",
+                    "--t-final", "0.01", "--dt", "0.005"])
+    assert code == 0
+    lines = (tmp_path / "simulate.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+
+
+SMALL_RUNS = {
+    "validate": [],
+    "simulate": ["--n", "16", "--t-final", "0.01", "--dt", "0.005"],
+    "spectrum": ["--cap", "2"],
+    "greens": ["--times", "0.5"],
+    "stationary": [],
+    "bifurcation": ["--beta-min", "1.5", "--beta-max", "3.0", "--beta-steps", "2"],
+    "thermo": ["--t-final", "0.02", "--dt", "0.01"],
+    "whitenoise": ["--n", "16", "--t-final", "0.02", "--epsilons", "0.5,0.25",
+                   "--checkpoints", "0.02", "--base-dt", "0.01"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cmd", list(SMALL_RUNS))
+def test_each_run_writes_its_table_summary_and_manifest(tmp_path, capsys, cmd, fmt):
+    code = run_cli([cmd, "--config", QUAD_GMV, "--out", tmp_path, "--format", fmt]
+                   + SMALL_RUNS[cmd])
+    assert code == 0
+    outputs = ([] if cmd == "validate" else [f"{cmd}.{fmt}"]) + [f"{cmd}_summary.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs + ["manifest.json"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [e["path"] for e in manifest["outputs"]] == outputs
+    for entry in manifest["outputs"]:
+        digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
+        assert entry["sha256"] == digest
+
+
+def test_whitenoise_json_has_a_canonical_digest_that_repeats(tmp_path):
+    digests = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = run_cli(["whitenoise", "--config", QUAD_GMV, "--out", out, "--format", "json",
+                        "--seed", "4"] + SMALL_RUNS["whitenoise"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entry = next(e for e in manifest["outputs"] if e["path"] == "whitenoise.json")
+        digests.append(entry["canonical_sha256"])
+    assert digests[0] == digests[1]

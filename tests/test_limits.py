@@ -141,3 +141,34 @@ def test_run_study_smoke_and_determinism():
     # every eps runs at base_dt
     assert [r.steps for r in res1.rows] == [500, 500]
     assert all(np.isfinite(r.error) and r.se > 0 for r in res1.rows)
+
+
+def test_run_study_rejects_an_empty_checkpoint_list():
+    # no checkpoint means no moment error: no row reporting an error of -1
+    study = limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=(0.5, 0.25), N=10, T=0.01,
+                                base_dt=0.005, checkpoints=())
+    with pytest.raises(ShapeMismatch, match="checkpoints"):
+        limits.run_study(study)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.01], ids=["all-tied", "perturbed"])
+def test_moment_error_is_the_first_maximum_across_checkpoints(scale):
+    # the reference: a running strict maximum over the entries in checkpoint order
+    model_ref = limits.underdamped_reference(quadratic_gmv())
+    B, K, D = limits.split_BK(model_ref)
+    x0 = np.array([limits.Q0, limits.P0])
+    rng = np.random.default_rng(0)
+    moments = {}
+    for t in (0.5, 1.0):
+        law = limits.meanfield_green(B, K, D, t, x0)
+        bump = scale * rng.standard_normal(2)
+        moments[t] = (law.mean + bump, law.cov + np.diag(bump**2), 50)
+    worst_err, worst_se = -1.0, 0.0
+    for t, (mean, cov, N) in moments.items():
+        law = limits.meanfield_green(B, K, D, t, x0)
+        errs = np.concatenate([np.abs(mean - law.mean), np.abs(cov - law.cov).ravel()])
+        ses = np.concatenate([np.sqrt(np.diag(cov) / N), limits.covariance_se(cov, N).ravel()])
+        for e, s in zip(errs, ses):
+            if e > worst_err:
+                worst_err, worst_se = float(e), float(s)
+    assert limits._moment_errors_vs_reference(model_ref, moments) == (worst_err, worst_se)
