@@ -326,6 +326,8 @@ def _series_rows(series: particles.ObservableSeries):
 
 
 def cmd_thermo(args, cfg: Config):
+    if not 0 < args.z_var_factor < math.inf:
+        raise ShapeMismatch(f"--z-var-factor must be finite and positive, got {args.z_var_factor}")
     model = cfg.model()
     law0 = thermo.stationary_law(model)
     cov = law0.cov.copy()

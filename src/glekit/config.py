@@ -246,10 +246,7 @@ def build_model_spec(sections: dict) -> ModelSpec:
             A = A.reshape(dm, dm)
         else:
             raise ConfigError("memory section needs A or diag")
-        diag_rates = None
-        if d == 1 and np.allclose(A, np.diag(np.diag(A)), atol=0.0):
-            diag_rates = (tuple(lam.reshape(-1).tolist()), tuple(np.diag(A).tolist()))
-        memory = MemorySpec(m=m, lam=lam, A=A, diag=diag_rates)
+        memory = MemorySpec(m=m, lam=lam, A=A)
 
     return ModelSpec(
         d=d,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
-from .model import Kind, MemorySpec, ModelSpec, ValidatedModel, validate
+from .model import Kind, ModelSpec, ValidatedModel, validate
 from .particles import BlockLaw, InitProduct, covariance_se, init_ensemble, make_stepper
 from .quadratic import base_spectrum, meanfield_green, split_BK
 
@@ -62,19 +62,8 @@ def scaled_spec(model: ValidatedModel, epsilon: float) -> ValidatedModel:
     if not epsilon > 0:
         raise ShapeMismatch(f"epsilon must be positive, got {epsilon}")
     mem = model.memory
-    diag = None
-    if mem.diag is not None:
-        lambdas, alphas = mem.diag
-        diag = (
-            tuple(l / epsilon for l in lambdas),
-            tuple(a / epsilon**2 for a in alphas),
-        )
-    scaled_mem = MemorySpec(
-        m=mem.m,
-        lam=np.asarray(mem.lam, dtype=float) / epsilon,
-        A=np.asarray(mem.A, dtype=float) / epsilon**2,
-        diag=diag,
-    )
+    scaled_mem = replace(mem, lam=np.asarray(mem.lam, dtype=float) / epsilon,
+                         A=np.asarray(mem.A, dtype=float) / epsilon**2)
     return validate(replace(model.spec, memory=scaled_mem))
 
 

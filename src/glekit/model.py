@@ -147,29 +147,30 @@ class MemorySpec:
     m: int
     lam: np.ndarray
     A: np.ndarray
-    diag: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
     @staticmethod
     def diagonal(lambdas: Sequence[float], alphas: Sequence[float], d: int = 1) -> "MemorySpec":
-        lambdas = tuple(float(x) for x in lambdas)
-        alphas = tuple(float(x) for x in alphas)
         if len(lambdas) != len(alphas):
             raise ShapeMismatch(
                 f"need one alpha per lambda, got {len(lambdas)} lambdas, {len(alphas)} alphas"
             )
-        m = len(lambdas)
         eye = np.eye(d)
-        lam = np.vstack([lj * eye for lj in lambdas])
-        A = np.kron(np.diag(alphas), eye)
-        return MemorySpec(m=m, lam=lam, A=A, diag=(lambdas, alphas))
+        lam = np.kron(np.asarray(lambdas, dtype=float)[:, None], eye)
+        return MemorySpec(m=len(lambdas), lam=lam, A=np.kron(np.diag(alphas), eye))
 
     def diagonal_rates(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Scalar (lambda_j, alpha_j) if the memory has block-diagonal form."""
-        if self.diag is not None:
-            return self.diag
+        """Scalar (lambda_j, alpha_j) when lam = [lambda_j I_d]_j and A = diag(alpha) (x) I_d exactly."""
+        lam, A = np.asarray(self.lam, dtype=float), np.asarray(self.A, dtype=float)
+        d = lam.shape[1]
+        eye = np.eye(d)
+        lambdas, alphas = lam[::d, 0], np.diagonal(A)[::d]
+        if np.array_equal(lam, np.kron(lambdas[:, None], eye)) and np.array_equal(
+            A, np.kron(np.diag(alphas), eye)
+        ):
+            return tuple(lambdas.tolist()), tuple(alphas.tolist())
         raise UnsupportedPotential(
             "memory is not in diagonal (lambda_j, alpha_j) form; "
-            "closed-form spectra need the diagonal constructor"
+            "closed-form spectra need lam = lambda_j I_d stacked and A = diag(alpha) (x) I_d"
         )
 
 
@@ -270,11 +271,20 @@ class ValidatedModel:
         return self.spec.potential.energy(q)
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ShapeMismatch naming the first coefficient that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ShapeMismatch(f"{name} must be finite, got {value}")
+
+
 def _check_potential(potential: Potential) -> None:
     if isinstance(potential, Quadratic):
+        _check_finite(omega2=potential.omega2)
         if not potential.omega2 > 0:
             raise NonSPDMatrix(f"quadratic potential needs omega2 > 0, got {potential.omega2}")
     elif isinstance(potential, DoubleWell):
+        _check_finite(a=potential.a, b=potential.b)
         if not potential.a > 0:
             raise NonSPDMatrix(f"double well needs a > 0, got a={potential.a}")
     elif isinstance(potential, CustomPotential):
@@ -309,7 +319,8 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         ``A`` is not symmetric positive definite (or a potential coefficient
         has the wrong sign).
     ShapeMismatch
-        ``lam`` / ``A`` shapes inconsistent with (d, m).
+        ``lam`` / ``A`` shapes inconsistent with (d, m), or a coefficient
+        (omega2, a, b, eta2, gamma, lam, A) that is not finite.
     MissingField
         Generalized kind without memory, underdamped without gamma.
     """
@@ -318,12 +329,14 @@ def validate(spec: ModelSpec) -> ValidatedModel:
     if spec.d < 1:
         raise ShapeMismatch(f"spatial dimension must be >= 1, got {spec.d}")
     _check_potential(spec.potential)
+    _check_finite(eta2=spec.interaction.eta2)
     if spec.interaction.eta2 < 0:
         raise NonSPDMatrix(f"interaction needs eta2 >= 0, got {spec.interaction.eta2}")
 
     if spec.kind is Kind.UNDERDAMPED:
         if spec.gamma is None:
             raise MissingField("underdamped kind requires gamma")
+        _check_finite(gamma=spec.gamma)
         if not spec.gamma > 0:
             raise NonSPDMatrix(f"friction gamma must be positive, got {spec.gamma}")
 

@@ -3,18 +3,18 @@
 Schemes, per dynamics kind:
 
 * overdamped   -- Euler-Maruyama,
-* underdamped  -- B-A-O-A-B splitting: half kick, half drift, exact
-  friction-noise relaxation of p, half drift, half kick,
-* generalized  -- the same B-A-O-A-B splitting, whose O step is the exact
-  transition of the linear (p, z) block
-  dp = lam^T z dt, dz = -lam p dt - A z dt + sqrt(2A/beta) dW:
-  x -> T x + S xi with T = e^{dt M}, M = [[0, lam^T], [-lam, -A]] and
-  S S^T = (I - T T^T)/beta, because that block leaves N(0, I/beta)
-  invariant.  Memory and coupling are exact for any size of lam and A, so
-  the rescaled white-noise models (lam/eps, A/eps^2) run at the same dt for
-  every eps.
+* underdamped and generalized -- one B-A-O-A-B splitting: half kick, half
+  drift, exact O step, half drift, half kick.  The O step is the exact
+  transition of the linear block of the momentum p and the memory z,
+  dp = lam^T z dt, dz = -lam p dt - A z dt + sqrt(2A/beta) dW, or, without
+  memory, dp = -gamma p dt + sqrt(2 gamma/beta) dW:
+  x -> T x + S xi with T = e^{-gamma dt} I or T = e^{dt M},
+  M = [[0, lam^T], [-lam, -A]], and S S^T = (I - T T^T)/beta, because the
+  block leaves N(0, I/beta) invariant.  Memory and coupling are exact for
+  any size of lam and A, so the rescaled white-noise models (lam/eps,
+  A/eps^2) run at the same dt for every eps.
 
-Both kinetic schemes evaluate one force per step: the force at the end of a
+The kinetic scheme evaluates one force per step: the force at the end of a
 step is kept on the ensemble and starts the next one.  The Curie-Weiss force
 is computed in O(N) from the empirical mean: each force first reduces
 m1 = mean(q), then updates all particles -- the one reduction barrier that
@@ -183,10 +183,10 @@ class _Stepper:
         d = model.d
         if self.kind is Kind.OVERDAMPED:
             self.noise_std = math.sqrt(2.0 * bi * dt)
-        elif self.kind is Kind.UNDERDAMPED:
-            g = model.gamma
-            self.ou_decay = math.exp(-g * dt)
-            self.noise_std = math.sqrt(bi * (1.0 - self.ou_decay**2))
+            return
+        if self.kind is Kind.UNDERDAMPED:
+            # math.exp rather than a 1x1 expm, whose Pade value can differ in the last bit
+            self.T = math.exp(-model.gamma * dt) * np.eye(d)
         else:
             mem = model.memory
             dm = d * mem.m
@@ -195,13 +195,14 @@ class _Stepper:
             M[:d, d:] = lam.T
             M[d:, :d] = -lam
             M[d:, d:] = -np.asarray(mem.A, dtype=float)
-            # exact (p, z) Ornstein-Uhlenbeck map x -> T x + S xi; the
-            # invariant covariance is I/beta, so S S^T = (I - T T^T)/beta
             self.T = mk.expm(dt * M)
-            Q = bi * (np.eye(d + dm) - self.T @ self.T.T)
-            self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
-            self.d = d
-            self.dm = dm
+        # exact (p, z) Ornstein-Uhlenbeck map x -> T x + S xi; the invariant
+        # covariance is I/beta, so S S^T = (I - T T^T)/beta
+        n = self.T.shape[0]
+        Q = bi * (np.eye(n) - self.T @ self.T.T)
+        self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
+        self.d = d
+        self.dm = n - d
 
     def force(self, q: np.ndarray, m1: np.ndarray) -> np.ndarray:
         # confining force plus O(N) Curie-Weiss mean-field force
@@ -220,11 +221,12 @@ class _Stepper:
         return F
 
     def _ou(self, ens: ParticleEnsemble) -> None:
-        """Exact (p, z) step, one fused affine update per output column."""
+        """Exact O step of (p, z), or of p alone, one fused affine update per output column."""
         d, n = self.d, self.d + self.dm
         xi = ens.rng.standard_normal((n, ens.N))
         cols = [ens.p[:, j] for j in range(d)] + [ens.z[:, j] for j in range(self.dm)]
-        p, z = np.empty_like(ens.p), np.empty_like(ens.z)
+        p = np.empty_like(ens.p)
+        z = None if ens.z is None else np.empty_like(ens.z)
         out = [p[:, i] for i in range(d)] + [z[:, i] for i in range(self.dm)]
         T, S = self.T, self.S
         for i in range(n):
@@ -245,12 +247,7 @@ class _Stepper:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
             ens.p += 0.5 * dt * self._start_force(ens)
             ens.q += 0.5 * dt * ens.p
-            if self.kind is Kind.UNDERDAMPED:
-                xi = ens.rng.standard_normal(ens.p.shape)
-                ens.p *= self.ou_decay
-                ens.p += self.noise_std * xi
-            else:
-                self._ou(ens)
+            self._ou(ens)
             ens.q += 0.5 * dt * ens.p
             ens.p += 0.5 * dt * self._end_force(ens)
         ens.time += dt

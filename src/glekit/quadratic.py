@@ -65,8 +65,11 @@ class DriftDiffusion:
 def check_covariances(cov: np.ndarray) -> None:
     """Raise ShapeMismatch unless each matrix of a stack (..., n, n) is symmetric PSD.
 
-    Both tests are relative to max(1, max |entry|) of each matrix, at 1e-12.
+    Both tests are relative to max(1, max |entry|) of each matrix, at 1e-12;
+    a non-finite entry fails outright.
     """
+    if not np.all(np.isfinite(cov)):
+        raise ShapeMismatch("covariance has non-finite entries")
     cov_t = np.swapaxes(cov, -1, -2)
     scale = np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))
     if np.any(np.max(np.abs(cov - cov_t), axis=(-2, -1)) > 1e-12 * scale):
@@ -422,15 +425,18 @@ def propagate_gaussian(B, K, D, t: float, law: GaussianLaw) -> GaussianLaw:
     Mean e^{tB} mu (K drops out of the mean equation); covariance the solution
     of the Lyapunov flow dS/dt = (B+K)S + S(B+K)^T + 2D from S(0) = Sigma.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
+    mean, cov = affine_laws(*flow_maps(*_flow_inputs(B, K, D, t), t), law.mean, law.cov, 1)
+    return GaussianLaw(mean=mean[-1], cov=cov[-1])
+
+
+def _flow_inputs(B, K, D, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, K, D) as float matrices; ShapeMismatch unless they share one shape and t >= 0."""
+    B, K, D = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (B, K, D))
     if K.shape != B.shape or D.shape != B.shape:
         raise ShapeMismatch(f"B, K, D shapes {B.shape}, {K.shape}, {D.shape} are inconsistent")
     if t < 0:
         raise ShapeMismatch(f"t must be nonnegative, got {t}")
-    mean, cov = affine_laws(*flow_maps(B, K, D, t), law.mean, law.cov, 1)
-    return GaussianLaw(mean=mean[-1], cov=cov[-1])
+    return B, K, D
 
 
 def meanfield_green(B, K, D, t: float, x0) -> GaussianLaw:
@@ -439,8 +445,11 @@ def meanfield_green(B, K, D, t: float, x0) -> GaussianLaw:
     This is the law that empirical moments of the interacting particle system
     converge to; see ``riccati_covariance`` for the one-sided variant.
     """
-    x0 = np.array(x0, dtype=float, ndmin=1)  # a copy: the law must not alias the caller's x0
-    return propagate_gaussian(B, K, D, t, GaussianLaw(mean=x0, cov=np.zeros((x0.size, x0.size))))
+    B, K, D = _flow_inputs(B, K, D, t)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != B.shape[:1]:
+        raise ShapeMismatch(f"x0 has shape {x0.shape}, B has shape {B.shape}")
+    return GaussianLaw(mean=mk.expm(t * B) @ x0, cov=mk.gram_integral(B + K, 2.0 * D, t))
 
 
 def riccati_covariance(B, K, D, t: float) -> np.ndarray:
@@ -494,8 +503,8 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
     one-step map with force constant omega2, and the fluctuations follow
     Sigma -> Phi~ Sigma Phi~^T + Q, where Phi~ uses omega2 + eta2 and Q is
     the step's injected noise carried through the rest of the step.  The
-    maps are read from the stepper's own ``dt``, ``noise_std`` and
-    ``ou_decay`` or (p, z) map ``T``, ``S``, so comparing the result with
+    maps are read from the stepper's own ``dt`` and ``noise_std`` or exact
+    (p, z) map ``T``, ``S``, so comparing the result with
     :func:`meanfield_law` gives the scheme's weak bias with no Monte Carlo
     noise.  Euler-Maruyama has bias O(dt); the B-A-O-A-B splittings have
     O(dt^2), with a constant that stays bounded, though not constant, as the
@@ -507,10 +516,7 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
     eye = np.eye(n)
     # the O step of the kinetic kinds: its map and the covariance of its noise
     o_map, o_noise = eye.copy(), np.zeros((n, n))
-    if model.kind is Kind.UNDERDAMPED:
-        o_map[d:, d:] *= stepper.ou_decay
-        o_noise[d:, d:] = stepper.noise_std**2 * np.eye(d)
-    elif model.kind is Kind.GENERALIZED:
+    if model.kind is not Kind.OVERDAMPED:
         o_map[d:, d:] = stepper.T
         o_noise[d:, d:] = stepper.S @ stepper.S.T
     drift = eye.copy()

@@ -144,14 +144,13 @@ class _Quadrature:
 class SelfConsistencyProblem:
     """Scalar self-consistency problem in one spatial dimension.
 
-    ``L`` fixes the truncation half-width; by default :func:`default_window`
-    sets it.  The window and the quadrature are worked out once per problem.
+    :func:`default_window` sets the truncation half-width.  The window and
+    the quadrature are worked out once per problem.
     """
 
     potential: Potential
     eta2: float
     beta: float
-    L: Optional[float] = None
 
     def __post_init__(self):
         # exp(-beta V) has no normalizable density unless 0 < beta < inf
@@ -164,7 +163,7 @@ class SelfConsistencyProblem:
     @cached_property
     def _quadrature(self) -> _Quadrature:
         """The first ladder rule whose R and R' on the m scan agree with the rule before."""
-        L = self.L if self.L is not None else default_window(self.potential, self.eta2, self.beta)
+        L = default_window(self.potential, self.eta2, self.beta)
         scan = _scan(L)
         prev = None
         for n_panels in _PANEL_LADDER:
@@ -403,9 +402,6 @@ class StationaryDensity:
     q_log_norm: float  # log of the q-factor normalization
     q_var: float  # variance of the q marginal
     window: float
-
-    def beta(self) -> float:
-        return self.model.beta
 
     def q_density(self, q):
         q = np.asarray(q, dtype=float)

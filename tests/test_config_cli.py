@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from glekit.cli import main
@@ -340,6 +341,45 @@ def test_spectrum_rejects_a_negative_cap(tmp_path, capsys):
     assert code == 1
     assert "ShapeMismatch" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
+def test_thermo_rejects_a_z_variance_factor_off_the_positive_reals(tmp_path, capsys, factor):
+    code = run_cli(["thermo", "--config", QUAD_GMV, "--out", tmp_path, "--t-final", "0.01",
+                    "--dt", "0.005", "--z-var-factor", factor])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ShapeMismatch" in err and "--z-var-factor" in err
+    assert not (tmp_path / "thermo.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["validate", "stationary", "spectrum"])
+def test_nonfinite_coupling_is_rejected_by_name(tmp_path, capsys, cmd):
+    cfg = _config_with(tmp_path, "interaction.eta2", "nan")
+    code = run_cli([cmd, "--config", cfg, "--out", tmp_path])
+    assert code == 1
+    assert "ShapeMismatch: eta2 must be finite" in capsys.readouterr().err
+
+
+def test_spectrum_of_a_two_dimensional_diag_memory(tmp_path):
+    from glekit import matrixkit as mk
+    from glekit.config import load_config
+    from glekit.quadratic import split_BK
+
+    cfg = tmp_path / "d2.conf"
+    cfg.write_text(SMALL_GMV.replace("d = 1", "d = 2")
+                   .replace("lambda = [1.0]", "lambda = [1.0, 0.0, 0.0, 1.0]")
+                   .replace("A = [1.0]", "diag = [1.0, 1.0]"))
+    assert run_cli(["spectrum", "--config", cfg, "--out", tmp_path / "out", "--cap", "1"]) == 0
+    summary = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
+    base = [complex(re, im) for re, im in summary["base_eigenvalues"]]
+    B, K, _ = split_BK(load_config(cfg).model())
+    # each root once per spatial coordinate: the mean branch of B, the fluctuation branch of B+K
+    drift = list(np.concatenate([mk.eig(B), mk.eig(B + K)]))
+    for nu in base * 2:
+        i = int(np.argmin([abs(nu - e) for e in drift]))
+        assert abs(nu - drift.pop(i)) <= 1e-10
+    assert not drift
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "whitenoise", "thermo"])

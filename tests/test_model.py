@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glekit.errors import MissingField, NonSPDMatrix
+from glekit.errors import MissingField, NonSPDMatrix, ShapeMismatch
 from glekit.model import (
     CurieWeiss,
     CustomPotential,
@@ -35,6 +35,29 @@ def test_validate_rejects_asymmetric_A():
     spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), memory=mem, kind=Kind.GENERALIZED)
     with pytest.raises(NonSPDMatrix):
         validate(spec)
+
+
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("omega2", dict(potential=Quadratic(math.inf))),
+        ("omega2", dict(potential=Quadratic(math.nan))),
+        ("a", dict(potential=DoubleWell(math.inf, 1.0))),
+        ("b", dict(potential=DoubleWell(1.0, math.nan))),
+        ("b", dict(potential=DoubleWell(1.0, -math.inf))),
+        ("eta2", dict(interaction=CurieWeiss(math.nan))),
+        ("eta2", dict(interaction=CurieWeiss(math.inf))),
+        ("gamma", dict(kind=Kind.UNDERDAMPED, memory=None, gamma=math.inf)),
+        ("gamma", dict(kind=Kind.UNDERDAMPED, memory=None, gamma=math.nan)),
+    ],
+    ids=["omega2=inf", "omega2=nan", "a=inf", "b=nan", "b=-inf", "eta2=nan", "eta2=inf",
+         "gamma=inf", "gamma=nan"],
+)
+def test_validate_rejects_a_nonfinite_coefficient_by_name(field, changes):
+    base = dict(d=1, beta=1.0, potential=Quadratic(1.0), interaction=CurieWeiss(1.0),
+                memory=MemorySpec.diagonal([1.0], [1.0]), kind=Kind.GENERALIZED)
+    with pytest.raises(ShapeMismatch, match=f"^{field} must be finite"):
+        validate(ModelSpec(**{**base, **changes}))
 
 
 def test_validate_rejects_generalized_without_memory():

@@ -301,3 +301,28 @@ def test_each_kind_tracks_the_gaussian_law(kind):
             assert np.all(np.abs(mean - law.mean) <= 4.0 * se), f"{kind} t={checks[k]}"
             cse = covariance_se(cov, N)
             assert np.all(np.abs(cov - law.cov) <= 4.0 * cse), f"{kind} t={checks[k]}"
+
+
+def test_underdamped_o_step_is_the_scalar_ou_map_bitwise():
+    # B-A-O-A-B by hand, with the O step p e^{-gamma dt} + sigma xi on the same Philox stream
+    omega2, eta2, beta, gamma = 1.3, 0.7, 2.0, 0.8
+    model = quadratic_umv(omega2=omega2, eta2=eta2, beta=beta, gamma=gamma)
+    N, dt, seed = 64, 0.01, 11
+    ens = init_ensemble(model, N, seed, InitPoint([0.5, -0.2]))
+    stepper = make_stepper(model, dt)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    q, p = np.full((N, 1), 0.5), np.full((N, 1), -0.2)
+    decay = math.exp(-gamma * dt)
+    sigma = math.sqrt((1.0 - decay**2) / beta)
+
+    def force(q):
+        return -omega2 * q - eta2 * (q - q.mean(axis=0))
+
+    for _ in range(20):
+        stepper.step(ens)
+        p = p + 0.5 * dt * force(q)
+        q = q + 0.5 * dt * p
+        p = p * decay + sigma * rng.standard_normal((N, 1))
+        q = q + 0.5 * dt * p
+        p = p + 0.5 * dt * force(q)
+    assert np.array_equal(ens.q, q) and np.array_equal(ens.p, p)

@@ -107,14 +107,51 @@ def test_single_particle_drift_equals_noninteracting_branch(rng):
         omega2=model.omega2,
         eta2=0.0,
         beta=model.beta,
-        lambdas=model.memory.diag[0],
-        alphas=model.memory.diag[1],
+        lambdas=model.memory.diagonal_rates()[0],
+        alphas=model.memory.diagonal_rates()[1],
     )
     eigs = mk.eig(qa.assemble(model, 1).B)
     base_free = qa.base_spectrum(free)
     # the free branch carries each root twice; the N=1 drift once
     uniq = np.unique(np.round(base_free, 10))
     assert multisets_match(np.sort_complex(eigs), np.sort_complex(uniq), tol=1e-8)
+
+
+def _gmv(d, memory):
+    spec = ModelSpec(d=d, beta=1.0, potential=Quadratic(1.3), interaction=CurieWeiss(0.6),
+                     memory=memory, kind=Kind.GENERALIZED)
+    return validate(spec)
+
+
+@pytest.mark.parametrize(
+    "d, lam, A",
+    [
+        (1, [[1.0]], [[2.0]]),
+        (2, np.kron([[1.0], [-0.5]], np.eye(2)), np.kron(np.diag([2.0, 0.7]), np.eye(2))),
+    ],
+    ids=["m=1 d=1", "m=2 d=2"],
+)
+def test_base_spectrum_reads_the_rates_from_lam_and_A(d, lam, A):
+    # a memory built without the diagonal constructor: the rates come from lam and A
+    model = _gmv(d, MemorySpec(m=len(lam) // d, lam=np.asarray(lam), A=np.asarray(A)))
+    B, K, _ = qa.split_BK(model)
+    drift = np.concatenate([mk.eig(B), mk.eig(B + K)])
+    assert multisets_match(np.repeat(qa.base_spectrum(model), d), drift)
+
+
+@pytest.mark.parametrize(
+    "lam, A",
+    [
+        (np.ones((2, 1)), [[2.0, 0.5], [0.5, 1.0]]),
+        (np.diag([1.0, 3.0]), np.eye(2)),
+    ],
+    ids=["A not diagonal", "lam not a multiple of I"],
+)
+def test_base_spectrum_rejects_a_memory_off_the_diagonal_form(lam, A):
+    d = lam.shape[1]
+    model = _gmv(d, MemorySpec(m=lam.shape[0] // d, lam=lam, A=np.asarray(A)))
+    with pytest.raises(UnsupportedPotential):
+        qa.base_spectrum(model)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +422,29 @@ def test_meanfield_green_is_expm_mean_and_gram_covariance_bitwise(conf):
 def test_propagate_gaussian_rejects_inconsistent_shapes(B, K, law):
     with pytest.raises(ShapeMismatch):
         qa.propagate_gaussian(-B, K, np.eye(B.shape[0]), 0.5, law)
+
+
+@pytest.mark.parametrize(
+    "B, K, D, t, x0",
+    [
+        (-np.eye(2), np.zeros((3, 3)), np.eye(2), 0.5, [1.0, 0.0]),
+        (-np.eye(2), np.zeros((2, 2)), np.eye(3), 0.5, [1.0, 0.0]),
+        (-np.eye(2), np.zeros((2, 2)), np.eye(2), 0.5, [1.0, 0.0, 0.0]),
+        (-np.eye(2), np.zeros((2, 2)), np.eye(2), -0.1, [1.0, 0.0]),
+    ],
+    ids=["K wider than B", "D wider than B", "x0 longer than B", "negative t"],
+)
+def test_meanfield_green_rejects_inconsistent_inputs(B, K, D, t, x0):
+    with pytest.raises(ShapeMismatch):
+        qa.meanfield_green(B, K, D, t, x0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gaussian_law_rejects_a_nonfinite_covariance(bad):
+    with pytest.raises(ShapeMismatch, match="non-finite"):
+        qa.GaussianLaw(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ShapeMismatch, match="non-finite"):
+        qa.check_covariances(np.stack([np.eye(2), np.full((2, 2), bad)]))
 
 
 def test_generalized_models_are_hypoelliptic(rng):

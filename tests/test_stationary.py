@@ -103,7 +103,8 @@ def test_map_vanishes_at_zero_for_even_potential():
 
 def test_map_against_trapezoid_oracle():
     pot = DoubleWell(1.0, 1.0)
-    prob = SelfConsistencyProblem(potential=pot, eta2=1.0, beta=5.0, L=10.0)
+    # the default window against a trapezoid rule on the wider [-10, 10]
+    prob = SelfConsistencyProblem(potential=pot, eta2=1.0, beta=5.0)
     oracle = r_trapezoid(pot, 1.0, 5.0, 0.5, L=10.0, n=1_000_001)
     assert self_consistency_map(prob, 0.5) == pytest.approx(oracle, abs=1e-9)
 
