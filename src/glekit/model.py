@@ -46,6 +46,15 @@ class Kind(str, Enum):
 # ---------------------------------------------------------------------------
 
 
+def _norm2(q) -> np.ndarray:
+    """|q|^2 over the last axis, one column at a time, which is cheaper than a per-row np.sum."""
+    q = np.asarray(q, dtype=float)
+    r2 = q[..., 0] * q[..., 0]
+    for j in range(1, q.shape[-1]):
+        r2 += q[..., j] * q[..., j]
+    return r2
+
+
 @dataclass(frozen=True)
 class Quadratic:
     """Harmonic confinement V(q) = omega2 |q|^2 / 2, omega2 > 0."""
@@ -53,8 +62,7 @@ class Quadratic:
     omega2: float
 
     def energy(self, q):
-        q = np.asarray(q, dtype=float)
-        return 0.5 * self.omega2 * np.sum(q * q, axis=-1)
+        return 0.5 * self.omega2 * _norm2(q)
 
     def gradient(self, q):
         q = np.asarray(q, dtype=float)
@@ -73,13 +81,12 @@ class DoubleWell:
     b: float
 
     def energy(self, q):
-        q = np.asarray(q, dtype=float)
-        r2 = np.sum(q * q, axis=-1)
+        r2 = _norm2(q)
         return 0.25 * self.a * r2 * r2 - 0.5 * self.b * r2
 
     def gradient(self, q):
         q = np.asarray(q, dtype=float)
-        r2 = np.sum(q * q, axis=-1, keepdims=True)
+        r2 = _norm2(q)[..., None]
         return (self.a * r2 - self.b) * q
 
 

@@ -18,9 +18,10 @@ The kinetic scheme evaluates one force per step: the force at the end of a
 step is kept on the ensemble and starts the next one.  The Curie-Weiss force
 is computed in O(N) from the empirical mean: each force first reduces
 m1 = mean(q), then updates all particles -- the one reduction barrier that
-makes the mean-field coupling order-independent.  Randomness comes from a
-counter-based Philox generator seeded per run, so identical
-(model, N, seed, dt, T) reproduce observable series bitwise.
+makes the mean-field coupling order-independent.  Randomness comes from one
+SFC64 generator per run, seeded through a ``SeedSequence`` (the fastest of
+numpy's bit generators per normal; substreams come from the seed sequence),
+so identical (model, N, seed, dt, T) reproduce observable series bitwise.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ class ParticleEnsemble:
 
 
 def _make_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> ParticleEnsemble:

@@ -514,13 +514,12 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
     omega2, eta2 = _require_quadratic(model)
     d, dt, n = model.d, stepper.dt, model.state_dim()
     eye = np.eye(n)
-    # the O step of the kinetic kinds: its map and the covariance of its noise
-    o_map, o_noise = eye.copy(), np.zeros((n, n))
+    # the kinetic kinds: the half drift, and the O step's map and noise covariance
+    o_map, o_noise, drift = eye.copy(), np.zeros((n, n)), eye.copy()
     if model.kind is not Kind.OVERDAMPED:
         o_map[d:, d:] = stepper.T
         o_noise[d:, d:] = stepper.S @ stepper.S.T
-    drift = eye.copy()
-    drift[:d, d : 2 * d] = 0.5 * dt * np.eye(d)
+        drift[:d, d : 2 * d] = 0.5 * dt * np.eye(d)
 
     def one_step(c):
         """The step's affine map under force constant c, and the noise it injects."""

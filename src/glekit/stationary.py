@@ -162,7 +162,11 @@ class SelfConsistencyProblem:
 
     @cached_property
     def _quadrature(self) -> _Quadrature:
-        """The first ladder rule whose R and R' on the m scan agree with the rule before."""
+        """The first ladder rule whose R and R' on the m scan agree with the rule before.
+
+        The rule keeps that last pass as ``scan``, ``scan_mean`` and
+        ``scan_var``: R(m) and Var_m(q) at the scan nodes.
+        """
         L = default_window(self.potential, self.eta2, self.beta)
         scan = _scan(L)
         prev = None
@@ -171,6 +175,7 @@ class SelfConsistencyProblem:
             _, mean, var = quad.moments(scan)
             cur = np.concatenate([mean, quad.c * var])
             if prev is not None and np.max(np.abs(cur - prev)) <= 5e-12:
+                quad.scan, quad.scan_mean, quad.scan_var = scan, mean, var
                 return quad
             prev = cur
         raise QuadratureFailure(f"quadrature did not stabilize on [-{L}, {L}]")
@@ -273,9 +278,8 @@ def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
     or last step of 1e-14; roots are deduplicated to 1e-8.
     """
     quad = prob._quadrature
-    ms = _scan(quad.L)
-    _, mean, var = quad.moments(ms)
-    f, df = mean - ms, quad.c * var - 1.0
+    ms = quad.scan
+    f, df = quad.scan_mean - ms, quad.c * quad.scan_var - 1.0
     above = np.where(f == 0.0, np.sign(df), np.sign(f))  # sign of f just above each node
     below = np.where(f == 0.0, -np.sign(df), np.sign(f))  # and just below it
     i = np.flatnonzero(above[:-1] * below[1:] < 0)
@@ -371,8 +375,8 @@ def bifurcation_diagram(
     for beta in betas:
         p = replace(prob, beta=float(beta))
         branches.append(tuple(fixed_points(p)))
-        _, mean, var = p._quadrature.moments(0.0)
-        at_zero.append((mean[0], p._quadrature.c * var[0]))  # R(0) and R'(0)
+        quad = p._quadrature  # m = 0 is node _SCAN_HALF of its scan
+        at_zero.append((quad.scan_mean[_SCAN_HALF], quad.c * quad.scan_var[_SCAN_HALF]))
     r0, slopes = np.array(at_zero).T
     fixed = np.abs(r0) <= _ROOT_WIDTH
 

@@ -12,23 +12,23 @@ from glekit.model import (
 )
 
 
-def quadratic_gmv(omega2=1.0, eta2=1.0, beta=1.0, lambdas=(1.0,), alphas=(1.0,)):
+def quadratic_gmv(omega2=1.0, eta2=1.0, beta=1.0, lambdas=(1.0,), alphas=(1.0,), d=1):
     return validate(
         ModelSpec(
-            d=1,
+            d=d,
             beta=beta,
             potential=Quadratic(omega2),
             interaction=CurieWeiss(eta2),
-            memory=MemorySpec.diagonal(lambdas, alphas),
+            memory=MemorySpec.diagonal(lambdas, alphas, d),
             kind=Kind.GENERALIZED,
         )
     )
 
 
-def quadratic_umv(omega2=1.0, eta2=1.0, beta=1.0, gamma=1.0):
+def quadratic_umv(omega2=1.0, eta2=1.0, beta=1.0, gamma=1.0, d=1):
     return validate(
         ModelSpec(
-            d=1,
+            d=d,
             beta=beta,
             potential=Quadratic(omega2),
             interaction=CurieWeiss(eta2),
@@ -38,10 +38,10 @@ def quadratic_umv(omega2=1.0, eta2=1.0, beta=1.0, gamma=1.0):
     )
 
 
-def quadratic_omv(omega2=1.0, eta2=1.0, beta=1.0):
+def quadratic_omv(omega2=1.0, eta2=1.0, beta=1.0, d=1):
     return validate(
         ModelSpec(
-            d=1,
+            d=d,
             beta=beta,
             potential=Quadratic(omega2),
             interaction=CurieWeiss(eta2),

@@ -303,14 +303,67 @@ def test_each_kind_tracks_the_gaussian_law(kind):
             assert np.all(np.abs(cov - law.cov) <= 4.0 * cse), f"{kind} t={checks[k]}"
 
 
+def sfc64(seed):
+    """The stream a run with this seed draws from."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+
+
+def test_overdamped_euler_maruyama_on_the_sfc64_stream_bitwise():
+    # init block, then q + (F dt + sqrt(2 dt / beta) xi) with xi of shape (N, d), by hand
+    omega2, eta2, beta = 1.3, 0.7, 2.0
+    model = quadratic_omv(omega2=omega2, eta2=eta2, beta=beta)
+    N, dt, seed = 64, 0.01, 11
+    ens = init_ensemble(model, N, seed, InitProduct(q=BlockLaw(mean=0.5, var=0.2)))
+    stepper = make_stepper(model, dt)
+    rng = sfc64(seed)
+    q = 0.5 + math.sqrt(0.2) * rng.standard_normal((N, 1))
+    sigma = math.sqrt(2.0 * (1.0 / beta) * dt)
+    for _ in range(20):
+        stepper.step(ens)
+        force = -omega2 * q - eta2 * (q - q.mean(axis=0))
+        q = q + (force * dt + sigma * rng.standard_normal((N, 1)))
+    assert np.array_equal(ens.q, q)
+
+
+def test_generalized_pz_step_on_the_sfc64_stream_bitwise():
+    # init blocks q, p, z in that order, then B-A-O-A-B by hand at d = m = 1 with the
+    # O step (p, z) -> T (p, z) + S xi, xi of shape (2, N); T and S are the stepper's maps
+    omega2, eta2, beta = 1.3, 0.7, 2.0
+    model = quadratic_gmv(omega2=omega2, eta2=eta2, beta=beta, lambdas=(0.9,), alphas=(1.7,))
+    N, dt, seed = 64, 0.01, 11
+    init = InitProduct(q=BlockLaw(mean=0.5, var=0.2), p=BlockLaw(var=0.5), z=BlockLaw(var=0.5))
+    ens = init_ensemble(model, N, seed, init)
+    stepper = make_stepper(model, dt)
+    T, S = stepper.T, stepper.S
+    rng = sfc64(seed)
+    q = 0.5 + math.sqrt(0.2) * rng.standard_normal((N, 1))
+    p = 0.0 + math.sqrt(0.5) * rng.standard_normal((N, 1))
+    z = 0.0 + math.sqrt(0.5) * rng.standard_normal((N, 1))
+
+    def force(q):
+        return -omega2 * q - eta2 * (q - q.mean(axis=0))
+
+    for _ in range(20):
+        stepper.step(ens)
+        p = p + 0.5 * dt * force(q)
+        q = q + 0.5 * dt * p
+        xi = rng.standard_normal((2, N))
+        p, z = (T[0, 0] * p[:, 0] + T[0, 1] * z[:, 0] + S[0, 0] * xi[0] + S[0, 1] * xi[1],
+                T[1, 0] * p[:, 0] + T[1, 1] * z[:, 0] + S[1, 0] * xi[0] + S[1, 1] * xi[1])
+        p, z = p[:, None], z[:, None]
+        q = q + 0.5 * dt * p
+        p = p + 0.5 * dt * force(q)
+    assert np.array_equal(ens.q, q) and np.array_equal(ens.p, p) and np.array_equal(ens.z, z)
+
+
 def test_underdamped_o_step_is_the_scalar_ou_map_bitwise():
-    # B-A-O-A-B by hand, with the O step p e^{-gamma dt} + sigma xi on the same Philox stream
+    # B-A-O-A-B by hand, with the O step p e^{-gamma dt} + sigma xi on the same SFC64 stream
     omega2, eta2, beta, gamma = 1.3, 0.7, 2.0, 0.8
     model = quadratic_umv(omega2=omega2, eta2=eta2, beta=beta, gamma=gamma)
     N, dt, seed = 64, 0.01, 11
     ens = init_ensemble(model, N, seed, InitPoint([0.5, -0.2]))
     stepper = make_stepper(model, dt)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = sfc64(seed)
     q, p = np.full((N, 1), 0.5), np.full((N, 1), -0.2)
     decay = math.exp(-gamma * dt)
     sigma = math.sqrt((1.0 - decay**2) / beta)

@@ -498,6 +498,13 @@ def stepper_bias(model, dt, x0, T=1.0):
         (f"generalized eps={eps}", limits.scaled_spec(quadratic_gmv(), eps), [1.0, 0.0, 0.0],
          3.5, 4.5)
         for eps in (1.0, 1 / 8, 1 / 32)
+    ]
+    + [
+        ("overdamped d=3", quadratic_omv(d=3), [1.0, -0.5, 0.25], 1.8, 2.2),
+        ("underdamped d=3", quadratic_umv(gamma=1.5, d=3), [1.0, -0.5, 0.25, 0.0, 0.3, 0.0],
+         3.5, 4.5),
+        ("generalized m=2 d=3", quadratic_gmv(lambdas=(1.0, 0.5), alphas=(1.0, 3.0), d=3),
+         [1.0, -0.5, 0.25] + [0.0] * 9, 3.5, 4.5),
     ],
 )
 def test_stepper_law_bias_order(label, model, x0, lo, hi):

@@ -366,6 +366,36 @@ def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
     assert calls["windows"] <= 45
 
 
+def test_bifurcation_evaluates_each_scan_once(monkeypatch):
+    # the ladder's last pass on the 81-node scan serves fixed_points and R(0), R'(0)
+    counts = {"rules": 0, "scan passes": 0}
+    init, moments = stationary._Quadrature.__init__, stationary._Quadrature.moments
+
+    def counted_init(self, *args):
+        counts["rules"] += 1
+        init(self, *args)
+
+    def counted_moments(self, m):
+        counts["scan passes"] += np.size(m) == 2 * stationary._SCAN_HALF + 1
+        return moments(self, m)
+
+    monkeypatch.setattr(stationary._Quadrature, "__init__", counted_init)
+    monkeypatch.setattr(stationary._Quadrature, "moments", counted_moments)
+    prob = SelfConsistencyProblem.from_model(doublewell_gmv())
+    bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
+    assert counts["scan passes"] == counts["rules"]
+
+
+def test_scan_moments_at_m_zero_equal_a_pass_at_zero_bitwise():
+    for beta in np.linspace(1.0, 4.0, 32):
+        quad = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0,
+                                      beta=float(beta))._quadrature
+        _, mean, var = quad.moments(0.0)
+        k = stationary._SCAN_HALF
+        assert quad.scan[k] == 0.0
+        assert quad.scan_mean[k] == mean[0] and quad.scan_var[k] == var[0]
+
+
 def test_critical_beta_bisection_accuracy():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
     bc = critical_beta(prob, 1.0, 4.0, tol=1e-6)
