@@ -23,8 +23,10 @@ vectorized, safeguarded Newton iteration (``_newton``) on f and f' = R' - 1.
 Stability is |R'(m*)| vs 1.  The critical inverse temperature is the root of
 g(beta) = R'(0; beta) - 1, found by the same solver with the exact slope
 g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, E), since the log-weights
-are -beta E with E = V + eta2 q^2 / 2.  Only (V, eta2, beta) enter, so the
-branch structure is the same for all three dynamics kinds.
+are -beta E with E = V + eta2 q^2 / 2: one rule, on the window of the low
+end of the beta bracket, serves every iterate by reweighting its nodes.
+Only (V, eta2, beta) enter, so the branch structure is the same for all
+three dynamics kinds.
 
 ``kfp_residual`` provides the independent verification route: it evaluates
 the full stationary operator on a (q, p, z) grid with second-order central
@@ -35,6 +37,7 @@ also serve the grid diagnostics of :mod:`glekit.thermo`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -63,14 +66,16 @@ _FOLD_WIDTH = 1e-8  # an extremum of f only has to decide the sign of f there
 def default_window(potential: Potential, eta2: float, beta: float) -> float:
     """Truncation half-width L with relative tail weight below 1e-14.
 
-    Chosen from exp(-beta V(L)) <= 1e-14 * peak, then checked on a probe
-    grid; the interaction term only narrows the density further.
+    L is the first node of a probe grid on (0, 60] past the last one where
+    beta (V - min V) is below the target, so that the wells beyond a high
+    barrier stay inside; L does not grow with beta.  The interaction term
+    only narrows the density further.
     """
     target = 14.0 * math.log(10.0) + 4.0  # margin over 1e-14
     qs = np.linspace(0.0, 60.0, 6001)[1:]
     v = potential.energy(qs[:, None]) - float(np.min(potential.energy(qs[:, None])))
-    ok = qs[beta * v >= target]
-    L = float(ok[0]) if ok.size else 60.0
+    last = np.flatnonzero(beta * v < target)[-1]
+    L = float(qs[last + 1]) if last + 1 < qs.size else 60.0
     return max(L, 3.0)
 
 
@@ -83,32 +88,39 @@ class _Quadrature:
     """Composite Gauss rule on [-L, L] with the m-independent Boltzmann log-weights.
 
     The nodes of the rule come in mirrored pairs +q, -q, stored as the
-    positive half ``q`` with one log-weight array per sign.  This makes R
-    exactly odd, and R(0) exactly 0, for an even potential.  The energy
-    E = V + eta2 q^2 / 2 at the nodes is kept too: the log-weights are
-    log w - beta E, so E gives the slopes in beta.
+    positive half ``q`` with the energy E = V + eta2 q^2 / 2 at each sign.
+    This makes R exactly odd, and R(0) exactly 0, for an even potential.
+    The log-weights are log w - beta E, so :meth:`at` moves the rule to
+    another beta without evaluating V again, and E gives the slopes in beta.
     """
 
     def __init__(self, prob: SelfConsistencyProblem, L: float, n_panels: int):
         half = L / n_panels
-        self.L = L
-        self.c = prob.beta * prob.eta2
+        self.L, self.beta, self.eta2 = L, prob.beta, prob.eta2
         self.q = ((2 * np.arange(n_panels // 2) + 1)[:, None] * half + half * _GL_NODES).ravel()
-        log_w = np.log(np.tile(half * _GL_WEIGHTS, n_panels // 2))
+        self.log_w = np.log(np.tile(half * _GL_WEIGHTS, n_panels // 2))
 
         def energy(x):  # V(x) + eta2 x^2 / 2
             return prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2
 
         self.e_pos, self.e_neg = energy(self.q), energy(-self.q)
-        self.log_w_pos = log_w - prob.beta * self.e_pos
-        self.log_w_neg = log_w - prob.beta * self.e_neg
+
+    @property
+    def c(self) -> float:
+        return self.beta * self.eta2
+
+    def at(self, beta: float) -> _Quadrature:
+        """The same nodes and energies, weighted for inverse temperature ``beta``."""
+        quad = copy.copy(self)
+        quad.beta = beta
+        return quad
 
     def _weights(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum."""
         m = np.atleast_1d(np.asarray(m, dtype=float))
         cm = self.c * m[:, None]
-        a_pos = self.log_w_pos + cm * self.q
-        a_neg = self.log_w_neg - cm * self.q
+        a_pos = self.log_w - self.beta * self.e_pos + cm * self.q
+        a_neg = self.log_w - self.beta * self.e_neg - cm * self.q
         shift = np.maximum(a_pos.max(axis=1), a_neg.max(axis=1))
         w_pos = np.exp(a_pos - shift[:, None])
         w_neg = np.exp(a_neg - shift[:, None])
@@ -162,23 +174,16 @@ class SelfConsistencyProblem:
 
     @cached_property
     def _quadrature(self) -> _Quadrature:
-        """The first ladder rule whose R and R' on the m scan agree with the rule before.
+        """The :func:`_ladder` rule on the window, checked on the m scan.
 
         The rule keeps that last pass as ``scan``, ``scan_mean`` and
         ``scan_var``: R(m) and Var_m(q) at the scan nodes.
         """
         L = default_window(self.potential, self.eta2, self.beta)
         scan = _scan(L)
-        prev = None
-        for n_panels in _PANEL_LADDER:
-            quad = _Quadrature(self, L, n_panels)
-            _, mean, var = quad.moments(scan)
-            cur = np.concatenate([mean, quad.c * var])
-            if prev is not None and np.max(np.abs(cur - prev)) <= 5e-12:
-                quad.scan, quad.scan_mean, quad.scan_var = scan, mean, var
-                return quad
-            prev = cur
-        raise QuadratureFailure(f"quadrature did not stabilize on [-{L}, {L}]")
+        quad, [(mean, var)] = _ladder(self, L, [self.beta], scan)
+        quad.scan, quad.scan_mean, quad.scan_var = scan, mean, var
+        return quad
 
     @staticmethod
     def from_model(model: ValidatedModel) -> "SelfConsistencyProblem":
@@ -187,15 +192,21 @@ class SelfConsistencyProblem:
         return SelfConsistencyProblem(potential=model.potential, eta2=model.eta2, beta=model.beta)
 
 
-def self_consistency_map(prob: SelfConsistencyProblem, m: float) -> float:
-    """R(m): the mean of the density proportional to exp(-beta [V + eta2 (q-m)^2/2])."""
-    return float(prob._quadrature.moments(m)[1][0])
+def _ladder(prob: SelfConsistencyProblem, L: float, betas, ms) -> tuple[_Quadrature, list]:
+    """The first panel-ladder rule on [-L, L] whose R and R' at ``ms`` agree with the rule before.
 
-
-def map_derivative(prob: SelfConsistencyProblem, m: float) -> float:
-    """R'(m) = beta eta2 Var_m(q), exact: m enters the exponent only through beta eta2 q m."""
-    quad = prob._quadrature
-    return float(quad.c * quad.moments(m)[2][0])
+    The check holds at every beta in ``betas``.  Returns the rule, weighted for
+    ``prob.beta``, and its last pass: (R, Var) at ``ms`` per beta.
+    """
+    prev = None
+    for n_panels in _PANEL_LADDER:
+        quad = _Quadrature(prob, L, n_panels)
+        passes = [quad.at(b).moments(ms)[1:] for b in betas]
+        cur = np.array([(mean, b * prob.eta2 * var) for b, (mean, var) in zip(betas, passes)])
+        if prev is not None and np.max(np.abs(cur - prev)) <= 5e-12:
+            return quad, passes
+        prev = cur
+    raise QuadratureFailure(f"quadrature did not stabilize on [-{L}, {L}]")
 
 
 def _newton(fdf, lo, hi, s_lo, width: float) -> np.ndarray:
@@ -326,17 +337,16 @@ class BifurcationDiagram:
                 yield float(beta), pt.m_star, pt.stability, pt.residual
 
 
-def _critical_gap(prob: SelfConsistencyProblem, betas) -> tuple[np.ndarray, np.ndarray]:
-    """g(beta) = R'(0; beta) - 1 and its exact slope g'(beta), per beta.
+def _critical_gap(quad: _Quadrature, betas) -> tuple[np.ndarray, np.ndarray]:
+    """g(beta) = R'(0; beta) - 1 and its exact slope g'(beta), per beta, on one rule.
 
     g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, E) with E = V + eta2 q^2 / 2,
     all at m = 0: the log-weights are -beta E, so d Var / d beta = -Cov.
     """
     out = []
     for b in betas:
-        quad = replace(prob, beta=float(b))._quadrature
-        var, _, cov = quad.central(0.0)
-        out.append((quad.c * var[0] - 1.0, prob.eta2 * (var[0] - b * cov[0])))
+        var, _, cov = quad.at(b).central(0.0)
+        out.append((b * quad.eta2 * var[0] - 1.0, quad.eta2 * (var[0] - b * cov[0])))
     return tuple(np.array(out).T)
 
 
@@ -345,16 +355,22 @@ def critical_beta(
 ) -> Optional[float]:
     """Root of g(beta) = R'(0; beta) - 1 to width ``tol``; None when g keeps its sign.
 
-    The root is found by :func:`_newton` with the exact slope g'(beta) of
-    :func:`_critical_gap`, one quadrature per beta.
+    One rule serves the whole bracket: the window of ``beta_lo``, the wider
+    one, with the panel count of :func:`_ladder` checked on R(0) and R'(0)
+    at both ends.  The root is found by :func:`_newton` with the exact slope
+    g'(beta) of :func:`_critical_gap`, reweighting that rule at each iterate.
     """
-    (g_lo, g_hi), _ = _critical_gap(prob, [beta_lo, beta_hi])
+    if not 0.0 < beta_lo < beta_hi < math.inf:
+        raise ShapeMismatch(f"need 0 < beta_lo < beta_hi < inf, got [{beta_lo}, {beta_hi}]")
+    L = default_window(prob.potential, prob.eta2, beta_lo)
+    quad, _ = _ladder(prob, L, [beta_lo, beta_hi], 0.0)
+    (g_lo, g_hi), _ = _critical_gap(quad, [beta_lo, beta_hi])
     if g_lo == 0.0:
         return beta_lo
     if g_lo * g_hi > 0:
         return None
     return float(
-        _newton(lambda b: _critical_gap(prob, b), [beta_lo], [beta_hi], [np.sign(g_lo)], tol)[0]
+        _newton(lambda b: _critical_gap(quad, b), [beta_lo], [beta_hi], [np.sign(g_lo)], tol)[0]
     )
 
 

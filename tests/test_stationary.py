@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from glekit.stationary import (
     extend_to_full_state,
     fixed_points,
     kfp_residual,
-    map_derivative,
-    self_consistency_map,
 )
 
 from conftest import doublewell_gmv, quadratic_gmv
@@ -50,6 +47,13 @@ def r_trapezoid(potential, eta2, beta, m, L=10.0, n=100_001):
     phi -= phi.max()
     w = np.exp(phi)
     return float(np.trapezoid(q * w, q) / np.trapezoid(w, q))
+
+
+def r_map(prob, m):
+    """R(m) and R'(m) = beta eta2 Var_m(q), from one moments pass of the problem's rule."""
+    quad = prob._quadrature
+    _, mean, var = quad.moments(m)
+    return float(mean[0]), float(quad.c * var[0])
 
 
 def bisected_roots(prob, width=1e-14):
@@ -83,22 +87,22 @@ def bisected_roots(prob, width=1e-14):
 
 def test_map_quadratic_closed_form():
     prob = SelfConsistencyProblem(potential=Quadratic(1.0), eta2=1.0, beta=1.7)
-    assert self_consistency_map(prob, 1.0) == pytest.approx(0.5, abs=1e-11)
+    assert r_map(prob, 1.0)[0] == pytest.approx(0.5, abs=1e-11)
     # contraction slope eta2/(omega2+eta2) everywhere
     for m in (-2.0, 0.3, 1.5):
-        assert map_derivative(prob, m) == pytest.approx(0.5, abs=1e-6)
+        assert r_map(prob, m)[1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_map_derivative_is_exact_for_quadratic():
     # R'(m) = beta eta2 Var_m(q) = beta eta2 / (beta (omega2 + eta2)) = 1/2, with no step error
     prob = SelfConsistencyProblem(potential=Quadratic(1.0), eta2=1.0, beta=1.7)
     for m in (-2.0, 0.3, 1.5):
-        assert map_derivative(prob, m) == pytest.approx(0.5, abs=1e-12)
+        assert r_map(prob, m)[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_map_vanishes_at_zero_for_even_potential():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=4.0)
-    assert abs(self_consistency_map(prob, 0.0)) <= 1e-12
+    assert abs(r_map(prob, 0.0)[0]) <= 1e-12
 
 
 def test_map_against_trapezoid_oracle():
@@ -106,7 +110,17 @@ def test_map_against_trapezoid_oracle():
     # the default window against a trapezoid rule on the wider [-10, 10]
     prob = SelfConsistencyProblem(potential=pot, eta2=1.0, beta=5.0)
     oracle = r_trapezoid(pot, 1.0, 5.0, 0.5, L=10.0, n=1_000_001)
-    assert self_consistency_map(prob, 0.5) == pytest.approx(oracle, abs=1e-9)
+    assert r_map(prob, 0.5)[0] == pytest.approx(oracle, abs=1e-9)
+
+
+def test_window_keeps_the_wells_beyond_a_high_barrier():
+    # beta b^2 / (4a) = 56 is above the window's tail target already at q = 0+,
+    # yet the wells sit at +-sqrt(b / a) = +-3.87, past the 3.0 floor
+    pot = DoubleWell(0.2, 3.0)
+    pts = fixed_points(SelfConsistencyProblem(potential=pot, eta2=1.0, beta=5.0))
+    assert len(pts) == 3
+    for p in pts:
+        assert r_trapezoid(pot, 1.0, 5.0, p.m_star) - p.m_star == pytest.approx(0.0, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=20)
@@ -117,9 +131,7 @@ def test_map_against_trapezoid_oracle():
 )
 def test_map_is_odd_for_even_potential(beta, eta2, m):
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=eta2, beta=beta)
-    assert self_consistency_map(prob, m) == pytest.approx(
-        -self_consistency_map(prob, -m), abs=1e-11
-    )
+    assert r_map(prob, m)[0] == pytest.approx(-r_map(prob, -m)[0], abs=1e-11)
 
 
 @pytest.mark.parametrize("potential", [DoubleWell(1.0, 1.0), TILTED], ids=["doublewell", "tilted"])
@@ -128,20 +140,22 @@ def test_second_slope_is_c_squared_times_the_third_central_moment(potential, m):
     # R''(m) = (beta eta2)^2 kappa3_m(q), against a central difference of the exact R'
     prob = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=3.0)
     df, d2f = _fold_slopes(prob._quadrature, [m])
-    assert df[0] == pytest.approx(map_derivative(prob, m) - 1.0, abs=1e-14)
+    assert df[0] == pytest.approx(r_map(prob, m)[1] - 1.0, abs=1e-14)
     h = 1e-4
-    fd = (map_derivative(prob, m + h) - map_derivative(prob, m - h)) / (2 * h)
+    fd = (r_map(prob, m + h)[1] - r_map(prob, m - h)[1]) / (2 * h)
     assert d2f[0] == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("beta", [1.5, BETA_CRITICAL_DW11_ETA1, 3.0])
 def test_critical_gap_slope_matches_a_central_difference(beta):
-    # g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, V + eta2 q^2 / 2) at m = 0
-    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
-    g, dg = _critical_gap(prob, [beta])
-    assert g[0] == pytest.approx(map_derivative(replace(prob, beta=beta), 0.0) - 1.0, abs=1e-14)
+    # g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, V + eta2 q^2 / 2) at m = 0,
+    # against a central difference of g on the same rule
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=beta)
+    quad = prob._quadrature
+    g, dg = _critical_gap(quad, [beta])
+    assert g[0] == pytest.approx(r_map(prob, 0.0)[1] - 1.0, abs=1e-14)
     h = 1e-4
-    (g_hi, g_lo), _ = _critical_gap(prob, [beta + h, beta - h])
+    (g_hi, g_lo), _ = _critical_gap(quad, [beta + h, beta - h])
     assert dg[0] == pytest.approx((g_hi - g_lo) / (2 * h), rel=1e-6)
 
 
@@ -153,6 +167,13 @@ def test_problem_rejects_a_beta_that_is_not_finite_and_positive(beta):
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
     with pytest.raises(ShapeMismatch):
         critical_beta(prob, beta, 2.0)
+
+
+def test_critical_beta_rejects_a_reversed_bracket():
+    # g changes sign over [1, 4] either way round; a reversed bracket gave 1.75
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    with pytest.raises(ShapeMismatch):
+        critical_beta(prob, 4.0, 1.0)
 
 
 def test_window_tail_bound():
@@ -343,9 +364,7 @@ def test_bifurcation_without_interaction_is_flat():
         assert pts[0].m_star == pytest.approx(0.0, abs=1e-10)
 
 
-def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
-    # the 32-beta scan of the bifurcation benchmark: 1094 quadrature passes and
-    # 71 windows with bisection; the Newton solver needs about 265 and 38
+def _count_passes_and_windows(monkeypatch):
     calls = {"passes": 0, "windows": 0}
 
     def counted(fn, key):
@@ -359,20 +378,47 @@ def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
         monkeypatch.setattr(stationary._Quadrature, name,
                             counted(getattr(stationary._Quadrature, name), "passes"))
     monkeypatch.setattr(stationary, "default_window", counted(default_window, "windows"))
+    return calls
+
+
+def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
+    # the 32-beta scan of the bifurcation benchmark: 1094 quadrature passes and
+    # 71 windows with bisection; 201 and 38 with a problem per Newton iterate in
+    # beta; 193 and 33 with one rule per critical_beta bracket
+    calls = _count_passes_and_windows(monkeypatch)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
     diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
     assert abs(diag.beta_critical - BETA_CRITICAL_DW11_ETA1) <= 1e-12
-    assert calls["passes"] <= 450
-    assert calls["windows"] <= 45
+    assert calls["passes"] <= 193
+    assert calls["windows"] <= 33
+
+
+def test_critical_beta_builds_one_window_for_its_bracket(monkeypatch):
+    # grid points 12 and 13 of the bench grid, where the bifurcation scan refines beta_c
+    betas = np.linspace(1.0, 4.0, 32)
+    calls = _count_passes_and_windows(monkeypatch)
+    prob = SelfConsistencyProblem.from_model(doublewell_gmv())
+    bc = critical_beta(prob, float(betas[12]), float(betas[13]))
+    assert abs(bc - BETA_CRITICAL_DW11_ETA1) <= 1e-15
+    assert calls["windows"] == 1
 
 
 def test_bifurcation_evaluates_each_scan_once(monkeypatch):
-    # the ladder's last pass on the 81-node scan serves fixed_points and R(0), R'(0)
+    # the ladder's last pass on the 81-node scan serves fixed_points and R(0), R'(0);
+    # the rules critical_beta checks at m = 0 alone make no scan pass
     counts = {"rules": 0, "scan passes": 0}
     init, moments = stationary._Quadrature.__init__, stationary._Quadrature.moments
+    in_critical_beta = []
+
+    def counted_critical_beta(*args):
+        in_critical_beta.append(True)
+        try:
+            return critical_beta(*args)
+        finally:
+            in_critical_beta.pop()
 
     def counted_init(self, *args):
-        counts["rules"] += 1
+        counts["rules"] += not in_critical_beta
         init(self, *args)
 
     def counted_moments(self, m):
@@ -381,8 +427,10 @@ def test_bifurcation_evaluates_each_scan_once(monkeypatch):
 
     monkeypatch.setattr(stationary._Quadrature, "__init__", counted_init)
     monkeypatch.setattr(stationary._Quadrature, "moments", counted_moments)
+    monkeypatch.setattr(stationary, "critical_beta", counted_critical_beta)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
-    bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
+    diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
+    assert diag.beta_critical is not None
     assert counts["scan passes"] == counts["rules"]
 
 
@@ -406,6 +454,13 @@ def test_critical_beta_reaches_the_oracle_at_tight_tolerance():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
     bc = critical_beta(prob, 1.0, 4.0, tol=1e-12)
     assert abs(bc - BETA_CRITICAL_DW11_ETA1) <= 1e-9
+
+
+def test_critical_beta_on_a_wide_bracket_reaches_the_oracle():
+    # one rule on the window of beta = 0.05 must also resolve R'(0) at beta = 300
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    bc = critical_beta(prob, 0.05, 300.0)
+    assert abs(bc - BETA_CRITICAL_DW11_ETA1) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +565,7 @@ def test_custom_potential_goes_through_solver_and_simulator():
     prob_custom = SelfConsistencyProblem(potential=custom, eta2=1.0, beta=3.0)
     prob_builtin = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=3.0)
     for m in (-0.5, 0.0, 1.2):
-        assert self_consistency_map(prob_custom, m) == pytest.approx(
-            self_consistency_map(prob_builtin, m), abs=1e-12
-        )
+        assert r_map(prob_custom, m)[0] == pytest.approx(r_map(prob_builtin, m)[0], abs=1e-12)
     model = validate(
         ModelSpec(
             d=1,
