@@ -9,64 +9,3 @@ effective friction.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DegenerateFriction,
-    GlekitError,
-    GridTooCoarse,
-    InsufficientParticles,
-    MatrixOverflow,
-    MissingField,
-    NonFiniteState,
-    NonSPDMatrix,
-    QuadratureFailure,
-    RootFindingFailure,
-    ShapeMismatch,
-    SingularCovariance,
-    UnsupportedPotential,
-)
-from .model import (
-    CurieWeiss,
-    CustomPotential,
-    DoubleWell,
-    Kind,
-    MemorySpec,
-    ModelSpec,
-    NoInteraction,
-    Quadratic,
-    ValidatedModel,
-    eval_potential,
-    validate,
-)
-
-__all__ = [
-    "__version__",
-    "CurieWeiss",
-    "CustomPotential",
-    "DoubleWell",
-    "Kind",
-    "MemorySpec",
-    "ModelSpec",
-    "NoInteraction",
-    "Quadratic",
-    "ValidatedModel",
-    "eval_potential",
-    "validate",
-    "GlekitError",
-    "ConfigError",
-    "ConvergenceFailure",
-    "DegenerateFriction",
-    "GridTooCoarse",
-    "InsufficientParticles",
-    "MatrixOverflow",
-    "MissingField",
-    "NonFiniteState",
-    "NonSPDMatrix",
-    "QuadratureFailure",
-    "RootFindingFailure",
-    "ShapeMismatch",
-    "SingularCovariance",
-    "UnsupportedPotential",
-]

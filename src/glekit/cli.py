@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from . import limits, particles, quadratic, stationary, thermo
 from .config import Config, load_config
-from .errors import ConfigError, GlekitError, ShapeMismatch
+from .errors import ConfigError, GlekitError, ShapeMismatch, UnsupportedPotential
 from .model import Kind
 
 
@@ -185,7 +185,7 @@ def cmd_validate(args, cfg: Config):
         rep = quadratic.spectrum_report(model, cap=4)
         summary["base_spectrum"] = [[v.real, v.imag] for v in rep.base_eigenvalues]
         summary["spectral_gap"] = quadratic.spectral_gap(rep)
-    except GlekitError:
+    except UnsupportedPotential:
         pass  # non-quadratic models have no closed-form spectrum
     print(json.dumps(_json_safe(summary), sort_keys=True))
     return None, summary, None

@@ -10,12 +10,12 @@ Grammar (exact):
     beta = <float>                  # 'inf' switches the noise off
     potential.kind = quadratic | double_well
     potential.params = [<float>, ...]   # quadratic: [omega2]; double_well: [a, b]
-    interaction.eta2 = <float>      # omit for no interaction
+    interaction.eta2 = <float>      # omit for free particles (eta2 = 0)
     gamma = <float>                 # underdamped kind only
 
     [memory]                        # generalized kind only
     m = <int>
-    lambda = [<float>, ...]         # flat row-major (d*m) x d, or m scalars for d = 1
+    lambda = [<float>, ...]         # flat row-major (d*m) x d; m entries when d = 1
     A = [<float>, ...]              # flat row-major (d*m) x (d*m)
     diag = [<float>, ...]           # alternative to A: diagonal entries
 
@@ -38,14 +38,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 from .model import (
     CurieWeiss,
     DoubleWell,
     Kind,
     MemorySpec,
     ModelSpec,
-    NoInteraction,
     Quadratic,
     ValidatedModel,
     validate,
@@ -210,11 +209,7 @@ def build_model_spec(sections: dict) -> ModelSpec:
     else:
         raise ConfigError(f"unknown potential.kind {pkind!r}")
 
-    if "interaction.eta2" in model:
-        interaction = CurieWeiss(eta2=_number(model, "interaction.eta2", None))
-    else:
-        interaction = NoInteraction()
-
+    interaction = CurieWeiss(eta2=_number(model, "interaction.eta2", 0.0))
     gamma = _number(model, "gamma", None) if "gamma" in model else None
 
     memory = None
@@ -224,14 +219,13 @@ def build_model_spec(sections: dict) -> ModelSpec:
             if key not in mem:
                 raise ConfigError(f"memory section needs {key}")
         m = _whole(mem, "m", None)
+        if d < 1 or m < 1:
+            raise ShapeMismatch(f"a memory block needs d >= 1 and m >= 1, got d={d}, m={m}")
         dm = d * m
         lam = _numbers(mem, "lambda")
-        if lam.size == m and d == 1:
-            lam = lam.reshape(dm, 1)
-        elif lam.size == dm * d:
-            lam = lam.reshape(dm, d)
-        else:
-            raise ConfigError(f"lambda needs {dm * d} entries (or {m} scalars for d=1)")
+        if lam.size != dm * d:
+            raise ConfigError(f"lambda needs {dm * d} entries")
+        lam = lam.reshape(dm, d)
         if "A" in mem and "diag" in mem:
             raise ConfigError("give either A or diag, not both")
         if "diag" in mem:

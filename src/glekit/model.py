@@ -119,22 +119,11 @@ class CurieWeiss:
     """Quadratic pair interaction U(xi) = eta2 |xi|^2 / 2, eta2 >= 0.
 
     Its mean-field force on a particle depends only on the empirical mean,
-    which is what makes the stationary problem scalar.
+    which is what makes the stationary problem scalar.  Free particles are
+    ``CurieWeiss(0.0)``, the default.
     """
 
-    eta2: float
-
-
-@dataclass(frozen=True)
-class NoInteraction:
-    """Free particles.  Behaves identically to CurieWeiss(0)."""
-
-    @property
-    def eta2(self) -> float:
-        return 0.0
-
-
-Interaction = CurieWeiss | NoInteraction
+    eta2: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +187,7 @@ class ModelSpec:
     d: int
     beta: float
     potential: Potential
-    interaction: Interaction = field(default_factory=NoInteraction)
+    interaction: CurieWeiss = field(default_factory=CurieWeiss)
     memory: Optional[MemorySpec] = None
     gamma: Optional[float] = None
     kind: Kind = Kind.GENERALIZED
@@ -233,7 +222,7 @@ class ValidatedModel:
         return self.spec.potential
 
     @property
-    def interaction(self) -> Interaction:
+    def interaction(self) -> CurieWeiss:
         return self.spec.interaction
 
     @property
@@ -326,7 +315,7 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         ``A`` is not symmetric positive definite (or a potential coefficient
         has the wrong sign).
     ShapeMismatch
-        ``lam`` / ``A`` shapes inconsistent with (d, m), or a coefficient
+        d < 1, m < 1, ``lam`` / ``A`` shapes inconsistent with (d, m), or a coefficient
         (omega2, a, b, eta2, gamma, lam, A) that is not finite.
     MissingField
         Generalized kind without memory, underdamped without gamma.
@@ -351,6 +340,8 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         if spec.memory is None:
             raise MissingField("generalized kind requires a memory spec")
         mem = spec.memory
+        if mem.m < 1:
+            raise ShapeMismatch(f"memory needs m >= 1 auxiliary variables, got {mem.m}")
         dm = spec.d * mem.m
         lam = np.asarray(mem.lam, dtype=float)
         A = np.asarray(mem.A, dtype=float)
@@ -368,8 +359,3 @@ def validate(spec: ModelSpec) -> ValidatedModel:
 
     return ValidatedModel(spec=spec)
 
-
-def eval_potential(model: ValidatedModel | ModelSpec, q) -> tuple[float, np.ndarray]:
-    """Evaluate (V(q), grad V(q)) for the configured confining potential."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    return float(model.potential.energy(q)), np.asarray(model.potential.gradient(q), dtype=float)

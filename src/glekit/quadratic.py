@@ -39,7 +39,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import RootFindingFailure, ShapeMismatch, SingularCovariance, UnsupportedPotential
-from .model import CurieWeiss, Kind, NoInteraction, Quadratic, ValidatedModel
+from .model import CurieWeiss, Kind, Quadratic, ValidatedModel
 
 DEDUP_TOL = 1e-12
 DEFAULT_LATTICE_CAP = 4
@@ -121,7 +121,7 @@ class SpectrumReport:
 def _require_quadratic(model: ValidatedModel) -> tuple[float, float]:
     if not isinstance(model.potential, Quadratic):
         raise UnsupportedPotential("block assembly needs a quadratic potential")
-    if not isinstance(model.interaction, (CurieWeiss, NoInteraction)):
+    if not isinstance(model.interaction, CurieWeiss):
         raise UnsupportedPotential("block assembly needs a Curie-Weiss interaction")
     return model.omega2, model.eta2
 
@@ -366,6 +366,8 @@ def fundamental_mc_discrepancy(
     D = mk.check_psd(np.atleast_2d(np.asarray(D, dtype=float)))
     n = B.shape[0]
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if D.shape != B.shape or y.shape != (n,):
+        raise ShapeMismatch(f"D must match B {B.shape} and y have length {n}")
     rng = np.random.default_rng(seed)
     S = mk.psd_sqrt(2.0 * D)
     dt = t / n_steps
@@ -445,11 +447,8 @@ def meanfield_green(B, K, D, t: float, x0) -> GaussianLaw:
     This is the law that empirical moments of the interacting particle system
     converge to; see ``riccati_covariance`` for the one-sided variant.
     """
-    B, K, D = _flow_inputs(B, K, D, t)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != B.shape[:1]:
-        raise ShapeMismatch(f"x0 has shape {x0.shape}, B has shape {B.shape}")
-    return GaussianLaw(mean=mk.expm(t * B) @ x0, cov=mk.gram_integral(B + K, 2.0 * D, t))
+    n = np.atleast_2d(B).shape[0]
+    return propagate_gaussian(B, K, D, t, GaussianLaw(mean=x0, cov=np.zeros((n, n))))
 
 
 def riccati_covariance(B, K, D, t: float) -> np.ndarray:
@@ -461,9 +460,7 @@ def riccati_covariance(B, K, D, t: float) -> np.ndarray:
     covariance only when (B+K) Q stays symmetric (always true in one
     dimension).
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
+    B, K, D = _flow_inputs(B, K, D, t)
     n = B.shape[0]
     M = B + K
     H = np.zeros((2 * n, 2 * n))

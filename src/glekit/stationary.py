@@ -63,19 +63,26 @@ _FOLD_WIDTH = 1e-8  # an extremum of f only has to decide the sign of f there
 # ---------------------------------------------------------------------------
 
 
+# default_window's probe grid, q on (0, 60] and then -q, built once: a new grid
+# per call made every window of a bifurcation scan grow and trim the heap again
+_PROBE = np.linspace(0.0, 60.0, 6001)[1:]
+_PROBE_BOTH_SIGNS = np.concatenate([_PROBE, -_PROBE])[:, None]
+_PROBE_BOTH_SIGNS.setflags(write=False)
+
+
 def default_window(potential: Potential, eta2: float, beta: float) -> float:
     """Truncation half-width L with relative tail weight below 1e-14.
 
     L is the first node of a probe grid on (0, 60] past the last one where
-    beta (V - min V) is below the target, so that the wells beyond a high
-    barrier stay inside; L does not grow with beta.  The interaction term
-    only narrows the density further.
+    beta (V - min V) is below the target at q or at -q, with min V taken over
+    both signs, so that the wells beyond a high barrier stay inside on either
+    side; L does not grow with beta.  The interaction term only narrows the
+    density further.
     """
     target = 14.0 * math.log(10.0) + 4.0  # margin over 1e-14
-    qs = np.linspace(0.0, 60.0, 6001)[1:]
-    v = potential.energy(qs[:, None]) - float(np.min(potential.energy(qs[:, None])))
-    last = np.flatnonzero(beta * v < target)[-1]
-    L = float(qs[last + 1]) if last + 1 < qs.size else 60.0
+    v = potential.energy(_PROBE_BOTH_SIGNS).reshape(2, -1)
+    last = np.flatnonzero(np.any(beta * (v - float(np.min(v))) < target, axis=0))[-1]
+    L = float(_PROBE[last + 1]) if last + 1 < _PROBE.size else 60.0
     return max(L, 3.0)
 
 

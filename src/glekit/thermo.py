@@ -178,11 +178,6 @@ def dissipation(state: GaussianEnsembleLaw) -> float:
     return float(_dissipation_of(state.model, state.law.mean, state.law.cov))
 
 
-def heat_flux(state: GaussianEnsembleLaw) -> float:
-    """de/dt = int A z . z rho - Tr(A)/beta for the Gaussian law."""
-    return float(_heat_flux_of(state.model, state.law.mean, state.law.cov))
-
-
 def generic_functionals(state: GenericState, v_shift: float = 0.0) -> tuple[float, float]:
     """(E, S) = (H(rho) + e, entropy(rho)/beta + e)."""
     E = hamiltonian(state.rho, v_shift) + state.e
@@ -283,15 +278,6 @@ def entropy_grid(density: GridDensity, model: ValidatedModel) -> float:
     rho = density.values
     val = -np.sum(np.where(rho > 0, rho * np.log(np.maximum(rho, LOG_FLOOR)), 0.0))
     return float(val * hq * hp * hz)
-
-
-def generic_functionals_grid(
-    density: GridDensity, model: ValidatedModel, e: float
-) -> tuple[float, float]:
-    return (
-        hamiltonian_grid(density, model) + e,
-        model.beta_inv * entropy_grid(density, model) + e,
-    )
 
 
 def degeneracy_residual(density: GridDensity, model: ValidatedModel) -> tuple[float, float]:

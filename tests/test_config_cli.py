@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from glekit import quadratic
 from glekit.cli import main
 from glekit.config import parse_config
-from glekit.errors import ConfigError
+from glekit.errors import ConfigError, RootFindingFailure, ShapeMismatch
 from glekit.model import DoubleWell, Kind, Quadratic
 
 REPO = Path(__file__).resolve().parents[1]
@@ -118,6 +119,17 @@ def test_validate_domain_error_exit_code(tmp_path, capsys):
     code = run_cli(["validate", "--config", bad, "--out", tmp_path])
     assert code == 1
     assert "NonSPDMatrix" in capsys.readouterr().err
+
+
+def test_validate_exits_one_when_the_spectrum_root_finding_fails(tmp_path, capsys, monkeypatch):
+    # only a non-quadratic model may leave the closed-form spectrum out of the summary
+    def fail(model, cap):
+        raise RootFindingFailure("polynomial residual too large")
+
+    monkeypatch.setattr(quadratic, "spectrum_report", fail)
+    code = run_cli(["validate", "--config", QUAD_GMV, "--out", tmp_path])
+    assert code == 1
+    assert "RootFindingFailure" in capsys.readouterr().err
 
 
 def test_config_grammar_error_exit_code(tmp_path, capsys):
@@ -355,7 +367,7 @@ def test_thermo_rejects_a_z_variance_factor_off_the_positive_reals(tmp_path, cap
 
 @pytest.mark.parametrize("cmd", ["validate", "stationary", "spectrum"])
 def test_nonfinite_coupling_is_rejected_by_name(tmp_path, capsys, cmd):
-    cfg = _config_with(tmp_path, "interaction.eta2", "nan")
+    cfg = _config_with(tmp_path, {"interaction.eta2": "nan"})
     code = run_cli([cmd, "--config", cfg, "--out", tmp_path])
     assert code == 1
     assert "ShapeMismatch: eta2 must be finite" in capsys.readouterr().err
@@ -415,9 +427,12 @@ record_every = 1
 """
 
 
-def _config_with(tmp_path, key, value):
-    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
-             for line in SMALL_GMV.splitlines()]
+def _config_with(tmp_path, changes):
+    """SMALL_GMV with the value of each key in ``changes`` replaced."""
+    lines = []
+    for line in SMALL_GMV.splitlines():
+        key = line.split(" = ")[0]
+        lines.append(f"{key} = {changes[key]}" if key in changes else line)
     path = tmp_path / "model.conf"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -429,12 +444,23 @@ def _config_with(tmp_path, key, value):
      ("d", "nan"), ("N", "16.7"), ("d", "1.9"), ("seed", "4.5")],
 )
 def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, key, value):
-    code = run_cli(["simulate", "--config", _config_with(tmp_path, key, value), "--out", tmp_path,
+    code = run_cli(["simulate", "--config", _config_with(tmp_path, {key: value}), "--out", tmp_path,
                     "--n", "16"])
     err = capsys.readouterr().err
     assert code == 2
     assert "ConfigError" in err and key in err
     assert not (tmp_path / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "changes", [{"m": "0", "lambda": "[]", "A": "[]"}, {"d": "-1"}], ids=["m=0", "d=-1"]
+)
+def test_memory_block_without_positive_dimensions_is_a_shape_mismatch(tmp_path, capsys, changes):
+    cfg = _config_with(tmp_path, changes)
+    assert run_cli(["validate", "--config", cfg, "--out", tmp_path]) == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    with pytest.raises(ShapeMismatch, match="m >= 1"):
+        parse_config(cfg.read_text()).model_spec()
 
 
 D2_DIAG_GMV = SMALL_GMV.replace("d = 1", "d = 2").replace(

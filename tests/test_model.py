@@ -13,12 +13,9 @@ from glekit.model import (
     Kind,
     MemorySpec,
     ModelSpec,
-    NoInteraction,
     Quadratic,
-    eval_potential,
     validate,
 )
-from glekit.particles import InitProduct, BlockLaw, simulate
 
 from conftest import quadratic_gmv
 
@@ -60,6 +57,13 @@ def test_validate_rejects_a_nonfinite_coefficient_by_name(field, changes):
         validate(ModelSpec(**{**base, **changes}))
 
 
+def test_validate_rejects_memory_without_auxiliary_variables():
+    mem = MemorySpec(m=0, lam=np.zeros((0, 1)), A=np.zeros((0, 0)))
+    spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), memory=mem, kind=Kind.GENERALIZED)
+    with pytest.raises(ShapeMismatch, match="m >= 1"):
+        validate(spec)
+
+
 def test_validate_rejects_generalized_without_memory():
     spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), kind=Kind.GENERALIZED)
     with pytest.raises(MissingField):
@@ -73,21 +77,17 @@ def test_validate_rejects_underdamped_without_gamma():
 
 
 def test_eval_potential_quadratic():
-    m = quadratic_gmv()
-    energy, grad = eval_potential(m, 2.0)
-    assert energy == pytest.approx(2.0)
-    assert grad[0] == pytest.approx(2.0)
+    potential = quadratic_gmv().potential
+    assert potential.energy(np.array([2.0])) == pytest.approx(2.0)
+    assert potential.gradient(np.array([2.0]))[0] == pytest.approx(2.0)
 
 
 def test_eval_potential_double_well_origin_and_minimum():
-    spec = validate(
-        ModelSpec(d=1, beta=1.0, potential=DoubleWell(1.0, 1.0), kind=Kind.OVERDAMPED)
-    )
-    e0, g0 = eval_potential(spec, 0.0)
-    assert e0 == 0.0 and g0[0] == 0.0
-    e1, g1 = eval_potential(spec, 1.0)
-    assert e1 == pytest.approx(-0.25)
-    assert g1[0] == pytest.approx(0.0, abs=1e-15)
+    potential = DoubleWell(1.0, 1.0)
+    assert potential.energy(np.array([0.0])) == 0.0
+    assert potential.gradient(np.array([0.0]))[0] == 0.0
+    assert potential.energy(np.array([1.0])) == pytest.approx(-0.25)
+    assert potential.gradient(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -131,31 +131,6 @@ def test_quadratic_gradient_property(omega2, q):
     g = float(pot.gradient(np.array([q]))[0])
     fd = float(pot.energy(np.array([q + step])) - pot.energy(np.array([q - step]))) / (2 * step)
     assert abs(g - fd) <= 1e-6 * max(1.0, abs(g))
-
-
-def test_no_interaction_bitwise_equals_zero_curie_weiss():
-    def run(interaction):
-        spec = validate(
-            ModelSpec(
-                d=1,
-                beta=2.0,
-                potential=Quadratic(1.0),
-                interaction=interaction,
-                memory=MemorySpec.diagonal([1.0], [1.0]),
-                kind=Kind.GENERALIZED,
-            )
-        )
-        init = InitProduct(
-            q=BlockLaw(mean=0.5, var=0.25), p=BlockLaw(var=0.5), z=BlockLaw(var=0.5)
-        )
-        return simulate(spec, N=64, T=0.5, dt=1e-2, seed=7, init=init, record_every=10)
-
-    a = run(NoInteraction())
-    b = run(CurieWeiss(0.0))
-    assert np.array_equal(a.mean_q, b.mean_q)
-    assert np.array_equal(a.var_q, b.var_q)
-    assert np.array_equal(a.mean_p, b.mean_p)
-    assert np.array_equal(a.mean_z, b.mean_z)
 
 
 def test_infinite_beta_disables_noise():

@@ -439,6 +439,23 @@ def test_meanfield_green_rejects_inconsistent_inputs(B, K, D, t, x0):
         qa.meanfield_green(B, K, D, t, x0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qa.riccati_covariance(-np.eye(2), np.zeros((3, 3)), np.eye(2), 0.5),
+        lambda: qa.riccati_covariance(-np.eye(2), np.zeros((2, 2)), np.eye(3), 0.5),
+        lambda: qa.riccati_covariance(-np.eye(2), np.zeros((2, 2)), np.eye(2), -0.1),
+        lambda: qa.fundamental_mc_discrepancy(-np.eye(2), np.eye(3), 0.5, [1.0, 0.0]),
+        lambda: qa.fundamental_mc_discrepancy(-np.eye(2), np.eye(2), 0.5, [1.0, 0.0, 0.0]),
+    ],
+    ids=["riccati K wider than B", "riccati D wider than B", "riccati negative t",
+         "MC D wider than B", "MC y longer than B"],
+)
+def test_riccati_and_mc_discrepancy_reject_inconsistent_inputs(call):
+    with pytest.raises(ShapeMismatch):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gaussian_law_rejects_a_nonfinite_covariance(bad):
     with pytest.raises(ShapeMismatch, match="non-finite"):

@@ -186,6 +186,19 @@ def test_window_tail_bound():
         assert np.exp(phi[-1] - phi.max()) < 1e-14
 
 
+def test_window_tail_bound_on_the_low_side_of_a_tilted_well():
+    # the tilt puts the deep well at q < 0; probing q > 0 alone left a 9e-12 tail at -L
+    pot = CustomPotential(
+        energy=lambda q: np.sum(0.25 * q**4 - 0.5 * q**2 + 2.0 * q, axis=-1),
+        gradient=lambda q: q**3 - q + 2.0,
+    )
+    for beta in (0.5, 1.0, 5.0):
+        L = default_window(pot, 1.0, beta)
+        phi = -beta * pot.energy(np.linspace(-L, L, 4001)[:, None])
+        assert np.exp(phi[0] - phi.max()) < 1e-14
+        assert np.exp(phi[-1] - phi.max()) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
