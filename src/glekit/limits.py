@@ -162,17 +162,27 @@ def _moment_errors_vs_reference(model_ref, ens_moments):
     return float(errs[i]), float(ses[i])
 
 
+def _whole_steps(t: float, dt: float) -> int:
+    if not math.isfinite(t / dt):
+        raise ShapeMismatch(f"t={t} is not a finite number of steps dt={dt}")
+    k = int(round(t / dt))
+    if abs(k * dt - t) > 1e-9 * max(1.0, t):
+        raise ShapeMismatch(f"t={t} is not a whole number of steps dt={dt}")
+    return k
+
+
 def run_study(study: ScalingStudy) -> StudyResult:
     """Simulate each rescaled system and tabulate moment errors vs the limit law.
 
     Rows come in the input epsilon order; each run draws from its own
     sub-stream of ``study.seed`` and takes round(T/base_dt) steps.  Raises
-    :class:`ShapeMismatch` before simulating unless there is a checkpoint and
-    each falls on its own step in (0, T].
+    :class:`ShapeMismatch` before simulating unless T and every checkpoint are
+    whole numbers of steps, to 1e-9 max(1, t) as in ``thermo.evolve_coupled``,
+    there is a checkpoint, and each falls on its own step in (0, T].
     """
     dt = study.base_dt
-    n_steps = int(round(study.T / dt))
-    check_steps = {int(round(t / dt)): t for t in study.checkpoints}
+    n_steps = _whole_steps(study.T, dt)
+    check_steps = {_whole_steps(t, dt): t for t in study.checkpoints}
     if not check_steps or len(check_steps) < len(set(study.checkpoints)) or not all(
         1 <= k <= n_steps for k in check_steps
     ):

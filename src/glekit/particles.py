@@ -22,11 +22,23 @@ makes the mean-field coupling order-independent.  Randomness comes from one
 SFC64 generator per run, seeded through a ``SeedSequence`` (the fastest of
 numpy's bit generators per normal; substreams come from the seed sequence),
 so identical (model, N, seed, dt, T) reproduce observable series bitwise.
+
+The normals are most of the cost of a large step, so from ``PREFETCH_MIN``
+normals per step on, one worker thread draws the next step's block while the
+main thread runs the current step.  It draws from the ensemble's own
+generator, in the same shape and order as an inline draw, into one of two
+preallocated buffers, so every number lands where it lands without it.  A
+draw of another shape undoes the pending block (the generator state is
+saved before each fill) and draws inline.  The worker is a daemon thread,
+created on first use and shared first in, first out by all ensembles; below
+the threshold no thread is involved.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -91,6 +103,14 @@ class ParticleEnsemble:
     counts only while ``q`` is still that very array: rebinding ``q``
     discards it, and code that edits ``q`` in place between steps must set
     ``end_force = None``.
+
+    An ensemble from :func:`init_ensemble` keeps its generator a second time,
+    privately, for the prefetch of the normals (see the module docstring).
+    From ``PREFETCH_MIN`` normals per step on, ``rng`` is therefore one block
+    of normals ahead after each step: the next step's block is already drawn.
+    Steps draw only through the stepper, so their numbers do not change; a
+    caller that draws from ``rng`` itself between steps gets numbers from
+    after that block.
     """
 
     N: int
@@ -100,6 +120,13 @@ class ParticleEnsemble:
     time: float
     rng: np.random.Generator
     end_force: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _prefetch: Optional["_Prefetch"] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a fill in flight would race the copy of the generator
+        if self._prefetch is not None:
+            self._prefetch.wait()
+        return self.__dict__
 
     def state_matrix(self) -> np.ndarray:
         """(N, state_dim) array in [q, p, z] layout."""
@@ -156,13 +183,116 @@ def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> Part
     q = X[:, :d].copy()
     p = X[:, d : 2 * d].copy() if has_p else None
     z = X[:, 2 * d :].copy() if dm else None
-    return ParticleEnsemble(N=N, q=q, p=p, z=z, time=0.0, rng=rng)
+    ens = ParticleEnsemble(N=N, q=q, p=p, z=z, time=0.0, rng=rng)
+    ens._prefetch = _Prefetch(rng)
+    return ens
 
 
 def _sample_block(law: BlockLaw, N: int, width: int, rng: np.random.Generator) -> np.ndarray:
     if law.point is not None:
         return np.full((N, width), float(law.point))
     return law.mean + math.sqrt(law.var) * rng.standard_normal((N, width))
+
+
+# ---------------------------------------------------------------------------
+# normals, drawn one step ahead
+# ---------------------------------------------------------------------------
+
+# the fewest normals per step worth a hand-off to the worker (measured crossover)
+PREFETCH_MIN = 1 << 13
+
+_jobs: deque = deque()
+_wake = threading.Lock()  # held while the worker has nothing to do
+_wake.acquire()
+_worker: Optional[threading.Thread] = None
+
+
+def _serve() -> None:
+    while True:
+        _wake.acquire()
+        while _jobs:
+            _jobs.popleft().fill()
+
+
+def _submit(job: "_Prefetch") -> None:
+    global _worker
+    if _worker is None:  # two threads racing here start two workers, which share the queue
+        _worker = threading.Thread(target=_serve, name="glekit-normals", daemon=True)
+        _worker.start()
+    _jobs.append(job)
+    try:
+        _wake.release()
+    except RuntimeError:  # already awake: it drains the queue before it sleeps
+        pass
+
+
+class _Prefetch:
+    """Two buffers of normals from one generator; ``bufs[1]`` is the next block when ``ahead``."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.bufs: tuple = ()
+        self.ahead = False
+        self.state = None  # generator state before the block in bufs[1]
+        self.error: Optional[BaseException] = None
+        self.filled = threading.Lock()  # held while the worker fills bufs[1]
+
+    def fill(self) -> None:
+        """Worker side: draw the next block."""
+        try:
+            self.gen.standard_normal(out=self.bufs[1])
+        except BaseException as exc:  # raised by wait(), where the block is read
+            self.error = exc
+        finally:
+            self.filled.release()
+
+    def wait(self) -> None:
+        with self.filled:
+            pass
+        if self.error is not None:
+            raise self.error
+
+    def rewind(self) -> None:
+        """Undo the block drawn ahead, so the generator stands where inline draws left it."""
+        if self.ahead:
+            self.wait()
+            self.gen.bit_generator.state = self.state
+            self.ahead = False
+
+    def draw(self, shape: tuple) -> np.ndarray:
+        """This step's normals; valid until the next draw."""
+        if self.ahead and self.bufs[1].shape == shape:
+            self.wait()
+            self.bufs = self.bufs[::-1]
+        else:
+            self.rewind()
+            if not self.bufs or self.bufs[0].shape != shape:
+                self.bufs = (np.empty(shape), np.empty(shape))
+            self.gen.standard_normal(out=self.bufs[0])
+        self.state = self.gen.bit_generator.state
+        self.ahead = True
+        self.filled.acquire()
+        _submit(self)
+        return self.bufs[0]
+
+    def __getstate__(self):
+        self.wait()
+        return {k: v for k, v in vars(self).items() if k != "filled"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.filled = threading.Lock()
+
+
+def _normals(ens: ParticleEnsemble, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape`` from the ensemble's stream, prefetched when large."""
+    pf = ens._prefetch
+    if pf is None:
+        return ens.rng.standard_normal(shape)
+    if shape[0] * shape[1] < PREFETCH_MIN or ens.rng.bit_generator is not pf.gen.bit_generator:
+        pf.rewind()
+        return ens.rng.standard_normal(shape)
+    return pf.draw(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +354,7 @@ class _Stepper:
     def _ou(self, ens: ParticleEnsemble) -> None:
         """Exact O step of (p, z), or of p alone, one fused affine update per output column."""
         d, n = self.d, self.d + self.dm
-        xi = ens.rng.standard_normal((n, ens.N))
+        xi = _normals(ens, (n, ens.N))
         cols = [ens.p[:, j] for j in range(d)] + [ens.z[:, j] for j in range(self.dm)]
         p = np.empty_like(ens.p)
         z = None if ens.z is None else np.empty_like(ens.z)
@@ -242,7 +372,7 @@ class _Stepper:
         dt = self.dt
         if self.kind is Kind.OVERDAMPED:
             m1 = ens.q.mean(axis=0)
-            xi = ens.rng.standard_normal(ens.q.shape)
+            xi = _normals(ens, ens.q.shape)
             ens.q += self.force(ens.q, m1) * dt + self.noise_std * xi
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick

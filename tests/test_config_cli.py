@@ -100,6 +100,32 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # the prefetch of the normals runs on a bare thread: concurrent.futures would pull in
+    # logging and add about 8 ms to the start-up of every subcommand
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, glekit.cli; "
+             "print(sorted(k for k in ('concurrent.futures', 'logging') if k in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_simulate_with_a_block_drawn_ahead_exits_promptly(tmp_path):
+    # N = 2e4 is above the prefetch threshold, so the run ends with a fill pending on the
+    # worker thread; the interpreter must not wait on it at exit
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "glekit.cli", "simulate", "--config", str(QUAD_GMV),
+         "--out", str(tmp_path), "--n", "20000", "--t-final", "0.01"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "simulate.csv").exists()
+
+
 def test_validate_exits_zero_and_reports_derived_quantities(tmp_path, capsys):
     code = run_cli(["validate", "--config", QUAD_GMV, "--out", tmp_path])
     assert code == 0
@@ -296,9 +322,10 @@ def test_malformed_list_flag_is_config_error(tmp_path, capsys, cmd, flag, value)
     assert "ConfigError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("checkpoints", ["5", "0", "-0.5", "0.0001"])
+@pytest.mark.parametrize("checkpoints", ["5", "0", "-0.5", "0.0001", "inf", "nan"])
 def test_whitenoise_rejects_unrecorded_checkpoints(tmp_path, capsys, checkpoints):
-    # T = 0.01: a checkpoint beyond T, at or before 0, or below half a step is never recorded
+    # T = 0.01: a checkpoint beyond T, at or before 0, below half a step or not finite is
+    # never recorded
     code = run_cli(
         ["whitenoise", "--config", QUAD_GMV, "--out", tmp_path, "--n", "50",
          "--t-final", "0.01", "--checkpoints", checkpoints]
@@ -315,6 +342,17 @@ def test_thermo_rejects_models_without_gaussian_flow(tmp_path, capsys, config, e
     code = run_cli(["thermo", "--config", config, "--out", tmp_path, "--t-final", "0.01"])
     assert code == 1
     assert error in capsys.readouterr().err
+
+
+def test_whitenoise_rejects_a_checkpoint_between_steps(tmp_path, capsys):
+    # the state at step round(0.25/0.2) = 1 is t = 0.2, not the law's t = 0.25
+    code = run_cli(
+        ["whitenoise", "--config", QUAD_GMV, "--out", tmp_path, "--n", "2000",
+         "--t-final", "1", "--base-dt", "0.2", "--checkpoints", "0.25,1", "--epsilons", "0.5,0.25"]
+    )
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "whitenoise.csv").exists()
 
 
 def test_whitenoise_rejects_a_single_particle(tmp_path, capsys):

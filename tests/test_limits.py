@@ -151,6 +151,19 @@ def test_run_study_rejects_an_empty_checkpoint_list():
         limits.run_study(study)
 
 
+@pytest.mark.parametrize(
+    "T, checkpoints", [(1.0, (0.25, 1.0)), (1.1, (0.2, 1.0)), (1.0, (0.2, 0.9999))],
+    ids=["checkpoint-between-steps", "horizon-between-steps", "checkpoint-near-a-step"],
+)
+def test_run_study_rejects_times_off_the_step_grid(T, checkpoints):
+    # at dt = 0.2, step 1 is t = 0.2: its state is not the law at t = 0.25, and
+    # T = 1.1 would run 6 steps, to t = 1.2
+    study = limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=(0.5, 0.25), N=10, T=T,
+                                base_dt=0.2, checkpoints=checkpoints)
+    with pytest.raises(ShapeMismatch, match="whole number of steps"):
+        limits.run_study(study)
+
+
 @pytest.mark.parametrize("scale", [0.0, 0.01], ids=["all-tied", "perturbed"])
 def test_moment_error_is_the_first_maximum_across_checkpoints(scale):
     # the reference: a running strict maximum over the entries in checkpoint order

@@ -1,13 +1,18 @@
 import copy
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from glekit import particles
 from glekit import quadratic as qa
 from glekit.errors import InsufficientParticles, NonFiniteState
-from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, CurieWeiss, validate
+from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, CurieWeiss, ValidatedModel, validate
 from glekit.particles import (
+    PREFETCH_MIN,
     BlockLaw,
     InitGaussian,
     InitPoint,
@@ -308,11 +313,11 @@ def sfc64(seed):
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
-def test_overdamped_euler_maruyama_on_the_sfc64_stream_bitwise():
+def overdamped_bitwise(N):
     # init block, then q + (F dt + sqrt(2 dt / beta) xi) with xi of shape (N, d), by hand
     omega2, eta2, beta = 1.3, 0.7, 2.0
     model = quadratic_omv(omega2=omega2, eta2=eta2, beta=beta)
-    N, dt, seed = 64, 0.01, 11
+    dt, seed = 0.01, 11
     ens = init_ensemble(model, N, seed, InitProduct(q=BlockLaw(mean=0.5, var=0.2)))
     stepper = make_stepper(model, dt)
     rng = sfc64(seed)
@@ -323,14 +328,15 @@ def test_overdamped_euler_maruyama_on_the_sfc64_stream_bitwise():
         force = -omega2 * q - eta2 * (q - q.mean(axis=0))
         q = q + (force * dt + sigma * rng.standard_normal((N, 1)))
     assert np.array_equal(ens.q, q)
+    return ens
 
 
-def test_generalized_pz_step_on_the_sfc64_stream_bitwise():
+def generalized_bitwise(N):
     # init blocks q, p, z in that order, then B-A-O-A-B by hand at d = m = 1 with the
     # O step (p, z) -> T (p, z) + S xi, xi of shape (2, N); T and S are the stepper's maps
     omega2, eta2, beta = 1.3, 0.7, 2.0
     model = quadratic_gmv(omega2=omega2, eta2=eta2, beta=beta, lambdas=(0.9,), alphas=(1.7,))
-    N, dt, seed = 64, 0.01, 11
+    dt, seed = 0.01, 11
     init = InitProduct(q=BlockLaw(mean=0.5, var=0.2), p=BlockLaw(var=0.5), z=BlockLaw(var=0.5))
     ens = init_ensemble(model, N, seed, init)
     stepper = make_stepper(model, dt)
@@ -354,13 +360,14 @@ def test_generalized_pz_step_on_the_sfc64_stream_bitwise():
         q = q + 0.5 * dt * p
         p = p + 0.5 * dt * force(q)
     assert np.array_equal(ens.q, q) and np.array_equal(ens.p, p) and np.array_equal(ens.z, z)
+    return ens
 
 
-def test_underdamped_o_step_is_the_scalar_ou_map_bitwise():
+def underdamped_bitwise(N):
     # B-A-O-A-B by hand, with the O step p e^{-gamma dt} + sigma xi on the same SFC64 stream
     omega2, eta2, beta, gamma = 1.3, 0.7, 2.0, 0.8
     model = quadratic_umv(omega2=omega2, eta2=eta2, beta=beta, gamma=gamma)
-    N, dt, seed = 64, 0.01, 11
+    dt, seed = 0.01, 11
     ens = init_ensemble(model, N, seed, InitPoint([0.5, -0.2]))
     stepper = make_stepper(model, dt)
     rng = sfc64(seed)
@@ -379,3 +386,158 @@ def test_underdamped_o_step_is_the_scalar_ou_map_bitwise():
         q = q + 0.5 * dt * p
         p = p + 0.5 * dt * force(q)
     assert np.array_equal(ens.q, q) and np.array_equal(ens.p, p)
+    return ens
+
+
+def test_overdamped_euler_maruyama_on_the_sfc64_stream_bitwise():
+    overdamped_bitwise(64)
+
+
+def test_generalized_pz_step_on_the_sfc64_stream_bitwise():
+    generalized_bitwise(64)
+
+
+def test_underdamped_o_step_is_the_scalar_ou_map_bitwise():
+    underdamped_bitwise(64)
+
+
+@pytest.mark.parametrize("by_hand", [overdamped_bitwise, underdamped_bitwise, generalized_bitwise],
+                         ids=["overdamped", "underdamped", "generalized"])
+def test_prefetched_normals_are_the_sfc64_stream_bitwise(by_hand):
+    # N * n >= PREFETCH_MIN: the worker draws each next block, and the hand-drawn
+    # reference still matches bit for bit
+    ens = by_hand(PREFETCH_MIN)
+    assert ens._prefetch.ahead
+
+
+# ---------------------------------------------------------------------------
+# the prefetch of the normals
+# ---------------------------------------------------------------------------
+
+INIT_PZ = InitProduct(q=BlockLaw(mean=0.5, var=0.2), p=BlockLaw(var=0.5), z=BlockLaw(var=0.5))
+
+
+@pytest.mark.parametrize(
+    "kind, N",
+    [("underdamped", PREFETCH_MIN), ("generalized", PREFETCH_MIN),
+     ("generalized", 3 * PREFETCH_MIN // 4)],
+    ids=["underdamped-both-prefetched", "generalized-both-prefetched", "generalized-one-inline"],
+)
+def test_draws_of_two_shapes_keep_the_inline_stream(monkeypatch, kind, N):
+    # one kinetic ensemble stepped in turn by its own stepper, xi of shape (n, N), and by an
+    # overdamped stepper of the same d, xi of shape (N, d): each change of shape undoes the
+    # block drawn ahead
+    model = quadratic_umv() if kind == "underdamped" else quadratic_gmv()
+    steppers = (make_stepper(model, 0.01), make_stepper(quadratic_omv(), 0.01))
+
+    def run():
+        ens = init_ensemble(model, N, 4, INIT_PZ)
+        for k in range(12):
+            steppers[k % 3 == 2].step(ens)
+        return ens
+
+    prefetched = run()
+    monkeypatch.setattr(particles, "PREFETCH_MIN", math.inf)
+    inline = run()
+    assert np.array_equal(prefetched.q, inline.q) and np.array_equal(prefetched.p, inline.p)
+    # the generator itself stands one block ahead of the inline run, and no more
+    prefetched._prefetch.rewind()
+    assert np.array_equal(prefetched.rng.standard_normal(4), inline.rng.standard_normal(4))
+
+
+def test_deepcopy_mid_run_continues_bit_for_bit():
+    model = quadratic_gmv()
+    stepper = make_stepper(model, 0.01)
+    ens = init_ensemble(model, PREFETCH_MIN, 8, INIT_PZ)
+    for _ in range(5):
+        stepper.step(ens)
+    twin = copy.deepcopy(ens)
+    for _ in range(10):
+        stepper.step(ens)
+    for _ in range(10):
+        stepper.step(twin)
+    assert np.array_equal(ens.q, twin.q) and np.array_equal(ens.p, twin.p)
+    assert np.array_equal(ens.z, twin.z)
+
+
+def test_ensembles_stepped_from_several_threads_keep_their_streams(monkeypatch):
+    # more stepping threads than cores, all handing fills to the one worker, with a short
+    # switch interval: a lost wake-up hangs a thread, a mixed-up block changes its numbers
+    model = quadratic_umv()
+    stepper = make_stepper(model, 0.01)
+    seeds = range(4)
+
+    def run(seed, out):
+        ens = init_ensemble(model, PREFETCH_MIN, seed, INIT_PZ)
+        for _ in range(30):
+            stepper.step(ens)
+        out[seed] = ens.q
+
+    threaded = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(s, threaded), daemon=True) for s in seeds]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    monkeypatch.setattr(particles, "PREFETCH_MIN", math.inf)
+    inline = {}
+    for s in seeds:
+        run(s, inline)
+        assert np.array_equal(threaded[s], inline[s])
+
+
+class ThreadLog:
+    """Stands in for an ensemble's generator and records the thread of every use."""
+
+    def __init__(self, rng, threads):
+        self._rng, self._threads = rng, threads
+
+    def __getattr__(self, attr):
+        self._threads.append(threading.current_thread())
+        value = getattr(self._rng, attr)
+        if not callable(value):
+            return value
+
+        def call(*args, **kwargs):
+            self._threads.append(threading.current_thread())
+            return value(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("model", [quadratic_omv(), quadratic_umv(), quadratic_gmv()],
+                         ids=["overdamped", "underdamped", "generalized"])
+def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, model):
+    # a tracer that wraps ens.rng or the force keeps one span stack: the worker must
+    # reach neither, or its spans would interleave with the step's
+    threads = []
+
+    def run(logged):
+        ens = init_ensemble(model, PREFETCH_MIN, 2, INIT_PZ)
+        if logged:
+            ens.rng = ThreadLog(ens.rng, threads)
+        stepper = make_stepper(model, 0.01)
+        for _ in range(10):
+            stepper.step(ens)
+        return ens
+
+    plain = run(False)
+    grad = ValidatedModel.grad_potential
+
+    def logged_grad(self, q):
+        threads.append(threading.current_thread())
+        return grad(self, q)
+
+    monkeypatch.setattr(ValidatedModel, "grad_potential", logged_grad)
+    logged = run(True)
+    assert threads and set(threads) == {threading.main_thread()}
+    for name in ("q", "p", "z"):
+        a, b = getattr(plain, name), getattr(logged, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
