@@ -50,12 +50,13 @@ from .model import Kind
 
 
 def _fmt(v) -> str:
+    # floats first, the bulk of every table; bool is no float and np.bool_ no np.floating
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # shortest representation that round-trips
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest representation that round-trips
     return str(v)
 
 
@@ -342,12 +343,9 @@ def cmd_thermo(args, cfg: Config):
     dt = args.dt if args.dt is not None else cfg.run_params().dt
     T = args.t_final if args.t_final is not None else 5.0
     series = thermo.evolve_coupled(state, model, dt, T)
-    rows = [
-        [t, E, S, F, w]
-        for t, E, S, F, w in zip(
-            series.times, series.energy, series.entropy, series.free_energy, series.dissipation
-        )
-    ]
+    rows = np.column_stack(
+        [series.times, series.energy, series.entropy, series.free_energy, series.dissipation]
+    ).tolist()
     summary = {
         "T": T,
         "dt": dt,

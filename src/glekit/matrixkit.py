@@ -120,7 +120,7 @@ def expm(M) -> np.ndarray:
 def gram_integral(B, D, t: float) -> np.ndarray:
     """Integrated noise propagation int_0^t e^{sB} D e^{sB^T} ds.
 
-    D must be symmetric PSD and t >= 0; the result is symmetric PSD up to
+    D must be symmetric PSD and 0 <= t < inf; the result is symmetric PSD up to
     rounding.  For ||tB|| beyond order one the integral is assembled by
     interval doubling, which keeps stable drifts accurate at large t.
     """
@@ -128,8 +128,8 @@ def gram_integral(B, D, t: float) -> np.ndarray:
     D = check_psd(D, "D")
     if B.shape != D.shape:
         raise ShapeMismatch(f"B and D must have equal shapes, got {B.shape} vs {D.shape}")
-    if t < 0:
-        raise ShapeMismatch(f"t must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ShapeMismatch(f"t must be finite and nonnegative, got {t}")
     n = B.shape[0]
     if t == 0.0:
         return np.zeros((n, n))

@@ -205,9 +205,10 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
 
     The law propagates by ``quadratic.affine_laws`` with the exact one-step
     maps of ``quadratic.flow_maps`` (matrix exponentials and the one-step
-    Gram integral), so E-drift measures only the second-order
-    trapezoid error of e: halving dt cuts the drift about fourfold.  T must
-    be a whole number of steps, to 1e-9 max(1, T).  Every propagated
+    Gram integral), which agrees with the step-by-step loop to rounding.  So
+    E-drift measures only the second-order trapezoid error of e: halving dt
+    cuts the drift about fourfold.  T must be a whole number of steps, to
+    1e-9 max(1, T).  Every propagated
     covariance passes the symmetric-PSD check of a Gaussian law and must be
     nonsingular (:class:`SingularCovariance` otherwise).
     """

@@ -268,6 +268,17 @@ def test_thermo_outputs(tmp_path):
     assert summary["entropy_monotone"] and summary["free_energy_monotone"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning must not precede the error
+@pytest.mark.parametrize("times", ["inf", "0.5,nan"])
+def test_greens_rejects_a_time_that_is_not_finite(tmp_path, capsys, times):
+    code = run_cli(["greens", "--config", QUAD_GMV, "--out", tmp_path, "--times", times])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ShapeMismatch: t must be finite and nonnegative" in err
+    assert "RuntimeWarning" not in err
+    assert not (tmp_path / "greens.csv").exists()
+
+
 def test_whitenoise_outputs(tmp_path):
     code = run_cli(
         ["whitenoise", "--config", QUAD_GMV, "--out", tmp_path, "--n", "200",

@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import leggauss
 from glekit import matrixkit as mk
 from glekit import particles, thermo
 from glekit.config import load_config
-from glekit.errors import MatrixOverflow, NonSPDMatrix
+from glekit.errors import MatrixOverflow, NonSPDMatrix, ShapeMismatch
 from glekit.model import Kind, Quadratic
 
 from conftest import quadratic_gmv
@@ -199,6 +199,12 @@ def test_gram_integral_result_is_psd(rng):
         G = mk.gram_integral(B, D, 0.8)
         assert np.max(np.abs(G - G.T)) <= 1e-10 * max(1.0, np.max(np.abs(G)))
         assert np.linalg.eigvalsh(G)[0] >= -1e-10 * max(1.0, np.max(np.abs(G)))
+
+
+@pytest.mark.parametrize("t", [-0.1, np.inf, np.nan])
+def test_gram_integral_rejects_a_time_off_the_nonnegative_reals(t):
+    with pytest.raises(ShapeMismatch, match="t must be finite and nonnegative"):
+        mk.gram_integral(-np.eye(2), np.eye(2), t)
 
 
 def test_gram_integral_rejects_asymmetric_D():

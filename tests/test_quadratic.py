@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from glekit import matrixkit as mk
 from glekit import quadratic as qa
-from glekit import limits
+from glekit import limits, thermo
 from glekit.config import load_config
 from glekit.errors import ShapeMismatch, SingularCovariance, UnsupportedPotential
 from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
@@ -456,6 +456,16 @@ def test_riccati_and_mc_discrepancy_reject_inconsistent_inputs(call):
         call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_flows_reject_a_time_that_is_not_finite(t):
+    B, K, D = -np.eye(2), np.zeros((2, 2)), np.eye(2)
+    for call in (lambda: qa.meanfield_green(B, K, D, t, [1.0, 0.0]),
+                 lambda: qa.riccati_covariance(B, K, D, t)):
+        with pytest.raises(ShapeMismatch, match="t must be finite and nonnegative"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gaussian_law_rejects_a_nonfinite_covariance(bad):
     with pytest.raises(ShapeMismatch, match="non-finite"):
@@ -532,6 +542,60 @@ def test_stepper_law_bias_order(label, model, x0, lo, hi):
     if model.kind is Kind.GENERALIZED:
         # bounded uniformly in eps: the exact (p, z) step needs no smaller dt
         assert fine <= 1e-5, f"{label}: bias {fine}"
+
+
+def _sequential_laws(Phi, Phi_t, Q, mean, cov, n_steps):
+    """The law recursion one step at a time, each covariance symmetrized as (c + c^T) / 2."""
+    means, covs = [np.asarray(mean, dtype=float)], [np.asarray(cov, dtype=float)]
+    for _ in range(n_steps):
+        means.append(Phi @ means[-1])
+        c = Phi_t @ covs[-1] @ Phi_t.T + Q
+        covs.append(0.5 * (c + c.T))
+    return np.array(means), np.array(covs)
+
+
+_B = qa._LAW_BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, _B - 1, _B, _B + 1, 2 * _B, 3 * _B + 5])
+def test_block_laws_equal_the_sequential_loop(n_steps):
+    rng = np.random.default_rng(7)
+    n = 3
+    # non-normal one-step maps near the identity, Phi != Phi~, and a full-rank Q
+    M = -np.eye(n) + np.triu(rng.uniform(-2.0, 2.0, (n, n)), 1)
+    Phi = np.eye(n) + 0.01 * M
+    Phi_t = np.eye(n) + 0.01 * (M - np.diag([0.5, 0.2, 0.1]))
+    R = rng.uniform(-1.0, 1.0, (n, n))
+    Q = 0.01 * (R @ R.T)
+    mean = np.array([1.0, -0.5, 0.25])
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]])
+    means, covs = qa.affine_laws(Phi, Phi_t, Q, mean, cov, n_steps)
+    want_means, want_covs = _sequential_laws(Phi, Phi_t, Q, mean, cov, n_steps)
+    assert means.shape == (n_steps + 1, n) and covs.shape == (n_steps + 1, n, n)
+    assert np.array_equal(covs, np.swapaxes(covs, 1, 2))
+    if n_steps <= _B:
+        assert _same_bits(means, want_means) and _same_bits(covs, want_covs)
+    for got, want in ((means, want_means), (covs, want_covs)):
+        err = np.max(np.abs(got - want).reshape(n_steps + 1, -1), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(want).reshape(n_steps + 1, -1), axis=1))
+
+
+def test_block_laws_are_no_less_accurate_than_the_loop_against_the_exact_law():
+    # thermo's maps and start: T = 5 at dt = 1e-3 from the stationary law, z variance doubled
+    model = load_config(CONFIGS / "quadratic_gmv.conf").model()
+    B, K, D = qa.split_BK(model)
+    law0 = thermo.stationary_law(model)
+    cov = law0.cov.copy()
+    cov[2:, 2:] *= 2.0
+    dt, n_steps = 1e-3, 5000
+    maps = qa.flow_maps(B, K, D, dt)
+    _, covs = qa.affine_laws(*maps, law0.mean, cov, n_steps)
+    _, loop_covs = _sequential_laws(*maps, law0.mean, cov, n_steps)
+    ks = range(500, n_steps + 1, 500)
+    exact = [qa.propagate_gaussian(B, K, D, k * dt, qa.GaussianLaw(law0.mean, cov)).cov for k in ks]
+    block_err = max(np.max(np.abs(covs[k] - ref)) for k, ref in zip(ks, exact))
+    loop_err = max(np.max(np.abs(loop_covs[k] - ref)) for k, ref in zip(ks, exact))
+    assert block_err <= loop_err
 
 
 @pytest.mark.parametrize(
