@@ -61,10 +61,17 @@ def _fmt(v) -> str:
 
 
 def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"table row has {len(row)} values for {len(header)} columns")
     if fmt == "json":
         payload = [dict(zip(header, [_json_safe(v) for v in row])) for row in rows]
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    # one formatter per column: repr where every value is a plain float, else _fmt
+    cols = [
+        map(repr if all(type(v) is float for v in col) else _fmt, col) for col in zip(*rows)
+    ]
+    lines = [",".join(header)] + [",".join(vals) for vals in zip(*cols)]
     return "\n".join(lines) + "\n"
 
 
@@ -439,9 +446,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value is a comma-separated list of numbers
+_LIST_FLAGS = ("--x0", "--times", "--epsilons", "--checkpoints")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Write ``--x0 -1,0,0`` as ``--x0=-1,0,0``.
+
+    argparse reads a token led by ``-`` as an option unless it is one plain
+    number, so a list whose first value is negative needs the ``=`` form.  A
+    following token joins the flag, or an abbreviation of it, only when it
+    starts with a number.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if tok.startswith("-") and len(prev) > 2 and any(f.startswith(prev) for f in _LIST_FLAGS):
+            try:
+                float(tok.split(",", 1)[0])
+                out[-1] += "=" + tok
+                continue
+            except ValueError:
+                pass
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     args._started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         cfg = load_config(args.config)

@@ -66,11 +66,16 @@ class DriftDiffusion:
     D: np.ndarray
 
 
-def check_covariances(cov: np.ndarray) -> None:
+def check_covariances(cov: np.ndarray) -> np.ndarray | None:
     """Raise ShapeMismatch unless each matrix of a stack (..., n, n) is symmetric PSD.
 
     Both tests are relative to max(1, max |entry|) of each matrix, at 1e-12;
-    a non-finite entry fails outright.
+    a non-finite entry fails outright.  Returns the lower Cholesky factors L
+    (Sigma = L L^T) of the stack.  When Cholesky fails on some matrix, its
+    eigenvalues decide: one below the tolerance is a ShapeMismatch, and
+    otherwise the stack passes, the return value is None, and the matrix
+    counts as singular for the entropy (``thermo`` raises SingularCovariance),
+    even where its determinant is a tiny positive number.
     """
     if not np.all(np.isfinite(cov)):
         raise ShapeMismatch("covariance has non-finite entries")
@@ -78,9 +83,14 @@ def check_covariances(cov: np.ndarray) -> None:
     scale = np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))
     if np.any(np.max(np.abs(cov - cov_t), axis=(-2, -1)) > 1e-12 * scale):
         raise ShapeMismatch("covariance is not symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
     w = np.linalg.eigvalsh(0.5 * (cov + cov_t))[..., 0]
     if np.any(w < -1e-12 * scale):
         raise ShapeMismatch(f"covariance has negative eigenvalue {np.min(w)}")
+    return None
 
 
 @dataclass(frozen=True)

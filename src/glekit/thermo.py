@@ -10,8 +10,16 @@ and its dissipation rate
     -dF/dt = int A (z sqrt(rho) + 2 grad_z sqrt(rho)/beta)
                . (z sqrt(rho) + 2 grad_z sqrt(rho)/beta)
 
-reduce to closed-form Gaussian moments.  The module also carries the
-energy/entropy pair of the reversible-irreversible decomposition,
+reduce to closed-form Gaussian moments.  Each covariance Sigma is factored
+once, Sigma = L L^T (Cholesky): a factor that exists passes the PSD check,
+the entropy reads log det Sigma = 2 sum log diag L, and the dissipation's
+z-block matrix Sigma_zz - 2 I/beta + (Sigma^-1)_zz/beta^2 is the zz block
+of W^T W with W = L^-1 (Sigma - I/beta), which is PSD by construction and,
+unlike the three terms it sums, shrinks with Sigma - I/beta near
+equilibrium.
+
+The module also carries the energy/entropy pair of the
+reversible-irreversible decomposition,
 
     E(rho, e) = H(rho) + e,      S(rho, e) = -int rho log rho / beta + e,
     H(rho)    = int [ |p|^2/2 + V + (U * rho)/2 + ||z||^2/2 ] rho,
@@ -112,11 +120,17 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u, v)
 
 
-def _entropy(cov: np.ndarray) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(cov)
-    if np.any(sign <= 0) or not np.all(np.isfinite(logdet)):
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a covariance stack, checked by ``check_covariances``."""
+    L = check_covariances(cov)
+    if L is None:
         raise SingularCovariance("covariance is singular; entropy undefined")
-    n = cov.shape[-1]
+    return L
+
+
+def _entropy(L: np.ndarray) -> np.ndarray:
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    n = L.shape[-1]
     return 0.5 * (n * math.log(2.0 * math.pi * math.e) + logdet)
 
 
@@ -136,17 +150,11 @@ def _a_form(model: ValidatedModel, mu_z, S) -> np.ndarray:
     return _trace(A @ S) + _dot(mu_z @ A, mu_z)
 
 
-def _dissipation_of(model: ValidatedModel, mu, cov) -> np.ndarray:
+def _dissipation_of(model: ValidatedModel, mu, cov, L) -> np.ndarray:
     _, _, sz = _blocks(model)
-    bi = model.beta_inv
-    try:
-        prec = np.linalg.inv(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    nz = sz.stop - sz.start
-    cov_v = cov[..., sz, sz] - 2.0 * bi * np.eye(nz) + bi * bi * prec[..., sz, sz]
-    val = _a_form(model, mu[..., sz], cov_v)
-    return np.maximum(val, 0.0)
+    n = cov.shape[-1]
+    W = np.linalg.solve(L, cov[..., :, sz] - model.beta_inv * np.eye(n)[:, sz])
+    return _a_form(model, mu[..., sz], np.swapaxes(W, -1, -2) @ W)
 
 
 def _heat_flux_of(model: ValidatedModel, mu, cov) -> np.ndarray:
@@ -162,7 +170,8 @@ def hamiltonian(state: GaussianEnsembleLaw, v_shift: float = 0.0) -> float:
 
 def free_energy(state: GaussianEnsembleLaw, v_shift: float = 0.0) -> float:
     """F(rho) = H(rho) - entropy(rho)/beta, exactly, for the Gaussian law."""
-    return hamiltonian(state, v_shift) - state.model.beta_inv * float(_entropy(state.law.cov))
+    ent = _entropy(_factor(state.law.cov))
+    return hamiltonian(state, v_shift) - state.model.beta_inv * float(ent)
 
 
 def dissipation(state: GaussianEnsembleLaw) -> float:
@@ -173,15 +182,19 @@ def dissipation(state: GaussianEnsembleLaw) -> float:
 
         Tr[A (S_zz - 2 I/beta + (S^-1)_zz / beta^2)] + mu_z . A mu_z,
 
-    which vanishes exactly on the stationary product law.
+    which vanishes exactly on the stationary product law.  The bracket is
+    the zz block of (S - I/beta) S^-1 (S - I/beta) = W^T W, with
+    W = L^-1 (S - I/beta) on the z columns and S = L L^T, so it is formed
+    as a PSD product that needs no clamp at zero.
     """
-    return float(_dissipation_of(state.model, state.law.mean, state.law.cov))
+    L = _factor(state.law.cov)
+    return float(_dissipation_of(state.model, state.law.mean, state.law.cov, L))
 
 
 def generic_functionals(state: GenericState, v_shift: float = 0.0) -> tuple[float, float]:
     """(E, S) = (H(rho) + e, entropy(rho)/beta + e)."""
     E = hamiltonian(state.rho, v_shift) + state.e
-    S = state.rho.model.beta_inv * _entropy(state.rho.law.cov) + state.e
+    S = state.rho.model.beta_inv * _entropy(_factor(state.rho.law.cov)) + state.e
     return float(E), float(S)
 
 
@@ -208,9 +221,10 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
     Gram integral), which agrees with the step-by-step loop to rounding.  So
     E-drift measures only the second-order trapezoid error of e: halving dt
     cuts the drift about fourfold.  T must be a whole number of steps, to
-    1e-9 max(1, T).  Every propagated
-    covariance passes the symmetric-PSD check of a Gaussian law and must be
-    nonsingular (:class:`SingularCovariance` otherwise).
+    1e-9 max(1, T).  Every covariance passes the symmetric-PSD check of a
+    Gaussian law and must be nonsingular (:class:`SingularCovariance`
+    otherwise); the stack is factored once by Cholesky, and a covariance
+    on which Cholesky fails counts as singular for the entropy.
     """
     if not (dt > 0 and dt <= T < math.inf):
         raise ShapeMismatch(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
@@ -219,10 +233,10 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
         raise ShapeMismatch(f"T={T} is not a whole number of steps dt={dt}")
     law = state.rho.law
     mean, cov = affine_laws(*flow_maps(*split_BK(model), dt), law.mean, law.cov, n_steps)
-    check_covariances(cov[1:])
+    L = _factor(cov)
 
     H = _hamiltonian_of(model, mean, cov)
-    ent = model.beta_inv * _entropy(cov)
+    ent = model.beta_inv * _entropy(L)
     g = _heat_flux_of(model, mean, cov)
     e = np.cumsum(np.concatenate([[float(state.e)], 0.5 * dt * (g[:-1] + g[1:])]))
     return CoupledSeries(
@@ -230,7 +244,7 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
         energy=H + e,
         entropy=ent + e,
         free_energy=H - ent,
-        dissipation=_dissipation_of(model, mean, cov),
+        dissipation=_dissipation_of(model, mean, cov, L),
         e=e,
     )
 

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glekit import quadratic
-from glekit.cli import main
+from glekit.cli import _fmt, _render_table, main
 from glekit.config import parse_config
 from glekit.errors import ConfigError, RootFindingFailure, ShapeMismatch
 from glekit.model import DoubleWell, Kind, Quadratic
@@ -331,6 +333,82 @@ def test_malformed_list_flag_is_config_error(tmp_path, capsys, cmd, flag, value)
     code = run_cli([cmd, "--config", QUAD_GMV, "--out", tmp_path, flag, value])
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, value",
+    [
+        ("greens", "--x0", "-1,0,0"),
+        ("greens", "--times", "-0.5,1"),
+        ("whitenoise", "--epsilons", "-0.5,0.25"),
+        ("whitenoise", "--epsilon", "-0.5,0.25"),
+        ("whitenoise", "--checkpoints", "-0.5,1"),
+    ],
+)
+def test_a_list_flag_led_by_a_negative_value_reads_like_its_equals_form(
+    tmp_path, capsys, cmd, flag, value
+):
+    results = []
+    for form, argv in (("split", [flag, value]), ("equals", [f"{flag}={value}"])):
+        code = run_cli([cmd, "--config", QUAD_GMV, "--out", tmp_path / form] + argv)
+        table = tmp_path / form / f"{cmd}.csv"
+        results.append((code, capsys.readouterr().err, table.exists() and table.read_bytes()))
+    assert results[0] == results[1]
+    if flag == "--x0":
+        assert results[0][0] == 0
+        assert (tmp_path / "split" / "greens.csv").read_text().splitlines()[1].startswith("0.5,-")
+
+
+@pytest.mark.parametrize("flag", ["--x0", "--times"])
+def test_a_list_flag_followed_by_another_flag_still_misses_its_value(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["greens", "--config", QUAD_GMV, "--out", tmp_path, flag, "--seed", "3"])
+    assert exc.value.code == 2
+
+
+# cells of a table: plain floats (with the special values), numpy floats, ints, bools, text
+_SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+_FLOATS = st.one_of(st.floats(), _SPECIAL)
+_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.integers(-5, 5).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 6))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # a float column, perhaps with one other cell in it
+            col = draw(st.lists(_FLOATS, min_size=n_rows, max_size=n_rows))
+            if n_rows and draw(st.booleans()):
+                col[draw(st.integers(0, n_rows - 1))] = draw(_CELLS)
+        else:
+            col = draw(st.lists(_CELLS, min_size=n_rows, max_size=n_rows))
+        cols.append(col)
+    header = [f"c{i}" for i in range(len(cols))]
+    return header, [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_csv_render_equals_formatting_each_value(table):
+    header, rows = table
+    expected = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
+    assert _render_table(header, rows, "csv") == expected + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("row", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+def test_a_ragged_table_row_is_an_error(fmt, row):
+    with pytest.raises(ValueError, match="values for 2 columns"):
+        _render_table(["a", "b"], [[0.5, 1.5], row], fmt)
 
 
 @pytest.mark.parametrize("checkpoints", ["5", "0", "-0.5", "0.0001", "inf", "nan"])

@@ -1,15 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glekit import quadratic as qa
 from glekit import thermo
+from glekit.config import load_config
 from glekit.errors import ShapeMismatch, SingularCovariance
 from glekit.quadratic import GaussianLaw, propagate_gaussian, split_BK
 from glekit.stationary import GridDensity, SelfConsistencyProblem, fixed_points
 
 from conftest import doublewell_gmv, quadratic_gmv
+
+QUAD_GMV = Path(__file__).resolve().parents[1] / "configs" / "quadratic_gmv.conf"
 
 
 def state_of(law, model):
@@ -220,17 +224,72 @@ def test_evolve_coupled_rejects_singular_start():
         thermo.evolve_coupled(state, model, dt=1e-2, T=0.1)
 
 
+def _rotated(eigenvalues, seed=3):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    M = Q @ np.diag(eigenvalues) @ Q.T
+    return 0.5 * (M + M.T)
+
+
 def test_covariance_check_covers_every_matrix_of_a_stack():
     good = np.eye(3)
-    qa.check_covariances(np.stack([good, good]))
-    slightly_negative = np.diag([1.0, -0.5e-12, 1.0])  # within 1e-12 of PSD
-    qa.check_covariances(np.stack([good, slightly_negative]))
-    with pytest.raises(ShapeMismatch, match="negative eigenvalue"):
-        qa.check_covariances(np.stack([good, np.diag([1.0, -1e-9, 1.0])]))
+    stack = np.stack([good, _rotated([2.0, 0.5, 1e-3])])
+    L = qa.check_covariances(stack)  # the Cholesky factors of a positive definite stack
+    assert np.array_equal(L, np.tril(L))
+    assert np.allclose(L @ np.swapaxes(L, -1, -2), stack, rtol=0, atol=1e-15)
+    # within 1e-12 of PSD: the check passes, but there is no factor for the entropy
+    for within in (np.diag([1.0, -0.5e-12, 1.0]), _rotated([1.0, -0.5e-12, 1.0]),
+                   np.diag([1.0, 0.0, 1.0])):
+        assert qa.check_covariances(np.stack([good, within])) is None
+    for indefinite in (np.diag([1.0, -1e-9, 1.0]), _rotated([1.0, -1e-11, 1.0]),
+                       _rotated([1.0, -0.5, 2.0])):
+        with pytest.raises(ShapeMismatch, match="negative eigenvalue"):
+            qa.check_covariances(np.stack([good, indefinite, good]))
     asymmetric = good.copy()
     asymmetric[0, 1] = 1e-9
     with pytest.raises(ShapeMismatch, match="not symmetric"):
         qa.check_covariances(np.stack([asymmetric, good]))
+    with pytest.raises(ShapeMismatch, match="non-finite"):
+        qa.check_covariances(np.stack([good, np.diag([1.0, np.nan, 1.0])]))
+
+
+def test_a_law_on_which_cholesky_fails_is_singular_for_the_entropy():
+    model = quadratic_gmv()
+    law = GaussianLaw(mean=[0.0, 0.0, 0.0], cov=_rotated([1.0, -0.5e-12, 1.0]))
+    state = state_of(law, model)
+    for functional in (thermo.free_energy, thermo.dissipation):
+        with pytest.raises(SingularCovariance):
+            functional(state)
+    with pytest.raises(SingularCovariance):
+        thermo.generic_functionals(thermo.GenericState(rho=state, e=0.0))
+
+
+def _dissipation_in_long_double(model, mean, cov):
+    """The d = m = 1 dissipation from the long-double cofactor inverse of each covariance."""
+    c = cov.astype(np.longdouble)
+    det = (
+        c[:, 0, 0] * (c[:, 1, 1] * c[:, 2, 2] - c[:, 1, 2] * c[:, 2, 1])
+        - c[:, 0, 1] * (c[:, 1, 0] * c[:, 2, 2] - c[:, 1, 2] * c[:, 2, 0])
+        + c[:, 0, 2] * (c[:, 1, 0] * c[:, 2, 1] - c[:, 1, 1] * c[:, 2, 0])
+    )
+    prec_zz = (c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]) / det
+    bi = np.longdouble(model.beta_inv)
+    a = np.longdouble(model.memory.A[0, 0])
+    mu_z = mean[:, 2].astype(np.longdouble)
+    return a * (c[:, 2, 2] - 2 * bi + bi * bi * prec_zz + mu_z * mu_z)
+
+
+def test_dissipation_keeps_its_relative_accuracy_near_equilibrium():
+    # glekit thermo's defaults on this config: T = 5, z variance doubled
+    cfg = load_config(QUAD_GMV)
+    model, dt = cfg.model(), cfg.run_params().dt
+    state = displaced_state(model, 2.0)
+    series = thermo.evolve_coupled(thermo.GenericState(rho=state, e=0.0), model, dt, 5.0)
+    law = state.law
+    mean, cov = qa.affine_laws(*qa.flow_maps(*split_BK(model), dt), law.mean, law.cov, 5000)
+    ref = _dissipation_in_long_double(model, mean, cov)
+    assert float(ref[4315]) == pytest.approx(6.17e-10, rel=1e-3)
+    rel = np.abs((series.dissipation - ref) / ref)
+    assert float(np.max(rel)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
