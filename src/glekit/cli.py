@@ -13,8 +13,10 @@ config, seed, and flags reproduce the result files byte-identically; a table
 column named ``wallclock_s`` (``whitenoise``) is the one inherently
 nondeterministic field, so that table is also checksummed in canonical form
 (the column zeroed, rendered again in the run's format) and the measured
-values are recorded in the manifest timings.  ``--threads`` is accepted and
-recorded in the manifest; every run is sequential.
+values are recorded in the manifest timings.  ``--threads`` is only recorded
+in the manifest.  Whatever its value, a particle run with at least
+``particles.PREFETCH_MIN`` normals per step has one helper thread draw the
+next step's normals while the current step runs, so no output depends on it.
 
 Each subparser names its handler ``cmd_<name>(args, cfg)``, which returns
 ``(table, summary, timings)``: the table as ``(header, rows)`` (None for
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1, help="recorded; runs are sequential")
+        p.add_argument("--threads", type=int, default=1, help="only recorded in the manifest")
         return p
 
     command("validate", cmd_validate, "check a config and echo derived quantities")

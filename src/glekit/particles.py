@@ -98,10 +98,15 @@ InitialLaw = Union[InitPoint, InitGaussian, InitProduct]
 class ParticleEnsemble:
     """N particle states in extended phase space with its own RNG and clock.
 
-    ``end_force`` holds ``(q, model, force)`` from the end of the last
-    kinetic step, so the next step of the same model can start from it.  It
-    counts only while ``q`` is still that very array: rebinding ``q``
-    discards it, and code that edits ``q`` in place between steps must set
+    The state is one C-contiguous (state_dim, N) array ``X`` with rows
+    [q; p; z].  ``q``, ``p`` and ``z`` are (N, d) and (N, d*m) transposed
+    views of its row blocks (``None`` where the kind has no such block), so
+    writing into one writes into ``X``; assigning one copies the value into
+    ``X`` and clears ``end_force``.
+
+    ``end_force`` holds ``(model, force)`` from the end of the last kinetic
+    step, so the next step of the same model can start from it.  Code that
+    edits ``X`` or a view of it in place between steps must set
     ``end_force = None``.
 
     An ensemble from :func:`init_ensemble` keeps its generator a second time,
@@ -114,9 +119,8 @@ class ParticleEnsemble:
     """
 
     N: int
-    q: np.ndarray
-    p: Optional[np.ndarray]
-    z: Optional[np.ndarray]
+    d: int
+    X: np.ndarray
     time: float
     rng: np.random.Generator
     end_force: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -128,14 +132,21 @@ class ParticleEnsemble:
             self._prefetch.wait()
         return self.__dict__
 
-    def state_matrix(self) -> np.ndarray:
-        """(N, state_dim) array in [q, p, z] layout."""
-        blocks = [self.q]
-        if self.p is not None:
-            blocks.append(self.p)
-        if self.z is not None:
-            blocks.append(self.z)
-        return np.hstack(blocks)
+    def _rows(self, a: int, b: Optional[int]) -> slice:
+        return slice(a * self.d, None if b is None else b * self.d)
+
+    def _get(self, a: int, b: Optional[int]) -> Optional[np.ndarray]:
+        block = self.X[self._rows(a, b)]
+        return block.T if len(block) else None
+
+    def _set(self, a: int, b: Optional[int], value) -> None:
+        self.X[self._rows(a, b)] = np.asarray(value).T
+        self.end_force = None
+
+    # the row blocks [q; p; z] of X, in units of d rows
+    q = property(lambda self: self._get(0, 1), lambda self, v: self._set(0, 1, v))
+    p = property(lambda self: self._get(1, 2), lambda self, v: self._set(1, 2, v))
+    z = property(lambda self: self._get(2, None), lambda self, v: self._set(2, None, v))
 
 
 def _make_rng(seed) -> np.random.Generator:
@@ -150,7 +161,6 @@ def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> Part
         raise ShapeMismatch(f"N must be >= 1, got {N}")
     d = model.d
     dim = model.state_dim()
-    has_p = model.kind is not Kind.OVERDAMPED
     dm = d * model.m if model.kind is Kind.GENERALIZED else 0
     rng = _make_rng(seed)
 
@@ -158,39 +168,43 @@ def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> Part
         x0 = np.atleast_1d(np.asarray(init.x0, dtype=float))
         if x0.shape != (dim,):
             raise ShapeMismatch(f"x0 must have length {dim}, got {x0.shape}")
+        _check_finite_init("x0", x0)
         X = np.tile(x0, (N, 1))
     elif isinstance(init, InitGaussian):
         mean = np.atleast_1d(np.asarray(init.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(init.cov, dtype=float))
         if mean.shape != (dim,) or cov.shape != (dim, dim):
             raise ShapeMismatch(f"Gaussian init must have dimension {dim}")
+        _check_finite_init("Gaussian init mean", mean)
         L = mk.psd_sqrt(cov)
         X = mean + rng.standard_normal((N, dim)) @ L.T
     elif isinstance(init, InitProduct):
-        cols = [_sample_block(init.q, N, d, rng)]
-        if has_p:
-            if init.p is None:
-                raise ShapeMismatch("product init needs a p block for kinetic kinds")
-            cols.append(_sample_block(init.p, N, d, rng))
-        if dm:
-            if init.z is None:
-                raise ShapeMismatch("product init needs a z block for the generalized kind")
-            cols.append(_sample_block(init.z, N, dm, rng))
-        X = np.hstack(cols)
+        widths = (("q", init.q, d), ("p", init.p, dim - d - dm), ("z", init.z, dm))
+        X = np.hstack([_sample_block(name, law, N, w, rng) for name, law, w in widths if w])
     else:
         raise ShapeMismatch(f"unknown initial law {type(init).__name__}")
 
-    q = X[:, :d].copy()
-    p = X[:, d : 2 * d].copy() if has_p else None
-    z = X[:, 2 * d :].copy() if dm else None
-    ens = ParticleEnsemble(N=N, q=q, p=p, z=z, time=0.0, rng=rng)
+    ens = ParticleEnsemble(N=N, d=d, X=np.ascontiguousarray(X.T), time=0.0, rng=rng)
     ens._prefetch = _Prefetch(rng)
     return ens
 
 
-def _sample_block(law: BlockLaw, N: int, width: int, rng: np.random.Generator) -> np.ndarray:
+def _check_finite_init(what: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ShapeMismatch(f"{what} must be finite, got {value}")
+
+
+def _sample_block(name: str, law: Optional[BlockLaw], N: int, width: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    if law is None:
+        raise ShapeMismatch(f"product init needs a {name} block for this kind")
     if law.point is not None:
+        _check_finite_init(f"{name} block point", law.point)
         return np.full((N, width), float(law.point))
+    if not (math.isfinite(law.mean) and 0 <= law.var < math.inf):
+        raise ShapeMismatch(
+            f"{name} block needs a finite mean and a finite var >= 0, got mean={law.mean}, var={law.var}"
+        )
     return law.mean + math.sqrt(law.var) * rng.standard_normal((N, width))
 
 
@@ -333,56 +347,41 @@ class _Stepper:
         Q = bi * (np.eye(n) - self.T @ self.T.T)
         self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
         self.d = d
-        self.dm = n - d
 
     def force(self, q: np.ndarray, m1: np.ndarray) -> np.ndarray:
         # confining force plus O(N) Curie-Weiss mean-field force
         return -self.model.grad_potential(q) - self.eta2 * (q - m1)
 
-    def _start_force(self, ens: ParticleEnsemble) -> np.ndarray:
-        """The force at the start of a step: the previous step's end force when it still holds."""
-        cached = ens.end_force
-        if cached is not None and cached[0] is ens.q and cached[1] is self.model:
-            return cached[2]
-        return self.force(ens.q, ens.q.mean(axis=0))
-
-    def _end_force(self, ens: ParticleEnsemble) -> np.ndarray:
-        F = self.force(ens.q, ens.q.mean(axis=0))
-        ens.end_force = (ens.q, self.model, F)
-        return F
-
     def _ou(self, ens: ParticleEnsemble) -> None:
-        """Exact O step of (p, z), or of p alone, one fused affine update per output column."""
-        d, n = self.d, self.d + self.dm
-        xi = _normals(ens, (n, ens.N))
-        cols = [ens.p[:, j] for j in range(d)] + [ens.z[:, j] for j in range(self.dm)]
-        p = np.empty_like(ens.p)
-        z = None if ens.z is None else np.empty_like(ens.z)
-        out = [p[:, i] for i in range(d)] + [z[:, i] for i in range(self.dm)]
-        T, S = self.T, self.S
-        for i in range(n):
-            np.multiply(cols[0], T[i, 0], out=out[i])
-            for j in range(1, n):
-                out[i] += T[i, j] * cols[j]
-            for j in range(n):
-                out[i] += S[i, j] * xi[j]
-        ens.p, ens.z = p, z
+        """Exact O step of the (p, z) rows: T (p, z) + S xi, summed over T's columns, then S's."""
+        pz = ens.X[self.d :]
+        xi = _normals(ens, pz.shape)
+        out = np.einsum("ij,jk->ik", self.T, pz)
+        for j in range(len(xi)):
+            out += self.S[:, j : j + 1] * xi[j]
+        pz[...] = out
 
     def step(self, ens: ParticleEnsemble) -> ParticleEnsemble:
         dt = self.dt
+        q = ens.q
         if self.kind is Kind.OVERDAMPED:
-            m1 = ens.q.mean(axis=0)
-            xi = _normals(ens, ens.q.shape)
-            ens.q += self.force(ens.q, m1) * dt + self.noise_std * xi
+            m1 = q.mean(axis=0)
+            xi = _normals(ens, q.shape)
+            q += self.force(q, m1) * dt + self.noise_std * xi
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
-            ens.p += 0.5 * dt * self._start_force(ens)
-            ens.q += 0.5 * dt * ens.p
+            p = ens.p
+            cached = ens.end_force
+            F = cached[1] if cached is not None and cached[0] is self.model else None
+            p += 0.5 * dt * (self.force(q, q.mean(axis=0)) if F is None else F)
+            q += 0.5 * dt * p
             self._ou(ens)
-            ens.q += 0.5 * dt * ens.p
-            ens.p += 0.5 * dt * self._end_force(ens)
+            q += 0.5 * dt * p
+            F = self.force(q, q.mean(axis=0))
+            ens.end_force = (self.model, F)
+            p += 0.5 * dt * F
         ens.time += dt
-        if not np.isfinite(np.sum(ens.q)):
+        if not np.isfinite(np.sum(q)):
             raise NonFiniteState(f"state became non-finite at t={ens.time}")
         return ens
 
@@ -424,21 +423,17 @@ class ObservableSeries:
 
 def _record(ens: ParticleEnsemble) -> dict:
     """One record, keyed by :class:`ObservableSeries` field names."""
-    N = ens.N
-    ddof = 1 if N > 1 else 0
-    mean_q = ens.q.mean(axis=0)
-    var_q = ens.q.var(axis=0, ddof=ddof)
-    rec = {"times": ens.time, "mean_q": mean_q, "var_q": var_q,
-           "se_mean_q": np.sqrt(var_q / N), "magnetization": mean_q}
+    N, d = ens.N, ens.d
+    mean = ens.X.mean(axis=1)
+    var = ens.X.var(axis=1, ddof=1 if N > 1 else 0)
+    se = np.sqrt(var / N)
+    rec = {"times": ens.time, "mean_q": mean[:d], "var_q": var[:d], "se_mean_q": se[:d],
+           "magnetization": mean[:d]}
     if ens.p is not None:
-        rec["mean_p"] = ens.p.mean(axis=0)
-        rec["var_p"] = ens.p.var(axis=0, ddof=ddof)
-        rec["se_mean_p"] = np.sqrt(rec["var_p"] / N)
-        rec["cov_qp"] = ((ens.q - mean_q) * (ens.p - rec["mean_p"])).sum(axis=0) / max(N - 1, 1)
+        rec.update(mean_p=mean[d : 2 * d], var_p=var[d : 2 * d], se_mean_p=se[d : 2 * d])
+        rec["cov_qp"] = ((ens.q - mean[:d]) * (ens.p - mean[d : 2 * d])).sum(axis=0) / max(N - 1, 1)
     if ens.z is not None:
-        rec["mean_z"] = ens.z.mean(axis=0)
-        rec["var_z"] = ens.z.var(axis=0, ddof=ddof)
-        rec["se_mean_z"] = np.sqrt(rec["var_z"] / N)
+        rec.update(mean_z=mean[2 * d :], var_z=var[2 * d :], se_mean_z=se[2 * d :])
     return rec
 
 
@@ -478,9 +473,9 @@ def empirical_moments(ens: ParticleEnsemble):
     """Full-state sample mean, covariance (N-1 normalization), and mean SEs."""
     if ens.N < 2:
         raise InsufficientParticles(f"need N >= 2 for sample covariance, got N={ens.N}")
-    X = ens.state_matrix()
-    mean = X.mean(axis=0)
-    cov = np.cov(X.T, ddof=1).reshape(X.shape[1], X.shape[1])
+    X = ens.X
+    mean = X.mean(axis=1)
+    cov = np.cov(X, ddof=1).reshape(len(X), len(X))
     se = np.sqrt(np.diag(cov) / ens.N)
     return mean, cov, se
 

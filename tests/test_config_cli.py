@@ -81,33 +81,13 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # importing scipy.optimize adds about 0.2 s to the start-up of every subcommand
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, glekit.cli; print('scipy.optimize' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
-
-
 def test_cli_import_loads_no_scipy():
-    # scipy is a test oracle only; importing scipy.linalg alone costs about 0.3 s of start-up
+    # scipy is a test oracle only: importing scipy.linalg alone costs about 0.3 s of start-up
+    # (scipy.optimize about 0.2 s more); the prefetch of the normals runs on a bare thread,
+    # and concurrent.futures would pull in logging and add about 8 ms
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    probe = "import sys, glekit.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_thread_pool_or_logging():
-    # the prefetch of the normals runs on a bare thread: concurrent.futures would pull in
-    # logging and add about 8 ms to the start-up of every subcommand
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, glekit.cli; "
-             "print(sorted(k for k in ('concurrent.futures', 'logging') if k in sys.modules))")
+    probe = ("import sys, glekit.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == "
+             "'scipy' or k in ('concurrent.futures', 'logging')))")
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,

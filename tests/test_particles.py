@@ -9,7 +9,7 @@ import pytest
 
 from glekit import particles
 from glekit import quadratic as qa
-from glekit.errors import InsufficientParticles, NonFiniteState
+from glekit.errors import InsufficientParticles, NonFiniteState, ShapeMismatch
 from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, CurieWeiss, ValidatedModel, validate
 from glekit.particles import (
     PREFETCH_MIN,
@@ -41,6 +41,29 @@ def test_gaussian_init_clt_bound():
     mean, cov, se = empirical_moments(ens)
     assert np.all(np.abs(mean) <= 4.0 / math.sqrt(N))
     assert np.all(np.abs(cov - np.eye(2)) <= 4.0 * math.sqrt(2.0 / N))
+
+
+@pytest.mark.parametrize(
+    "model, init",
+    [
+        (quadratic_omv(), InitProduct(q=BlockLaw(var=-1.0))),
+        (quadratic_omv(), InitProduct(q=BlockLaw(var=math.nan))),
+        (quadratic_omv(), InitProduct(q=BlockLaw(var=math.inf))),
+        (quadratic_omv(), InitProduct(q=BlockLaw(point=math.nan))),
+        (quadratic_omv(), InitProduct(q=BlockLaw(point=-math.inf))),
+        (quadratic_omv(), InitProduct(q=BlockLaw(mean=math.inf))),
+        (quadratic_umv(), InitProduct(q=BlockLaw(), p=BlockLaw(var=math.nan))),
+        (quadratic_gmv(), InitProduct(q=BlockLaw(), p=BlockLaw(), z=BlockLaw(mean=math.nan))),
+        (quadratic_gmv(), InitPoint([1.0, math.inf, 0.0])),
+        (quadratic_umv(), InitGaussian([math.nan, 0.0], np.eye(2))),
+    ],
+    ids=["var-negative", "var-nan", "var-inf", "point-nan", "point-inf", "mean-inf",
+         "p-var-nan", "z-mean-nan", "x0-inf", "gaussian-mean-nan"],
+)
+def test_a_non_finite_or_negative_initial_law_is_a_shape_mismatch(model, init):
+    # caught at init, not as a bare math domain error or as "non-finite at t=dt"
+    with pytest.raises(ShapeMismatch):
+        init_ensemble(model, 4, seed=0, init=init)
 
 
 def test_init_is_deterministic_in_seed():
@@ -408,6 +431,62 @@ def test_prefetched_normals_are_the_sfc64_stream_bitwise(by_hand):
     # reference still matches bit for bit
     ens = by_hand(PREFETCH_MIN)
     assert ens._prefetch.ahead
+
+
+def general_memory_d3():
+    # d = 3, m = 2: a full 6 x 3 coupling and a non-diagonal SPD A
+    lam = np.arange(18.0).reshape(6, 3) / 10.0 - 0.8
+    B = np.tril(np.arange(1.0, 37.0).reshape(6, 6)) / 40.0
+    return MemorySpec(m=2, lam=lam, A=B @ B.T + 0.5 * np.eye(6))
+
+
+@pytest.mark.parametrize("kind", ["generalized", "underdamped"])
+def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind):
+    # B-A-O-A-B by hand on rows: the force subtracts each q row's mean, and the O step
+    # sums each output over the columns of T, then of S, in order; N * n >= PREFETCH_MIN
+    omega2, eta2, dt, seed, d = 1.3, 0.7, 0.01, 11, 3
+    extra = ({"memory": general_memory_d3()} if kind == "generalized" else {"gamma": 0.8})
+    model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(omega2),
+                               interaction=CurieWeiss(eta2), kind=Kind(kind), **extra))
+    n = model.state_dim() - d
+    N = PREFETCH_MIN // n + 1
+    ens = init_ensemble(model, N, seed, INIT_PZ)
+    stepper = make_stepper(model, dt)
+    T, S = stepper.T, stepper.S
+    rng = sfc64(seed)
+    X = np.hstack([0.5 + math.sqrt(0.2) * rng.standard_normal((N, d))]
+                  + [math.sqrt(0.5) * rng.standard_normal((N, w)) for w in (d, n - d) if w])
+    X = np.ascontiguousarray(X.T)  # rows, so that a row's mean is a pairwise sum
+    q, pz = X[:d].copy(), X[d:].copy()
+
+    def force(q):
+        return -omega2 * q - eta2 * (q - q.mean(axis=1)[:, None])
+
+    for _ in range(20):
+        stepper.step(ens)
+        pz[:d] = pz[:d] + 0.5 * dt * force(q)
+        q = q + 0.5 * dt * pz[:d]
+        xi = rng.standard_normal((n, N))
+        new = np.empty_like(pz)
+        for i in range(n):
+            acc = T[i, 0] * pz[0]
+            for j in range(1, n):
+                acc = acc + T[i, j] * pz[j]
+            for j in range(n):
+                acc = acc + S[i, j] * xi[j]
+            new[i] = acc
+        pz = new
+        q = q + 0.5 * dt * pz[:d]
+        pz[:d] = pz[:d] + 0.5 * dt * force(q)
+    assert ens._prefetch.ahead
+    assert np.array_equal(ens.X, np.vstack([q, pz]))
+    # the blocks are views of X, and assigning one drops the force kept from the last step
+    for name in ("q", "p", "z")[: 2 + (kind == "generalized")]:
+        assert np.shares_memory(getattr(ens, name), ens.X)
+        assert ens.end_force is not None
+        setattr(ens, name, getattr(ens, name) * 1.0)
+        assert ens.end_force is None
+        stepper.step(ens)
 
 
 # ---------------------------------------------------------------------------

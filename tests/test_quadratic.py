@@ -640,6 +640,6 @@ def test_stepper_law_follows_a_noise_free_particle_pair(model, x0):
     for _ in range(n_steps):
         stepper.step(ens)
     law = qa.stepper_law(stepper, mean0, np.outer(delta, delta), n_steps)
-    Y = ens.state_matrix()
+    Y = ens.X.T
     assert np.allclose(Y.mean(axis=0), law.mean, rtol=0, atol=1e-12)
     assert np.allclose(np.cov(Y.T, ddof=0), law.cov, rtol=0, atol=1e-12)
