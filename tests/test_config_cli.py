@@ -81,18 +81,34 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test oracle only: importing scipy.linalg alone costs about 0.3 s of start-up
-    # (scipy.optimize about 0.2 s more); the prefetch of the normals runs on a bare thread,
-    # and concurrent.futures would pull in logging and add about 8 ms
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    # one interpreter imports glekit.cli and lists the scipy* modules, concurrent.futures
+    # and logging it loaded; the three tests below each read their part of that list
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, glekit.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == "
+    probe = ("import sys, glekit.cli; print(' '.join(k for k in sys.modules if k.split('.')[0] == "
              "'scipy' or k in ('concurrent.futures', 'logging')))")
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_scipy_optimize_out(cli_import_modules):
+    # importing scipy.optimize adds about 0.2 s to the start-up of every subcommand
+    assert "scipy.optimize" not in cli_import_modules
+
+
+def test_cli_import_loads_no_scipy(cli_import_modules):
+    # scipy is a test oracle only; importing scipy.linalg alone costs about 0.3 s of start-up
+    assert [k for k in cli_import_modules if k.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_thread_pool_or_logging(cli_import_modules):
+    # the prefetch of the normals runs on a bare thread: concurrent.futures would pull in
+    # logging and add about 8 ms to the start-up of every subcommand
+    assert [k for k in cli_import_modules if k in ("concurrent.futures", "logging")] == []
 
 
 def test_simulate_with_a_block_drawn_ahead_exits_promptly(tmp_path):
