@@ -18,7 +18,10 @@ in the manifest.  Whatever its value, a particle run with at least
 ``particles.PREFETCH_MIN`` normals per step has one helper thread draw the
 next step's normals while the current step runs, so no output depends on it.
 
-Each subparser names its handler ``cmd_<name>(args, cfg)``, which returns
+Each subparser names its handler ``cmd_<name>(args, model, rp)``.  ``main``
+builds both inputs once per run: ``model`` is the config's validated model,
+and ``rp`` its ``[run]`` parameters with any ``--seed``, ``--n``,
+``--t-final``, ``--dt`` or ``--record-every`` flag applied.  A handler returns
 ``(table, summary, timings)``: the table as ``(header, rows)`` (None for
 ``validate``), the summary dict, and the manifest timings or None.  ``main``
 alone writes files.
@@ -109,7 +112,9 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_manifest(out_dir, args, cfg: Config, outputs: list[Path], timings, canonical) -> Path:
+def write_manifest(
+    out_dir, args, cfg: Config, seed: int, outputs: list[Path], timings, canonical
+) -> Path:
     """The run manifest; ``canonical`` maps an output name to its canonical sha256."""
     entries = []
     for p in outputs:
@@ -123,7 +128,7 @@ def write_manifest(out_dir, args, cfg: Config, outputs: list[Path], timings, can
         "tool_version": __version__,
         "command": args.command,
         "config": cfg.sections,
-        "seed": _effective_seed(args, cfg),
+        "seed": seed,
         "threads": args.threads,
         "format": args.format,
         "argv_overrides": {
@@ -144,12 +149,6 @@ def write_manifest(out_dir, args, cfg: Config, outputs: list[Path], timings, can
     return path
 
 
-def _effective_seed(args, cfg: Config) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return cfg.run_params().seed
-
-
 def _parse_floats(text: str) -> list[float]:
     """Comma-separated numbers of a list flag; ConfigError when malformed or empty."""
     try:
@@ -161,11 +160,13 @@ def _parse_floats(text: str) -> list[float]:
     return vals
 
 
-_RUN_OVERRIDES = (("n", "N"), ("t_final", "T"), ("dt", "dt"), ("record_every", "record_every"))
+_RUN_OVERRIDES = (
+    ("seed", "seed"), ("n", "N"), ("t_final", "T"), ("dt", "dt"), ("record_every", "record_every")
+)
 
 
 def _run_params(args, cfg: Config):
-    """The config's run parameters with any --n/--t-final/--dt/--record-every flag applied."""
+    """The config's run parameters with each flag of _RUN_OVERRIDES applied where given."""
     rp = cfg.run_params()
     for flag, field in _RUN_OVERRIDES:
         value = getattr(args, flag, None)
@@ -179,8 +180,7 @@ def _run_params(args, cfg: Config):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args, cfg: Config):
-    model = cfg.model()
+def cmd_validate(args, model, rp):
     summary = {
         "kind": model.kind.value,
         "d": model.d,
@@ -201,8 +201,7 @@ def cmd_validate(args, cfg: Config):
     return None, summary, None
 
 
-def cmd_spectrum(args, cfg: Config):
-    model = cfg.model()
+def cmd_spectrum(args, model, rp):
     rep = quadratic.spectrum_report(model, cap=args.cap)
     rows = [
         [pt.real, pt.imag, ";".join(str(k) for k in idx)]
@@ -219,8 +218,7 @@ def cmd_spectrum(args, cfg: Config):
     return (["re", "im", "k_multiindex"], rows), summary, None
 
 
-def cmd_greens(args, cfg: Config):
-    model = cfg.model()
+def cmd_greens(args, model, rp):
     B, K, D = quadratic.split_BK(model)
     n = B.shape[0]
     x0 = np.zeros(n)
@@ -244,8 +242,7 @@ def cmd_greens(args, cfg: Config):
     return (header, rows), summary, None
 
 
-def cmd_stationary(args, cfg: Config):
-    model = cfg.model()
+def cmd_stationary(args, model, rp):
     prob = stationary.SelfConsistencyProblem.from_model(model)
     pts = stationary.fixed_points(prob)
     rows = [[p.m_star, p.stability, p.residual] for p in pts]
@@ -260,8 +257,7 @@ def cmd_stationary(args, cfg: Config):
     return (["m_star", "stability", "residual"], rows), summary, None
 
 
-def cmd_bifurcation(args, cfg: Config):
-    model = cfg.model()
+def cmd_bifurcation(args, model, rp):
     prob = stationary.SelfConsistencyProblem.from_model(model)
     for flag, beta in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         if not 0.0 < beta < math.inf:
@@ -281,17 +277,14 @@ def cmd_bifurcation(args, cfg: Config):
     return (["beta", "m_star", "stable", "residual"], rows), summary, None
 
 
-def cmd_simulate(args, cfg: Config):
-    model = cfg.model()
-    rp = _run_params(args, cfg)
-    seed = _effective_seed(args, cfg)
+def cmd_simulate(args, model, rp):
     init = _default_init(model)
-    series = particles.simulate(model, rp.N, rp.T, rp.dt, seed, init, rp.record_every)
+    series = particles.simulate(model, rp.N, rp.T, rp.dt, rp.seed, init, rp.record_every)
     summary = {
         "N": rp.N,
         "T": rp.T,
         "dt": rp.dt,
-        "seed": seed,
+        "seed": rp.seed,
         "record_every": rp.record_every,
         "records": series.n_records(),
         "final_time": float(series.times[-1]),
@@ -335,10 +328,9 @@ def _series_rows(series: particles.ObservableSeries):
     return header, np.hstack(cols).tolist()
 
 
-def cmd_thermo(args, cfg: Config):
+def cmd_thermo(args, model, rp):
     if not 0 < args.z_var_factor < math.inf:
         raise ShapeMismatch(f"--z-var-factor must be finite and positive, got {args.z_var_factor}")
-    model = cfg.model()
     law0 = thermo.stationary_law(model)
     cov = law0.cov.copy()
     d = model.d
@@ -349,7 +341,7 @@ def cmd_thermo(args, cfg: Config):
         ),
         e=0.0,
     )
-    dt = args.dt if args.dt is not None else cfg.run_params().dt
+    dt = rp.dt
     T = args.t_final if args.t_final is not None else 5.0
     series = thermo.evolve_coupled(state, model, dt, T)
     rows = np.column_stack(
@@ -366,16 +358,14 @@ def cmd_thermo(args, cfg: Config):
     return (["t", "E", "S", "F", "dissipation"], rows), summary, None
 
 
-def cmd_whitenoise(args, cfg: Config):
-    model = cfg.model()
-    rp = _run_params(args, cfg)
+def cmd_whitenoise(args, model, rp):
     study = limits.ScalingStudy(
         base_model=model,
         epsilons=tuple(_parse_floats(args.epsilons)),
         N=rp.N,
         T=rp.T,
         base_dt=args.base_dt if args.base_dt is not None else rp.dt,
-        seed=_effective_seed(args, cfg),
+        seed=rp.seed,
         checkpoints=tuple(_parse_floats(args.checkpoints)),
     )
     result = limits.run_study(study)
@@ -480,7 +470,7 @@ def main(argv=None) -> int:
     args._started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         cfg = load_config(args.config)
-        cfg.run_params()  # every manifest records run.seed; a mistyped [run] value stops any run
+        rp = _run_params(args, cfg)  # a mistyped [run] value stops any run
     except FileNotFoundError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
@@ -490,9 +480,13 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        table, summary, timings = args._run(args, cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"ConfigError: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        table, summary, timings = args._run(args, cfg.model(), rp)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2
@@ -509,7 +503,7 @@ def main(argv=None) -> int:
             zeroed = [row[:i] + [0.0] + row[i + 1 :] for row in rows]
             canonical[path.name] = _sha256(_render_table(header, zeroed, args.format).encode())
     outputs.append(write_summary(out_dir, args.command, summary))
-    write_manifest(out_dir, args, cfg, outputs, timings, canonical)
+    write_manifest(out_dir, args, cfg, rp.seed, outputs, timings, canonical)
     return 0
 
 

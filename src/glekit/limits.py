@@ -29,7 +29,7 @@ from . import matrixkit as mk
 from .errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
 from .model import Kind, ModelSpec, ValidatedModel, validate
 from .particles import BlockLaw, InitProduct, covariance_se, init_ensemble, make_stepper
-from .quadratic import base_spectrum, meanfield_green, split_BK
+from .quadratic import base_spectrum, meanfield_green, split_BK, whole_steps
 
 # every particle of a study starts at q = 1, p = 0
 Q0, P0 = 1.0, 0.0
@@ -38,11 +38,10 @@ Q0, P0 = 1.0, 0.0
 def effective_gamma(lam, A):
     """Effective friction lam^T A^{-1} lam via a linear solve (no explicit inverse).
 
-    Returns a scalar for d = 1, else the symmetric PSD d x d friction matrix.
+    ``lam`` is the (dm, d) coupling of a memory spec.  Returns a scalar for
+    d = 1, else the symmetric PSD d x d friction matrix.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    if lam.shape[0] == 1 and lam.shape[1] != 1:
-        lam = lam.T
     A = mk.check_psd(np.atleast_2d(np.asarray(A, dtype=float)), "A")
     if np.linalg.eigvalsh(A)[0] <= 0:
         raise NonSPDMatrix("A must be positive definite")
@@ -120,6 +119,8 @@ class ScalingStudy:
         if self.base_model.d != 1:
             raise ShapeMismatch(f"scaling study needs d = 1, got d = {self.base_model.d}")
         eps = tuple(float(e) for e in self.epsilons)
+        if not all(0 < e < math.inf for e in eps):
+            raise ShapeMismatch(f"epsilons must be finite and positive, got {eps}")
         if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ShapeMismatch("epsilons must be strictly decreasing, length >= 2")
         object.__setattr__(self, "epsilons", eps)
@@ -162,27 +163,18 @@ def _moment_errors_vs_reference(model_ref, ens_moments):
     return float(errs[i]), float(ses[i])
 
 
-def _whole_steps(t: float, dt: float) -> int:
-    if not math.isfinite(t / dt):
-        raise ShapeMismatch(f"t={t} is not a finite number of steps dt={dt}")
-    k = int(round(t / dt))
-    if abs(k * dt - t) > 1e-9 * max(1.0, t):
-        raise ShapeMismatch(f"t={t} is not a whole number of steps dt={dt}")
-    return k
-
-
 def run_study(study: ScalingStudy) -> StudyResult:
     """Simulate each rescaled system and tabulate moment errors vs the limit law.
 
     Rows come in the input epsilon order; each run draws from its own
     sub-stream of ``study.seed`` and takes round(T/base_dt) steps.  Raises
     :class:`ShapeMismatch` before simulating unless T and every checkpoint are
-    whole numbers of steps, to 1e-9 max(1, t) as in ``thermo.evolve_coupled``,
-    there is a checkpoint, and each falls on its own step in (0, T].
+    whole numbers of steps (``quadratic.whole_steps``), there is a checkpoint,
+    and each falls on its own step in (0, T].
     """
     dt = study.base_dt
-    n_steps = _whole_steps(study.T, dt)
-    check_steps = {_whole_steps(t, dt): t for t in study.checkpoints}
+    n_steps = whole_steps(study.T, dt)
+    check_steps = {whole_steps(t, dt): t for t in study.checkpoints}
     if not check_steps or len(check_steps) < len(set(study.checkpoints)) or not all(
         1 <= k <= n_steps for k in check_steps
     ):
@@ -190,7 +182,6 @@ def run_study(study: ScalingStudy) -> StudyResult:
             f"checkpoints {study.checkpoints} do not fall on distinct steps of "
             f"(0, T={study.T}] at dt={dt}"
         )
-    gamma = effective_gamma(study.base_model.memory.lam, study.base_model.memory.A)
     ref = underdamped_reference(study.base_model)
     rows = []
     for idx, eps in enumerate(study.epsilons):
@@ -222,4 +213,4 @@ def run_study(study: ScalingStudy) -> StudyResult:
                 wallclock_s=time.perf_counter() - t0,
             )
         )
-    return StudyResult(rows=tuple(rows), gamma=gamma, checkpoints=study.checkpoints)
+    return StudyResult(rows=tuple(rows), gamma=ref.gamma, checkpoints=study.checkpoints)

@@ -315,13 +315,14 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         ``A`` is not symmetric positive definite (or a potential coefficient
         has the wrong sign).
     ShapeMismatch
-        d < 1, m < 1, ``lam`` / ``A`` shapes inconsistent with (d, m), or a coefficient
-        (omega2, a, b, eta2, gamma, lam, A) that is not finite.
+        d < 1, m < 1, ``lam`` / ``A`` shapes inconsistent with (d, m), a coefficient
+        (omega2, a, b, eta2, gamma, lam, A) that is not finite, or a ``beta`` that is
+        nan or not positive (``math.inf`` is allowed).
     MissingField
         Generalized kind without memory, underdamped without gamma.
     """
     if not spec.beta > 0:
-        raise MissingField(f"beta must be positive, got {spec.beta}")
+        raise ShapeMismatch(f"beta must be positive, got {spec.beta}")
     if spec.d < 1:
         raise ShapeMismatch(f"spatial dimension must be >= 1, got {spec.d}")
     _check_potential(spec.potential)

@@ -33,14 +33,15 @@ and everything here is exact:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import matrixkit as mk
-from .errors import RootFindingFailure, ShapeMismatch, SingularCovariance, UnsupportedPotential
-from .model import CurieWeiss, Kind, Quadratic, ValidatedModel
+from .errors import RootFindingFailure, ShapeMismatch, SingularCovariance
+from .model import Kind, ValidatedModel
 
 DEDUP_TOL = 1e-12
 DEFAULT_LATTICE_CAP = 4
@@ -108,6 +109,8 @@ class GaussianLaw:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ShapeMismatch(f"cov shape {cov.shape} inconsistent with mean length {n}")
+        if not np.all(np.isfinite(mean)):
+            raise ShapeMismatch("mean has non-finite entries")
         check_covariances(cov)
 
     @property
@@ -132,14 +135,6 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_quadratic(model: ValidatedModel) -> tuple[float, float]:
-    if not isinstance(model.potential, Quadratic):
-        raise UnsupportedPotential("block assembly needs a quadratic potential")
-    if not isinstance(model.interaction, CurieWeiss):
-        raise UnsupportedPotential("block assembly needs a Curie-Weiss interaction")
-    return model.omega2, model.eta2
-
-
 def _omv_drift(omega2: float, eta2: float, N: int, d: int) -> np.ndarray:
     M = np.full((N, N), eta2 / N)
     np.fill_diagonal(M, -(omega2 + (N - 1) * eta2 / N))
@@ -154,10 +149,9 @@ def assemble(model: ValidatedModel, N: int) -> DriftDiffusion:
     """
     if N < 1:
         raise ShapeMismatch(f"N must be >= 1, got {N}")
-    omega2, eta2 = _require_quadratic(model)
     d = model.d
     n = N * d
-    Bo = _omv_drift(omega2, eta2, N, d)
+    Bo = _omv_drift(model.omega2, model.eta2, N, d)
 
     if model.kind is Kind.OVERDAMPED:
         return DriftDiffusion(B=Bo, D=np.eye(n))
@@ -230,8 +224,7 @@ def base_spectrum(model: ValidatedModel) -> np.ndarray:
     denominator polynomials, extracted as companion-matrix eigenvalues.
     Values are per spatial coordinate (the quadratic model decouples in d).
     """
-    omega2, eta2 = _require_quadratic(model)
-    cs = (omega2, omega2 + eta2)
+    cs = (model.omega2, model.omega2 + model.eta2)
     if model.kind is Kind.OVERDAMPED:
         return _sorted_complex([-c for c in cs])
     if model.kind is Kind.UNDERDAMPED:
@@ -294,10 +287,9 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
 
 def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> SpectrumReport:
     """Base spectrum plus lattice, tagged with the model's kind and parameters."""
-    rep = spectrum_lattice(base_spectrum(model), cap)  # before omega2: it names the bad potential
-    params = {"beta": model.beta, "d": model.d, "kind": model.kind.value}
-    params["omega2"] = model.omega2
-    params["eta2"] = model.eta2
+    rep = spectrum_lattice(base_spectrum(model), cap)
+    params = {"beta": model.beta, "d": model.d, "kind": model.kind.value,
+              "omega2": model.omega2, "eta2": model.eta2}
     if model.kind is Kind.UNDERDAMPED:
         params["gamma"] = model.gamma
     if model.kind is Kind.GENERALIZED:
@@ -332,10 +324,9 @@ def ou_fundamental(B, D, t: float, x, y) -> float:
                                            (x - e^{-tB} y) / 4),
 
     with D_t the Gram integral of (B, D).  Note the e^{-tB} displacement:
-    as a function of x this is the Gaussian of the time-reversed drift -B;
-    ``fundamental_mc_discrepancy`` quantifies the mismatch against forward
-    sample paths of dX = BX dt + sqrt(2D) dW rather than hiding it.
-    Integrates to one over x for any displacement convention.
+    as a function of x this is the N(e^{-tB} y, 2 D_t) density, while the
+    forward law of dX = BX dt + sqrt(2D) dW from y (``propagate_gaussian``)
+    has mean e^{tB} y and the same covariance 2 D_t.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = B.shape[0]
@@ -357,54 +348,19 @@ def ou_fundamental(B, D, t: float, x, y) -> float:
     return float(np.exp(log_norm - 0.25 * quad))
 
 
-@dataclass(frozen=True)
-class KernelMCReport:
-    """Discrepancies between the printed kernel and forward Monte Carlo."""
-
-    mean_err_printed: float
-    mean_err_forward: float
-    cov_err_forward: float
-    mc_se: float
-
-
-def fundamental_mc_discrepancy(
-    B, D, t: float, y, n_samples: int = 20000, n_steps: int = 400, seed: int = 0
-) -> KernelMCReport:
-    """Euler-Maruyama check of which displacement convention the kernel matches.
-
-    Simulates dX = BX dt + sqrt(2D) dW from y and compares the empirical mean
-    against both e^{tB} y (forward) and e^{-tB} y (the kernel's convention as
-    printed), plus the empirical covariance against 2 D_t.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    D = mk.check_psd(np.atleast_2d(np.asarray(D, dtype=float)))
-    n = B.shape[0]
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if D.shape != B.shape or y.shape != (n,):
-        raise ShapeMismatch(f"D must match B {B.shape} and y have length {n}")
-    rng = np.random.default_rng(seed)
-    S = mk.psd_sqrt(2.0 * D)
-    dt = t / n_steps
-    X = np.tile(y, (n_samples, 1))
-    for _ in range(n_steps):
-        X = X + (X @ B.T) * dt + rng.standard_normal((n_samples, n)) @ (S.T * np.sqrt(dt))
-    emp_mean = X.mean(axis=0)
-    emp_cov = np.cov(X.T).reshape(n, n)
-    fwd = mk.expm(t * B) @ y
-    bwd = mk.expm(-t * B) @ y
-    cov_ref = 2.0 * mk.gram_integral(B, D, t)
-    se = float(np.sqrt(np.max(np.diag(cov_ref)) / n_samples))
-    return KernelMCReport(
-        mean_err_printed=float(np.max(np.abs(emp_mean - bwd))),
-        mean_err_forward=float(np.max(np.abs(emp_mean - fwd))),
-        cov_err_forward=float(np.max(np.abs(emp_cov - cov_ref))),
-        mc_se=se,
-    )
-
-
 # ---------------------------------------------------------------------------
 # mean-field Gaussian law
 # ---------------------------------------------------------------------------
+
+
+def whole_steps(t: float, dt: float) -> int:
+    """The number of steps dt in t; ShapeMismatch unless it is whole to 1e-9 max(1, t)."""
+    if not math.isfinite(t / dt):
+        raise ShapeMismatch(f"t={t} is not a finite number of steps dt={dt}")
+    k = int(round(t / dt))
+    if abs(k * dt - t) > 1e-9 * max(1.0, t):
+        raise ShapeMismatch(f"t={t} is not a whole number of steps dt={dt}")
+    return k
 
 
 def affine_laws(Phi, Phi_t, Q, mean, cov, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -544,7 +500,6 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
     white-noise scaling lam/eps, A/eps^2 sends eps -> 0.
     """
     model = stepper.model
-    omega2, eta2 = _require_quadratic(model)
     d, dt, n = model.d, stepper.dt, model.state_dim()
     eye = np.eye(n)
     # the kinetic kinds: the half drift, and the O step's map and noise covariance
@@ -563,7 +518,7 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
         tail = kick @ drift
         return tail @ o_map @ drift @ kick, tail @ o_noise @ tail.T
 
-    Phi, _ = one_step(omega2)
-    Phi_t, Q = one_step(omega2 + eta2)
+    Phi, _ = one_step(model.omega2)
+    Phi_t, Q = one_step(model.omega2 + model.eta2)
     means, covs = affine_laws(Phi, Phi_t, Q, mean, cov, n_steps)
     return GaussianLaw(mean=means[-1], cov=covs[-1])

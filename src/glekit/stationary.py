@@ -488,10 +488,10 @@ class GridDensity:
             float(self.z[1] - self.z[0]),
         )
 
-    def check(self, min_nodes: int = 5):
+    def check(self):
         for name, ax in (("q", self.q), ("p", self.p), ("z", self.z)):
-            if ax.size < min_nodes:
-                raise GridTooCoarse(f"axis {name} has {ax.size} nodes, need >= {min_nodes}")
+            if ax.size < 5:
+                raise GridTooCoarse(f"axis {name} has {ax.size} nodes, need >= 5")
             h = np.diff(ax)
             if np.max(np.abs(h - h[0])) > 1e-9 * abs(h[0]):
                 raise GridTooCoarse(f"axis {name} is not uniform")

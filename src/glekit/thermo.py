@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, ShapeMismatch, SingularCovariance
 from .model import Kind, ValidatedModel
-from .quadratic import GaussianLaw, affine_laws, check_covariances, flow_maps, split_BK
+from .quadratic import GaussianLaw, affine_laws, check_covariances, flow_maps, split_BK, whole_steps
 from .stationary import (
     GridDensity,
     SelfConsistencyProblem,
@@ -134,11 +134,11 @@ def _entropy(L: np.ndarray) -> np.ndarray:
     return 0.5 * (n * math.log(2.0 * math.pi * math.e) + logdet)
 
 
-def _hamiltonian_of(model: ValidatedModel, mu, cov, v_shift: float = 0.0) -> np.ndarray:
+def _hamiltonian_of(model: ValidatedModel, mu, cov) -> np.ndarray:
     sq, sp, sz = _blocks(model)
     tr_q = _trace(cov[..., sq, sq])
     kin = 0.5 * (_trace(cov[..., sp, sp]) + _dot(mu[..., sp], mu[..., sp]))
-    pot = 0.5 * model.omega2 * (tr_q + _dot(mu[..., sq], mu[..., sq])) + v_shift
+    pot = 0.5 * model.omega2 * (tr_q + _dot(mu[..., sq], mu[..., sq]))
     inter = 0.5 * model.eta2 * tr_q
     aux = 0.5 * (_trace(cov[..., sz, sz]) + _dot(mu[..., sz], mu[..., sz]))
     return kin + pot + inter + aux
@@ -163,15 +163,15 @@ def _heat_flux_of(model: ValidatedModel, mu, cov) -> np.ndarray:
     return flux - model.beta_inv * float(np.trace(model.memory.A))
 
 
-def hamiltonian(state: GaussianEnsembleLaw, v_shift: float = 0.0) -> float:
-    """H(rho) as Gaussian moments; ``v_shift`` adds a constant to V."""
-    return float(_hamiltonian_of(state.model, state.law.mean, state.law.cov, v_shift))
+def hamiltonian(state: GaussianEnsembleLaw) -> float:
+    """H(rho) as Gaussian moments."""
+    return float(_hamiltonian_of(state.model, state.law.mean, state.law.cov))
 
 
-def free_energy(state: GaussianEnsembleLaw, v_shift: float = 0.0) -> float:
+def free_energy(state: GaussianEnsembleLaw) -> float:
     """F(rho) = H(rho) - entropy(rho)/beta, exactly, for the Gaussian law."""
     ent = _entropy(_factor(state.law.cov))
-    return hamiltonian(state, v_shift) - state.model.beta_inv * float(ent)
+    return hamiltonian(state) - state.model.beta_inv * float(ent)
 
 
 def dissipation(state: GaussianEnsembleLaw) -> float:
@@ -191,9 +191,9 @@ def dissipation(state: GaussianEnsembleLaw) -> float:
     return float(_dissipation_of(state.model, state.law.mean, state.law.cov, L))
 
 
-def generic_functionals(state: GenericState, v_shift: float = 0.0) -> tuple[float, float]:
+def generic_functionals(state: GenericState) -> tuple[float, float]:
     """(E, S) = (H(rho) + e, entropy(rho)/beta + e)."""
-    E = hamiltonian(state.rho, v_shift) + state.e
+    E = hamiltonian(state.rho) + state.e
     S = state.rho.model.beta_inv * _entropy(_factor(state.rho.law.cov)) + state.e
     return float(E), float(S)
 
@@ -228,9 +228,7 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
     """
     if not (dt > 0 and dt <= T < math.inf):
         raise ShapeMismatch(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ShapeMismatch(f"T={T} is not a whole number of steps dt={dt}")
+    n_steps = whole_steps(T, dt)
     law = state.rho.law
     mean, cov = affine_laws(*flow_maps(*split_BK(model), dt), law.mean, law.cov, n_steps)
     L = _factor(cov)

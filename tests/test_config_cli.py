@@ -156,6 +156,15 @@ def test_validate_exits_one_when_the_spectrum_root_finding_fails(tmp_path, capsy
     assert "RootFindingFailure" in capsys.readouterr().err
 
 
+def test_out_naming_an_existing_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run_cli(["validate", "--config", QUAD_GMV, "--out", taken])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and str(taken) in err and "Traceback" not in err
+
+
 def test_config_grammar_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[model]\nkind = overdamped\nwhat = 1\n")
@@ -274,6 +283,16 @@ def test_greens_rejects_a_time_that_is_not_finite(tmp_path, capsys, times):
     err = capsys.readouterr().err
     assert "ShapeMismatch: t must be finite and nonnegative" in err
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0", ["nan,0,0", "inf,0,0", "0,-inf,0"])
+def test_greens_rejects_a_start_point_that_is_not_finite(tmp_path, capsys, x0):
+    # not a table of nan or inf means with exit 0
+    code = run_cli(["greens", "--config", QUAD_GMV, "--out", tmp_path, "--x0", x0])
+    assert code == 1
+    assert "ShapeMismatch: mean has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "greens.csv").exists()
     assert not (tmp_path / "greens.csv").exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,16 @@ def test_effective_gamma_is_scaling_invariant(lam, alpha, eps):
     g0 = limits.effective_gamma([[lam]], [[alpha]])
     g1 = limits.effective_gamma([[lam / eps]], [[alpha / eps**2]])
     assert abs(g0 - g1) <= 1e-14 * max(1.0, abs(g0))
+
+
+@pytest.mark.parametrize(
+    "epsilons", [(0.5, 0.0), (0.5, math.nan), (math.inf, 0.5)], ids=["zero", "nan", "inf"]
+)
+def test_scaling_study_rejects_an_epsilon_that_is_not_finite_and_positive(epsilons):
+    # checked at construction, so no eps is simulated before the bad one is reached;
+    # a nan would pass the strictly-decreasing check, as every comparison with it is false
+    with pytest.raises(ShapeMismatch, match="finite and positive"):
+        limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=epsilons, N=10, T=0.5)
 
 
 def test_scaling_study_needs_two_particles():

@@ -64,6 +64,14 @@ def test_validate_rejects_memory_without_auxiliary_variables():
         validate(spec)
 
 
+@pytest.mark.parametrize("beta", [math.nan, 0.0, -1.0])
+def test_validate_rejects_a_beta_that_is_not_positive_by_name(beta):
+    # a bad value, not an absent field; beta = inf (no noise) stays valid
+    spec = ModelSpec(d=1, beta=beta, potential=Quadratic(1.0), kind=Kind.OVERDAMPED)
+    with pytest.raises(ShapeMismatch, match="beta"):
+        validate(spec)
+
+
 def test_validate_rejects_generalized_without_memory():
     spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), kind=Kind.GENERALIZED)
     with pytest.raises(MissingField):

@@ -255,13 +255,26 @@ def test_ou_fundamental_raises_on_degenerate_pair():
 
 
 def test_fundamental_kernel_convention_reported():
-    # the kernel's displacement uses the reversed drift; forward Monte Carlo
-    # must match e^{tB} y and the discrepancy against e^{-tB} y is real
+    # the kernel's displacement uses the reversed drift: in x it is the N(e^{-tB} y, 2 D_t)
+    # density, while the exact forward law from y has mean e^{tB} y and covariance 2 D_t
     B = np.array([[-1.0, 0.5], [0.0, -2.0]])
     D = np.eye(2)
-    rep = qa.fundamental_mc_discrepancy(B, D, 0.8, [1.0, -1.0], seed=3)
-    assert rep.mean_err_forward <= 5 * rep.mc_se
-    assert rep.mean_err_printed > 20 * rep.mc_se
+    t, y = 0.8, np.array([1.0, -1.0])
+    cov = 2.0 * mk.gram_integral(B, D, t)
+    peak = mk.expm(-t * B) @ y
+    forward = qa.propagate_gaussian(B, np.zeros((2, 2)), D, t, qa.GaussianLaw(y, np.zeros((2, 2))))
+    assert np.allclose(forward.mean, mk.expm(t * B) @ y, rtol=1e-12, atol=0.0)
+    assert np.allclose(forward.cov, cov, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(forward.mean - peak)) > 1.0  # the two conventions differ
+
+    prec = np.linalg.inv(cov)
+    norm = 2.0 * np.pi * np.sqrt(np.linalg.det(cov))
+    top = qa.ou_fundamental(B, D, t, peak, y)
+    for dx in np.array([[0.0, 0.0], [1e-3, 0.0], [0.0, -1e-3], [0.3, -0.2], forward.mean - peak]):
+        x = peak + dx
+        kernel = qa.ou_fundamental(B, D, t, x, y)
+        assert kernel == pytest.approx(np.exp(-0.5 * dx @ prec @ dx) / norm, rel=1e-12)
+        assert kernel < top or np.array_equal(x, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +458,8 @@ def test_meanfield_green_rejects_inconsistent_inputs(B, K, D, t, x0):
         lambda: qa.riccati_covariance(-np.eye(2), np.zeros((3, 3)), np.eye(2), 0.5),
         lambda: qa.riccati_covariance(-np.eye(2), np.zeros((2, 2)), np.eye(3), 0.5),
         lambda: qa.riccati_covariance(-np.eye(2), np.zeros((2, 2)), np.eye(2), -0.1),
-        lambda: qa.fundamental_mc_discrepancy(-np.eye(2), np.eye(3), 0.5, [1.0, 0.0]),
-        lambda: qa.fundamental_mc_discrepancy(-np.eye(2), np.eye(2), 0.5, [1.0, 0.0, 0.0]),
     ],
-    ids=["riccati K wider than B", "riccati D wider than B", "riccati negative t",
-         "MC D wider than B", "MC y longer than B"],
+    ids=["riccati K wider than B", "riccati D wider than B", "riccati negative t"],
 )
 def test_riccati_and_mc_discrepancy_reject_inconsistent_inputs(call):
     with pytest.raises(ShapeMismatch):
@@ -472,6 +482,15 @@ def test_gaussian_law_rejects_a_nonfinite_covariance(bad):
         qa.GaussianLaw(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, bad]])
     with pytest.raises(ShapeMismatch, match="non-finite"):
         qa.check_covariances(np.stack([np.eye(2), np.full((2, 2), bad)]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gaussian_law_rejects_a_nonfinite_mean(bad):
+    # a law started at a non-finite point is no law, not a table of nan or inf
+    with pytest.raises(ShapeMismatch, match="mean has non-finite"):
+        qa.GaussianLaw(mean=[0.0, bad], cov=np.eye(2))
+    with pytest.raises(ShapeMismatch, match="mean has non-finite"):
+        qa.meanfield_green(-np.eye(2), np.zeros((2, 2)), np.eye(2), 1.0, [bad, 0.0])
 
 
 def test_generalized_models_are_hypoelliptic(rng):

@@ -63,13 +63,6 @@ def test_free_energy_of_noninteracting_stationary_state():
     assert integrand.sum() * h**3 == pytest.approx(F, abs=1e-8)
 
 
-def test_free_energy_shifts_with_constant_potential_offset():
-    model = quadratic_gmv()
-    state = displaced_state(model)
-    base = thermo.free_energy(state)
-    assert thermo.free_energy(state, v_shift=2.5) == pytest.approx(base + 2.5, rel=1e-14)
-
-
 def test_free_energy_bounded_below_along_trajectory():
     model = quadratic_gmv(beta=2.0)
     state = thermo.GenericState(rho=displaced_state(model, 3.0), e=0.0)
