@@ -113,7 +113,7 @@ def _sha256(data: bytes) -> str:
 
 
 def write_manifest(
-    out_dir, args, cfg: Config, seed: int, outputs: list[Path], timings, canonical
+    out_dir, args, cfg: Config, rp, outputs: list[Path], timings, canonical
 ) -> Path:
     """The run manifest; ``canonical`` maps an output name to its canonical sha256."""
     entries = []
@@ -128,7 +128,7 @@ def write_manifest(
         "tool_version": __version__,
         "command": args.command,
         "config": cfg.sections,
-        "seed": seed,
+        "seed": rp.seed,
         "threads": args.threads,
         "format": args.format,
         "argv_overrides": {
@@ -342,6 +342,7 @@ def cmd_thermo(args, model, rp):
         e=0.0,
     )
     dt = rp.dt
+    # thermo's horizon defaults to 5.0 rather than [run] T, the particle-run horizon
     T = args.t_final if args.t_final is not None else 5.0
     series = thermo.evolve_coupled(state, model, dt, T)
     rows = np.column_stack(
@@ -503,7 +504,7 @@ def main(argv=None) -> int:
             zeroed = [row[:i] + [0.0] + row[i + 1 :] for row in rows]
             canonical[path.name] = _sha256(_render_table(header, zeroed, args.format).encode())
     outputs.append(write_summary(out_dir, args.command, summary))
-    write_manifest(out_dir, args, cfg, rp.seed, outputs, timings, canonical)
+    write_manifest(out_dir, args, cfg, rp, outputs, timings, canonical)
     return 0
 
 
