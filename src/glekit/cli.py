@@ -3,7 +3,7 @@
 Subcommands: ``validate``, ``simulate``, ``spectrum``, ``greens``,
 ``stationary``, ``bifurcation``, ``thermo``, ``whitenoise``.  Global flags:
 ``--config <path>`` (model truth; see :mod:`glekit.config` for the grammar),
-``--seed``, ``--out <dir>``, ``--format csv|json``, ``--threads <n>``.
+``--seed``, ``--out <dir>``, ``--format csv|json``, ``--threads <n>`` (n >= 1).
 
 Command-line flags may override scalar run parameters (N, T, dt, grids);
 the physics always comes from the config file.  Every run writes the result
@@ -468,6 +468,8 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     args._started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         cfg = load_config(args.config)
@@ -480,12 +482,6 @@ def main(argv=None) -> int:
         print("see `glekit.config` for the exact grammar", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"ConfigError: --out {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
     try:
         table, summary, timings = args._run(args, cfg.model(), rp)
     except ConfigError as exc:
@@ -494,6 +490,12 @@ def main(argv=None) -> int:
     except GlekitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    out_dir = Path(args.out)  # made only now, so a failed run leaves no directory
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"ConfigError: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     outputs, canonical = [], {}
     if table is not None:
         header, rows = table

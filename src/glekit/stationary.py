@@ -123,14 +123,22 @@ class _Quadrature:
         return quad
 
     def _weights(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum."""
+        """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum.
+
+        The (m, node) arrays are updated in place here and in :meth:`moments`:
+        a scan pass is 81 rows by up to 2048 nodes, and every extra temporary of
+        that size grows the heap (and page-faults) again on each pass.
+        """
         m = np.atleast_1d(np.asarray(m, dtype=float))
         cm = self.c * m[:, None]
-        a_pos = self.log_w - self.beta * self.e_pos + cm * self.q
-        a_neg = self.log_w - self.beta * self.e_neg - cm * self.q
-        shift = np.maximum(a_pos.max(axis=1), a_neg.max(axis=1))
-        w_pos = np.exp(a_pos - shift[:, None])
-        w_neg = np.exp(a_neg - shift[:, None])
+        w_pos = cm * self.q
+        w_pos += self.log_w - self.beta * self.e_pos
+        w_neg = -cm * self.q
+        w_neg += self.log_w - self.beta * self.e_neg
+        shift = np.maximum(w_pos.max(axis=1), w_neg.max(axis=1))
+        for w in (w_pos, w_neg):
+            w -= shift[:, None]
+            np.exp(w, out=w)
         z = np.sum(w_pos + w_neg, axis=1)
         if not np.all(np.isfinite(z)):
             raise QuadratureFailure(f"non-finite normalization on [-{self.L}, {self.L}]")
@@ -139,9 +147,14 @@ class _Quadrature:
     def moments(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log Z, mean R and variance of q under exp(-beta [V + eta2 (q - m)^2 / 2]), per m."""
         m, shift, w_pos, w_neg, z = self._weights(m)
-        mean = np.sum(self.q * (w_pos - w_neg), axis=1) / z
+        d = w_pos - w_neg
+        d *= self.q
+        mean = np.sum(d, axis=1) / z
         mu = mean[:, None]
-        var = np.sum((self.q - mu) ** 2 * w_pos + (self.q + mu) ** 2 * w_neg, axis=1) / z
+        w_pos *= np.square(np.subtract(self.q, mu, out=d), out=d)  # (q - mu)^2 w_pos
+        w_neg *= np.square(np.add(self.q, mu, out=d), out=d)  # (q + mu)^2 w_neg
+        w_pos += w_neg
+        var = np.sum(w_pos, axis=1) / z
         return shift + np.log(z) - 0.5 * self.c * m**2, mean, var
 
     def central(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,7 +441,6 @@ class StationaryDensity:
     m_star: float
     q_log_norm: float  # log of the q-factor normalization
     q_var: float  # variance of the q marginal
-    window: float
 
     def q_density(self, q):
         q = np.asarray(q, dtype=float)
@@ -463,7 +475,6 @@ def extend_to_full_state(m_star: float, model: ValidatedModel) -> StationaryDens
         m_star=float(m_star),
         q_log_norm=float(log_z[0]),
         q_var=float(var[0]),
-        window=quad.L,
     )
 
 

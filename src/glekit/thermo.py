@@ -18,7 +18,7 @@ of W^T W with W = L^-1 (Sigma - I/beta), which is PSD by construction and,
 unlike the three terms it sums, shrinks with Sigma - I/beta near
 equilibrium.
 
-The module also carries the energy/entropy pair of the
+``evolve_coupled`` marches the energy/entropy pair of the
 reversible-irreversible decomposition,
 
     E(rho, e) = H(rho) + e,      S(rho, e) = -int rho log rho / beta + e,
@@ -28,31 +28,22 @@ with the auxiliary energy variable e absorbing the heat exchanged through
 the z-block, de/dt = int A z . z rho - Tr(A)/beta.  Along the coupled flow E
 is conserved, S is nondecreasing, and F = E - S is the Lyapunov function.
 
-Grid densities (d = m = 1) are accepted where quadrature makes sense; the
-degeneracy residuals discretize the reversible and irreversible blocks with
-central differences and must vanish with the grid spacing.
+On a d = m = 1 grid density, ``degeneracy_residual`` discretizes the
+reversible and irreversible blocks with central differences; both residuals
+must vanish with the grid spacing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, ShapeMismatch, SingularCovariance
+from .errors import ShapeMismatch, SingularCovariance
 from .model import Kind, ValidatedModel
 from .quadratic import GaussianLaw, affine_laws, check_covariances, flow_maps, split_BK, whole_steps
-from .stationary import (
-    GridDensity,
-    SelfConsistencyProblem,
-    StationaryDensity,
-    d_axis,
-    extend_to_full_state,
-    fixed_points,
-    grid_memory,
-)
+from .stationary import GridDensity, d_axis, grid_memory
 
 LOG_FLOOR = 1e-300
 
@@ -191,13 +182,6 @@ def dissipation(state: GaussianEnsembleLaw) -> float:
     return float(_dissipation_of(state.model, state.law.mean, state.law.cov, L))
 
 
-def generic_functionals(state: GenericState) -> tuple[float, float]:
-    """(E, S) = (H(rho) + e, entropy(rho)/beta + e)."""
-    E = hamiltonian(state.rho) + state.e
-    S = state.rho.model.beta_inv * _entropy(_factor(state.rho.law.cov)) + state.e
-    return float(E), float(S)
-
-
 # ---------------------------------------------------------------------------
 # coupled evolution
 # ---------------------------------------------------------------------------
@@ -248,49 +232,8 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
 
 
 # ---------------------------------------------------------------------------
-# grid functionals and degeneracy residuals (d = m = 1)
+# degeneracy residuals (d = m = 1)
 # ---------------------------------------------------------------------------
-
-
-def j_matrix(model: ValidatedModel) -> np.ndarray:
-    """Antisymmetric transport matrix of the reversible block, [q, p, z] layout."""
-    d = model.d
-    dm = d * model.m
-    lam = np.asarray(model.memory.lam, dtype=float)
-    n = 2 * d + dm
-    J = np.zeros((n, n))
-    J[:d, d : 2 * d] = -np.eye(d)
-    J[d : 2 * d, :d] = np.eye(d)
-    J[d : 2 * d, 2 * d :] = -lam.T
-    J[2 * d :, d : 2 * d] = lam
-    return J
-
-
-def _interaction_on_axis(density: GridDensity, eta2: float) -> np.ndarray:
-    """(U * rho)(q) from the q-marginal: eta2 (q^2 m0 - 2 q m1 + m2) / 2."""
-    m0, m1, m2 = density.q_moments()
-    return 0.5 * eta2 * (density.q**2 * m0 - 2.0 * density.q * m1 + m2)
-
-
-def hamiltonian_grid(density: GridDensity, model: ValidatedModel) -> float:
-    """H(rho) by tensor trapezoid-style quadrature on the grid."""
-    grid_memory(density, model)
-    hq, hp, hz = density.spacings()
-    p = density.p[None, :, None]
-    z = density.z[None, None, :]
-    v = model.potential_energy(density.q[:, None])
-    u = _interaction_on_axis(density, model.eta2)
-    integrand = (0.5 * p**2 + (v + 0.5 * u)[:, None, None] + 0.5 * z**2) * density.values
-    return float(np.sum(integrand) * hq * hp * hz)
-
-
-def entropy_grid(density: GridDensity, model: ValidatedModel) -> float:
-    """Differential entropy -int rho log rho on the grid (0 log 0 = 0)."""
-    grid_memory(density, model)
-    hq, hp, hz = density.spacings()
-    rho = density.values
-    val = -np.sum(np.where(rho > 0, rho * np.log(np.maximum(rho, LOG_FLOOR)), 0.0))
-    return float(val * hq * hp * hz)
 
 
 def degeneracy_residual(density: GridDensity, model: ValidatedModel) -> tuple[float, float]:
@@ -323,119 +266,11 @@ def degeneracy_residual(density: GridDensity, model: ValidatedModel) -> tuple[fl
     p = density.p[None, :, None]
     z = density.z[None, None, :]
     v = model.potential_energy(density.q[:, None])
-    u = _interaction_on_axis(density, model.eta2)
+    m0, m1, m2 = density.q_moments()  # (U * rho)(q) from the q-marginal
+    u = 0.5 * model.eta2 * (density.q**2 * m0 - 2.0 * density.q * m1 + m2)
     H = 0.5 * p**2 + (v + u)[:, None, None] + 0.5 * z**2
     H = np.broadcast_to(H, rho.shape)
     gzH = d_axis(np.ascontiguousarray(H), hz, 2)
     r2_field = d_axis(rho * alpha * (z - gzH), hz, 2)
     r2 = float(np.sqrt(np.sum(r2_field[core] ** 2) * hq * hp * hz))
     return r1, r2
-
-
-def irreversible_quadratic_form(
-    density: GridDensity, model: ValidatedModel, xi: np.ndarray
-) -> float:
-    """<xi, M xi> = int rho A grad_z(xi) . grad_z(xi): nonnegative for PSD A."""
-    _, alpha = grid_memory(density, model)
-    hq, hp, hz = density.spacings()
-    if xi.shape != density.values.shape:
-        raise GridTooCoarse("test function must live on the density grid")
-    gz = d_axis(xi, hz, 2)
-    return float(np.sum(density.values * alpha * gz * gz) * hq * hp * hz)
-
-
-def irreversible_apply(density: GridDensity, model: ValidatedModel, xi: np.ndarray) -> np.ndarray:
-    """M applied to a grid test function: -div_z(rho A grad_z xi)."""
-    _, alpha = grid_memory(density, model)
-    hz = density.spacings()[2]
-    gz = d_axis(xi, hz, 2)
-    return -d_axis(density.values * alpha * gz, hz, 2)
-
-
-# ---------------------------------------------------------------------------
-# maximum-entropy stationary states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaxEntropyResult:
-    """Stationary state from the constrained entropy maximization.
-
-    ``lambda1`` is the energy multiplier recovered by regressing
-    -(log rho + 1)/beta on H_rho over a probe grid (exactly 1 when the
-    first-order condition holds); ``first_order_residual`` is the maximal
-    deviation of that relation from affine; ``pointwise_agreement`` is the
-    largest pointwise difference between the maximum-entropy density and the
-    fixed-point product density on the probe grid.
-    """
-
-    density: StationaryDensity
-    e_inf: float
-    lambda1: float
-    first_order_residual: float
-    pointwise_agreement: float
-
-
-def _hamiltonian_of_stationary(density: StationaryDensity) -> float:
-    model = density.model
-    L = density.window
-    qs = np.linspace(-L, L, 20001)
-    h = density.q_density(qs)
-    e_v = float(np.trapezoid(model.potential_energy(qs[:, None]) * h, qs))
-    dm = model.d * model.m
-    return (
-        e_v
-        + 0.5 * model.eta2 * density.q_var
-        + 0.5 * (model.d + dm) * model.beta_inv
-    )
-
-
-def max_entropy_stationary(
-    model: ValidatedModel, E0: float, m_star: Optional[float] = None
-) -> MaxEntropyResult:
-    """Entropy maximizer at fixed energy E0; coincides with the fixed-point state.
-
-    When ``m_star`` is omitted the largest stable branch of the scalar
-    self-consistency problem is used.
-    """
-    if m_star is None:
-        pts = fixed_points(SelfConsistencyProblem.from_model(model))
-        stable = [p for p in pts if p.stable] or list(pts)
-        m_star = max(stable, key=lambda p: p.m_star).m_star
-    density = extend_to_full_state(m_star, model)
-    H_inf = _hamiltonian_of_stationary(density)
-    e_inf = E0 - H_inf
-
-    beta = model.beta
-    bi = model.beta_inv
-    rng = np.random.default_rng(11)
-    qs = rng.uniform(-1.5, 1.5, 160) + m_star
-    ps = rng.uniform(-1.5, 1.5, 160)
-    zs = rng.uniform(-1.5, 1.5, 160)
-    u_conv = 0.5 * model.eta2 * ((qs - m_star) ** 2 + density.q_var)
-    H_vals = (
-        model.potential_energy(qs[:, None]) + u_conv + 0.5 * ps**2 + 0.5 * zs**2
-    )
-    rho_vals = density.q_density(qs) * density.gaussian_factor(ps) * density.gaussian_factor(zs)
-    y = -bi * (np.log(rho_vals) + 1.0)
-    A_ls = np.column_stack([H_vals, np.ones_like(H_vals)])
-    coef, *_ = np.linalg.lstsq(A_ls, y, rcond=None)
-    resid = float(np.max(np.abs(y - A_ls @ coef)))
-
-    # independent route: normalize exp(-beta H_rho) directly and compare pointwise
-    Lw = density.window
-    gq = np.linspace(-Lw, Lw, 20001)
-    gu = 0.5 * model.eta2 * ((gq - m_star) ** 2 + density.q_var)
-    log_w = -beta * (model.potential_energy(gq[:, None]) + gu)
-    shift = float(log_w.max())
-    zq = float(np.trapezoid(np.exp(log_w - shift), gq))
-    log_q_probe = -beta * (model.potential_energy(qs[:, None]) + u_conv) - shift - math.log(zq)
-    rho_maxent = np.exp(log_q_probe) * density.gaussian_factor(ps) * density.gaussian_factor(zs)
-    agreement = float(np.max(np.abs(rho_maxent - rho_vals)))
-    return MaxEntropyResult(
-        density=density,
-        e_inf=float(e_inf),
-        lambda1=float(coef[0]),
-        first_order_residual=resid,
-        pointwise_agreement=agreement,
-    )

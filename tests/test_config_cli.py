@@ -165,6 +165,28 @@ def test_out_naming_an_existing_file_is_a_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and str(taken) in err and "Traceback" not in err
 
 
+def test_a_failed_run_leaves_no_out_directory(tmp_path, capsys):
+    bad = tmp_path / "bad.conf"
+    bad.write_text(
+        "[model]\nkind = generalized\nbeta = 1.0\n"
+        "[memory]\nm = 1\nlambda = [1.0]\nA = [-1.0]\n"
+    )
+    code = run_cli(["validate", "--config", bad, "--out", tmp_path / "newdir" / "sub"])
+    assert code == 1
+    assert "NonSPDMatrix" in capsys.readouterr().err
+    assert not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectrum", "--config", QUAD_GMV, "--out", out, "--threads", threads, "--cap", 1])
+    assert exc.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_grammar_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[model]\nkind = overdamped\nwhat = 1\n")

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glekit.stationary as stationary
+from glekit import thermo
 from glekit.errors import GridTooCoarse, ShapeMismatch
 from glekit.model import CustomPotential, DoubleWell, Quadratic
+from glekit.quadratic import meanfield_law
 from glekit.stationary import (
     SelfConsistencyProblem,
     _critical_gap,
@@ -495,6 +497,17 @@ def test_extend_marginal_variances():
     assert np.trapezoid(h, xs) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_extend_q_variance_matches_the_gaussian_stationary_law():
+    model = quadratic_gmv(omega2=1.0, eta2=1.0, beta=2.0)
+    law_inf = thermo.stationary_law(model)
+    (pt,) = fixed_points(SelfConsistencyProblem.from_model(model))
+    dens = extend_to_full_state(pt.m_star, model)
+    assert dens.q_var == pytest.approx(law_inf.cov[0, 0], abs=1e-10)
+    # slowest drift mode decays at rate |2 Re nu| ~ 0.285: t = 100 reaches 1e-12
+    late = meanfield_law(model, 100.0, [0.0, 0.0, 0.0])
+    assert np.max(np.abs(late.cov - law_inf.cov)) <= 1e-9
+
+
 def test_extend_full_density_normalization():
     model = doublewell_gmv(beta=3.0)
     pts = fixed_points(SelfConsistencyProblem.from_model(model))
@@ -551,13 +564,6 @@ def test_kfp_residual_rejects_tiny_grids():
     ax = np.linspace(-5.0, 5.0, 4)
     with pytest.raises(GridTooCoarse):
         kfp_residual(dens.on_grid(ax, ax, ax), model)
-
-
-def test_transport_matrix_is_antisymmetric():
-    from glekit.thermo import j_matrix
-
-    J = j_matrix(quadratic_gmv(lambdas=(1.3,), alphas=(0.7,)))
-    assert np.array_equal(J + J.T, np.zeros_like(J))
 
 
 def test_custom_potential_goes_through_solver_and_simulator():
