@@ -166,13 +166,30 @@ _RUN_OVERRIDES = (
 
 
 def _run_params(args, cfg: Config):
-    """The config's run parameters with each flag of _RUN_OVERRIDES applied where given."""
+    """The config's run parameters with each flag of _RUN_OVERRIDES applied where given.
+
+    A negative seed, from the flag or the config, is a ConfigError: numpy seeds
+    only from non-negative integers.
+    """
     rp = cfg.run_params()
     for flag, field in _RUN_OVERRIDES:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(rp, field, value)
+    if rp.seed < 0:
+        raise ConfigError(f"seed must be a non-negative whole number, got {rp.seed}")
     return rp
+
+
+def _out_blocker(out: str):
+    """The path that keeps ``--out`` from being a directory, or None.
+
+    That is ``--out`` itself or its nearest existing ancestor, when it exists
+    but is no directory.
+    """
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    return None if existing is None or existing.is_dir() else existing
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +497,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         print("see `glekit.config` for the exact grammar", file=sys.stderr)
+        return 2
+    blocker = _out_blocker(args.out)  # checked before the run, which may take long
+    if blocker is not None:
+        print(f"ConfigError: --out {args.out}: {blocker} is not a directory", file=sys.stderr)
         return 2
 
     try:

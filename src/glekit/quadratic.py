@@ -302,7 +302,13 @@ def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> Sp
 def spectral_gap(report: SpectrumReport) -> float:
     """Distance from zero to the rest of the lattice: -max Re over nonzero points.
 
-    For stable drifts this is the exponential convergence rate to equilibrium.
+    The lattice is built on the drift eigenvalues for both restoring
+    constants, omega2 (B, which moves the mean of the mean-field law) and
+    omega2 + eta2 (B + K: the relative modes of the particles, and the
+    covariance of the law).  So for a stable drift this is the slowest
+    of all those mode rates, not the rate of any one quantity: for
+    ``quadratic_gmv(beta=1)`` it is 0.1424, the slowest pair of B + K,
+    while the mean relaxes at 0.2151, the slowest rate of B.
     """
     nz = report.lattice[np.abs(report.lattice) > 1e-12]
     if nz.size == 0:

@@ -20,8 +20,18 @@ kappa3_m(q), the third central moment.  Fixed points are bracketed on a scan
 of f = R(m) - m, with a fold (an extremum of f between two scan nodes that
 crosses zero) split into two brackets, and each bracket is solved by one
 vectorized, safeguarded Newton iteration (``_newton``) on f and f' = R' - 1.
-Stability is |R'(m*)| vs 1.  The critical inverse temperature is the root of
-g(beta) = R'(0; beta) - 1, found by the same solver with the exact slope
+Stability is |R'(m*)| vs 1.
+
+A bifurcation scan solves its whole beta grid in one pass per stage: one
+window call for every beta, one evaluation of V per panel-ladder rung for
+every beta still climbing, the 81-node scan one beta at a time, then one
+Newton run over the fold brackets of all betas, one over all root brackets
+and one moment pass at all roots.  Each point is evaluated on its own
+beta's rule, a row of a zero-padded stack, so ``fixed_points``, the
+one-beta case of the same solver, agrees with every branch bitwise.
+
+The critical inverse temperature is the root of
+g(beta) = R'(0; beta) - 1, found by the same Newton solver with the exact slope
 g'(beta) = eta2 Var - beta eta2 Cov((q - mu)^2, E), since the log-weights
 are -beta E with E = V + eta2 q^2 / 2: one rule, on the window of the low
 end of the beta bracket, serves every iterate by reweighting its nodes.
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -70,25 +80,32 @@ _PROBE_BOTH_SIGNS = np.concatenate([_PROBE, -_PROBE])[:, None]
 _PROBE_BOTH_SIGNS.setflags(write=False)
 
 
-def default_window(potential: Potential, eta2: float, beta: float) -> float:
-    """Truncation half-width L with relative tail weight below 1e-14.
+def default_window(potential: Potential, eta2: float, beta) -> np.ndarray:
+    """Truncation half-width L per beta, with relative tail weight below 1e-14.
 
     L is the first node of a probe grid on (0, 60] past the last one where
     beta (V - min V) is below the target at q or at -q, with min V taken over
     both signs, so that the wells beyond a high barrier stay inside on either
     side; L does not grow with beta.  The interaction term only narrows the
-    density further.
+    density further.  One evaluation of V serves every beta: with x the
+    suffix minimum of min(V(q), V(-q)) - min V over the probe, beta x is
+    below the target exactly on the nodes up to that last one, because
+    rounding is monotone.
     """
     target = 14.0 * math.log(10.0) + 4.0  # margin over 1e-14
+    beta = np.asarray(beta, dtype=float)
     v = potential.energy(_PROBE_BOTH_SIGNS).reshape(2, -1)
-    last = np.flatnonzero(np.any(beta * (v - float(np.min(v))) < target, axis=0))[-1]
-    L = float(_PROBE[last + 1]) if last + 1 < _PROBE.size else 60.0
-    return max(L, 3.0)
+    x = np.minimum.accumulate((np.min(v, axis=0) - np.min(v))[::-1])[::-1]
+    # no beta x reaches below the target past x = 2 target / min beta, so the
+    # (beta, node) comparison stays small
+    x = x[: np.searchsorted(x, 2.0 * target / np.min(beta), side="right")]
+    past = np.count_nonzero(beta[..., None] * x < target, axis=-1)
+    return np.maximum(_PROBE[np.minimum(past, _PROBE.size - 1)], 3.0)
 
 
-def _scan(L: float) -> np.ndarray:
-    """The m scan on [-L, L]: exactly mirrored, with m = 0 among its nodes."""
-    return np.arange(-_SCAN_HALF, _SCAN_HALF + 1) * (L / _SCAN_HALF)
+def _scan(L) -> np.ndarray:
+    """The m scan on [-L, L] per window: exactly mirrored, with m = 0 among its nodes."""
+    return np.arange(-_SCAN_HALF, _SCAN_HALF + 1) * (np.asarray(L)[..., None] / _SCAN_HALF)
 
 
 class _Quadrature:
@@ -99,21 +116,17 @@ class _Quadrature:
     This makes R exactly odd, and R(0) exactly 0, for an even potential.
     The log-weights are log w - beta E, so :meth:`at` moves the rule to
     another beta without evaluating V again, and E gives the slopes in beta.
+
+    A stack (:func:`_stacked`) holds rules as rows, with ``L`` and ``beta``
+    per row, and :meth:`take` gives each evaluation point its own row.
     """
 
-    def __init__(self, prob: SelfConsistencyProblem, L: float, n_panels: int):
-        half = L / n_panels
-        self.L, self.beta, self.eta2 = L, prob.beta, prob.eta2
-        self.q = ((2 * np.arange(n_panels // 2) + 1)[:, None] * half + half * _GL_NODES).ravel()
-        self.log_w = np.log(np.tile(half * _GL_WEIGHTS, n_panels // 2))
-
-        def energy(x):  # V(x) + eta2 x^2 / 2
-            return prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2
-
-        self.e_pos, self.e_neg = energy(self.q), energy(-self.q)
+    def __init__(self, L, beta, eta2: float, q, log_w, e_pos, e_neg):
+        self.L, self.beta, self.eta2 = L, beta, eta2
+        self.q, self.log_w, self.e_pos, self.e_neg = q, log_w, e_pos, e_neg
 
     @property
-    def c(self) -> float:
+    def c(self):
         return self.beta * self.eta2
 
     def at(self, beta: float) -> _Quadrature:
@@ -121,6 +134,11 @@ class _Quadrature:
         quad = copy.copy(self)
         quad.beta = beta
         return quad
+
+    def take(self, rows) -> _Quadrature:
+        """Row ``rows[i]`` of a stack as the rule of evaluation point i."""
+        return _Quadrature(self.L[rows], self.beta[rows], self.eta2, self.q[rows],
+                           self.log_w[rows], self.e_pos[rows], self.e_neg[rows])
 
     def _weights(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum.
@@ -130,18 +148,20 @@ class _Quadrature:
         that size grows the heap (and page-faults) again on each pass.
         """
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        cm = self.c * m[:, None]
+        beta = np.reshape(self.beta, (-1, 1))  # one value, or one per point of a stack
+        cm = np.reshape(self.c, (-1, 1)) * m[:, None]
         w_pos = cm * self.q
-        w_pos += self.log_w - self.beta * self.e_pos
+        w_pos += self.log_w - beta * self.e_pos
         w_neg = -cm * self.q
-        w_neg += self.log_w - self.beta * self.e_neg
+        w_neg += self.log_w - beta * self.e_neg
         shift = np.maximum(w_pos.max(axis=1), w_neg.max(axis=1))
         for w in (w_pos, w_neg):
             w -= shift[:, None]
             np.exp(w, out=w)
         z = np.sum(w_pos + w_neg, axis=1)
         if not np.all(np.isfinite(z)):
-            raise QuadratureFailure(f"non-finite normalization on [-{self.L}, {self.L}]")
+            L = np.broadcast_to(self.L, z.shape)[~np.isfinite(z)][0]
+            raise QuadratureFailure(f"non-finite normalization on [-{L}, {L}]")
         return m, shift, w_pos, w_neg, z
 
     def moments(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,19 +177,46 @@ class _Quadrature:
         var = np.sum(w_pos, axis=1) / z
         return shift + np.log(z) - 0.5 * self.c * m**2, mean, var
 
-    def central(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per m: Var(q), the third central moment kappa3 and Cov((q - mu)^2, E)."""
+    def central(self, m, cov: bool = False) -> tuple[np.ndarray, ...]:
+        """Per m: Var(q) and the third central moment kappa3.
+
+        With ``cov``, also Cov((q - mu)^2, E), on a rule that is not a stack.
+        """
         _, _, w_pos, w_neg, z = self._weights(m)
         w_pos, w_neg = w_pos / z[:, None], w_neg / z[:, None]
         mu = np.sum(self.q * (w_pos - w_neg), axis=1)[:, None]
         d_pos, d_neg = self.q - mu, -self.q - mu
-        e_bar = (w_pos @ self.e_pos + w_neg @ self.e_neg)[:, None]
         var = np.sum(d_pos**2 * w_pos + d_neg**2 * w_neg, axis=1)
         k3 = np.sum(d_pos**3 * w_pos + d_neg**3 * w_neg, axis=1)
+        if not cov:
+            return var, k3
+        e_bar = (w_pos @ self.e_pos + w_neg @ self.e_neg)[:, None]
         cov = np.sum(
             d_pos**2 * (self.e_pos - e_bar) * w_pos + d_neg**2 * (self.e_neg - e_bar) * w_neg, axis=1
         )
         return var, k3, cov
+
+
+def _stacked(quads: Sequence[_Quadrature]) -> _Quadrature:
+    """The rules ``quads`` as the rows of one stack, each padded to the longest.
+
+    A padded node has zero weight (q = 0, log w = -inf, E = 0) and sits after
+    the rule's own nodes.  Node counts are powers of two, and numpy sums a
+    row pairwise, over halves down to blocks of 128 and within a block in
+    eight interleaved partial sums; the padding only adds zeros at the end of
+    each.  So each row's sums are bitwise those of its rule alone.
+    """
+    n = max(quad.q.size for quad in quads)
+
+    def rows(name, pad):
+        out = np.full((len(quads), n), pad)
+        for i, quad in enumerate(quads):
+            out[i, : quad.q.size] = getattr(quad, name)
+        return out
+
+    L, beta = (np.array([getattr(quad, name) for quad in quads]) for name in ("L", "beta"))
+    return _Quadrature(L, beta, quads[0].eta2, rows("q", 0.0), rows("log_w", -np.inf),
+                       rows("e_pos", 0.0), rows("e_neg", 0.0))
 
 
 @dataclass(frozen=True)
@@ -194,16 +241,8 @@ class SelfConsistencyProblem:
 
     @cached_property
     def _quadrature(self) -> _Quadrature:
-        """The :func:`_ladder` rule on the window, checked on the m scan.
-
-        The rule keeps that last pass as ``scan``, ``scan_mean`` and
-        ``scan_var``: R(m) and Var_m(q) at the scan nodes.
-        """
-        L = default_window(self.potential, self.eta2, self.beta)
-        scan = _scan(L)
-        quad, [(mean, var)] = _ladder(self, L, [self.beta], scan)
-        quad.scan, quad.scan_mean, quad.scan_var = scan, mean, var
-        return quad
+        """The :func:`_scanned_rules` rule of this problem's beta."""
+        return _scanned_rules(self, [self.beta])[0]
 
     @staticmethod
     def from_model(model: ValidatedModel) -> "SelfConsistencyProblem":
@@ -212,33 +251,76 @@ class SelfConsistencyProblem:
         return SelfConsistencyProblem(potential=model.potential, eta2=model.eta2, beta=model.beta)
 
 
-def _ladder(prob: SelfConsistencyProblem, L: float, betas, ms) -> tuple[_Quadrature, list]:
-    """The first panel-ladder rule on [-L, L] whose R and R' at ``ms`` agree with the rule before.
+def _rules(prob: SelfConsistencyProblem, Ls, betas, n_panels: int) -> list[_Quadrature]:
+    """The ``n_panels``-panel rule on [-L_i, L_i], weighted for ``betas[i]``, per window L_i.
 
-    The check holds at every beta in ``betas``.  Returns the rule, weighted for
-    ``prob.beta``, and its last pass: (R, Var) at ``ms`` per beta.
+    The rules are the rows of one array per field, and one evaluation of V
+    gives the energies of all of them.
     """
-    prev = None
+    half = (np.asarray(Ls, dtype=float) / n_panels)[:, None, None]
+    q = ((2 * np.arange(n_panels // 2) + 1)[:, None] * half + half * _GL_NODES).reshape(len(Ls), -1)
+    log_w = np.tile(np.log(half[:, 0] * _GL_WEIGHTS), n_panels // 2)
+    x = np.concatenate([q.ravel(), -q.ravel()])
+    e = (prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2).reshape(2, *q.shape)
+    return [_Quadrature(L, b, prob.eta2, *rule) for L, b, *rule in zip(Ls, betas, q, log_w, *e)]
+
+
+def _ladder(prob: SelfConsistencyProblem, Ls, checks) -> list[tuple[_Quadrature, list]]:
+    """Per window L_i, the first panel-ladder rule on [-L_i, L_i] that agrees with the rule before.
+
+    ``checks[i]`` is (betas, ms): R and R' at the points ``ms`` must agree at
+    every beta in ``betas``.  Each rung builds the rules of all windows still
+    climbing at once (:func:`_rules`); each rule's pass runs on its own.
+    Returns per window the rule, weighted for its first beta, and its last
+    pass: (R, Var) at ``ms`` per beta.
+    """
+    out, prev = [None] * len(Ls), [None] * len(Ls)
+    todo = list(range(len(Ls)))
     for n_panels in _PANEL_LADDER:
-        quad = _Quadrature(prob, L, n_panels)
-        passes = [quad.at(b).moments(ms)[1:] for b in betas]
-        cur = np.array([(mean, b * prob.eta2 * var) for b, (mean, var) in zip(betas, passes)])
-        if prev is not None and np.max(np.abs(cur - prev)) <= 5e-12:
-            return quad, passes
-        prev = cur
+        climbing = []
+        for i, quad in zip(todo, _rules(prob, [Ls[i] for i in todo],
+                                        [checks[i][0][0] for i in todo], n_panels)):
+            betas, ms = checks[i]
+            passes = [quad.at(b).moments(ms)[1:] for b in betas]
+            cur = np.array([(mean, b * prob.eta2 * var) for b, (mean, var) in zip(betas, passes)])
+            if prev[i] is not None and np.max(np.abs(cur - prev[i])) <= 5e-12:
+                out[i] = quad, passes
+            else:
+                prev[i] = cur
+                climbing.append(i)
+        if not climbing:
+            return out
+        todo = climbing
+    L = Ls[todo[0]]
     raise QuadratureFailure(f"quadrature did not stabilize on [-{L}, {L}]")
+
+
+def _scanned_rules(prob: SelfConsistencyProblem, betas) -> list[_Quadrature]:
+    """Per beta, the :func:`_ladder` rule on its own window, checked on its m scan.
+
+    One :func:`default_window` call gives every window.  Each rule keeps its
+    last pass as ``scan``, ``scan_mean`` and ``scan_var``: R(m) and Var_m(q)
+    at the scan nodes.
+    """
+    Ls = default_window(prob.potential, prob.eta2, betas)
+    scans = _scan(Ls)
+    rules = _ladder(prob, Ls, [([b], scan) for b, scan in zip(betas, scans)])
+    for (quad, [(mean, var)]), scan in zip(rules, scans):
+        quad.scan, quad.scan_mean, quad.scan_var = scan, mean, var
+    return [quad for quad, _ in rules]
 
 
 def _newton(fdf, lo, hi, s_lo, width: float) -> np.ndarray:
     """The root of f in every bracket [lo_i, hi_i] at once, by safeguarded Newton.
 
-    ``fdf`` maps a vector of points to (f, f') there; f has sign ``s_lo_i``
-    just above lo_i and the opposite sign at hi_i.  As in rtsafe (Press et
-    al., Numerical Recipes, 9.4), each iterate takes the Newton step when it
-    lands strictly inside the bracket and is shorter than half the step
-    before last, and bisects otherwise; f at the new point then shrinks the
-    bracket.  A bracket is done when its width or its last step is at most
-    ``width``, or when f vanishes.
+    ``fdf(x, i)`` maps the points x of the brackets i to (f, f') there; f has
+    sign ``s_lo_i`` just above lo_i and the opposite sign at hi_i.  As in
+    rtsafe (Press et al., Numerical Recipes, 9.4), each iterate takes the
+    Newton step when it lands strictly inside the bracket and is shorter than
+    half the step before last, and bisects otherwise; f at the new point then
+    shrinks the bracket.  A bracket is done when its width or its last step is
+    at most ``width``, or when f vanishes.  Each bracket's iterates depend on
+    its own f alone, so solving brackets together or one by one agrees bitwise.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     s_lo = np.asarray(s_lo, dtype=float)
@@ -250,7 +332,7 @@ def _newton(fdf, lo, hi, s_lo, width: float) -> np.ndarray:
         if not todo.size:
             break
         xt = x[todo]
-        f, df = fdf(xt)
+        f, df = fdf(xt, todo)
         s = np.sign(f)
         lo[todo] = np.where(s == s_lo[todo], xt, lo[todo])
         hi[todo] = np.where(s == -s_lo[todo], xt, hi[todo])
@@ -290,56 +372,90 @@ def _classify(r_prime: float) -> str:
 
 def _fold_slopes(quad: _Quadrature, m) -> tuple[np.ndarray, np.ndarray]:
     """f' = R' - 1 and f'' = R'' = c^2 kappa3 per m, for f = R - m and c = beta eta2."""
-    var, k3, _ = quad.central(m)
-    return quad.c * var - 1.0, quad.c**2 * k3
+    var, k3 = quad.central(m)
+    # c**2 of a Python float is libm's pow, which is not always c * c in the last bit
+    c2 = np.array([c**2 for c in np.atleast_1d(quad.c).tolist()])
+    return quad.c * var - 1.0, c2 * k3
 
 
-def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
-    """All solutions of R(m) = m, bracketed on a scan of f = R - m and solved by Newton.
+def _fixed_point_sets(quads: Sequence[_Quadrature]) -> list[tuple[FixedPoint, ...]]:
+    """All solutions of R(m) = m on each scanned rule, every rule in one pass per stage.
 
-    The scan has 81 nodes on [-L, L].  A node where f vanishes is a root, and
-    the sign of f' = R' - 1 there is the sign of f beside it, so a second
-    root between it and the next node is bracketed too.  Where f keeps its
-    nonzero sign over a scan interval while f' turns from towards zero to
-    away from it, f has an extremum there that may cross zero (a fold); it
-    is found by :func:`_newton` on f' with the exact f'' = R'' = c^2 kappa3,
-    c = beta eta2, to 1e-8, and if f has the other sign there, the interval
-    splits into two brackets.  Every bracket is solved by :func:`_newton` on
-    f and f' = c Var - 1, both from one quadrature pass, to a bracket width
-    or last step of 1e-14; roots are deduplicated to 1e-8.
+    Per rule, f = R - m and f' = R' - 1 are known at its 81 scan nodes on
+    [-L, L].  A node where f vanishes is a root, and the sign of f' there is
+    the sign of f beside it, so a second root between it and the next node is
+    bracketed too.  Where f keeps its nonzero sign over a scan interval while
+    f' turns from towards zero to away from it, f has an extremum there that
+    may cross zero (a fold).  The stages run on all rules together:
+
+    1. brackets and folds are read off the (rule, 81) scan arrays;
+    2. one :func:`_newton` run finds every fold's extremum, on f' with the
+       exact f'' = R'' = c^2 kappa3, c = beta eta2, to 1e-8, and one
+       quadrature pass gives f there; a fold where f has the other sign
+       splits its interval into two brackets;
+    3. one :func:`_newton` run solves every bracket, on f and f' = c Var - 1
+       from one quadrature pass, to a bracket width or last step of 1e-14;
+    4. the roots of each rule are deduplicated to 1e-8, and one quadrature
+       pass gives R and R' at all of them.
+
+    Each point is evaluated on its own rule, a row of :func:`_stacked`, so
+    every result equals that of solving the rule alone, bitwise.
     """
-    quad = prob._quadrature
-    ms = quad.scan
-    f, df = quad.scan_mean - ms, quad.c * quad.scan_var - 1.0
+    stack = _stacked(quads)
+    ms = np.array([quad.scan for quad in quads])
+    f = np.array([quad.scan_mean for quad in quads]) - ms
+    df = stack.c[:, None] * np.array([quad.scan_var for quad in quads]) - 1.0
     above = np.where(f == 0.0, np.sign(df), np.sign(f))  # sign of f just above each node
     below = np.where(f == 0.0, -np.sign(df), np.sign(f))  # and just below it
-    i = np.flatnonzero(above[:-1] * below[1:] < 0)
-    lo, hi, s_lo = ms[i], ms[i + 1], above[i]
+    rows, i = np.nonzero(above[:, :-1] * below[:, 1:] < 0)
+    lo, hi, s_lo = ms[rows, i], ms[rows, i + 1], above[rows, i]
 
-    j = np.flatnonzero((f[:-1] * f[1:] > 0) & (f[:-1] * df[:-1] < 0) & (df[:-1] * df[1:] < 0))
+    f0, f1, df0, df1 = f[:, :-1], f[:, 1:], df[:, :-1], df[:, 1:]
+    fold, j = np.nonzero((f0 * f1 > 0) & (f0 * df0 < 0) & (df0 * df1 < 0))
     if j.size:
-        m_ext = _newton(lambda x: _fold_slopes(quad, x), ms[j], ms[j + 1], np.sign(df[j]),
-                        _FOLD_WIDTH)
-        f_ext = quad.moments(m_ext)[1] - m_ext
-        k = np.sign(f_ext) == -np.sign(f[j])
-        lo = np.concatenate([lo, ms[j[k]], m_ext[k]])
-        hi = np.concatenate([hi, m_ext[k], ms[j[k] + 1]])
-        s_lo = np.concatenate([s_lo, np.sign(f[j[k]]), np.sign(f_ext[k])])
+        m_ext = _newton(lambda x, k: _fold_slopes(stack.take(fold[k]), x), ms[fold, j],
+                        ms[fold, j + 1], np.sign(df[fold, j]), _FOLD_WIDTH)
+        f_ext = stack.take(fold).moments(m_ext)[1] - m_ext
+        k = np.sign(f_ext) == -np.sign(f[fold, j])
+        lo = np.concatenate([lo, ms[fold[k], j[k]], m_ext[k]])
+        hi = np.concatenate([hi, m_ext[k], ms[fold[k], j[k] + 1]])
+        s_lo = np.concatenate([s_lo, np.sign(f[fold[k], j[k]]), np.sign(f_ext[k])])
+        rows = np.concatenate([rows, fold[k], fold[k]])
 
-    def fdf(x):
+    def fdf(x, k):
+        quad = stack.take(rows[k])
         _, mean_x, var_x = quad.moments(x)
         return mean_x - x, quad.c * var_x - 1.0
 
     bracketed = _newton(fdf, lo, hi, s_lo, _ROOT_WIDTH)
+    at_node, node = np.nonzero(f == 0.0)
+    candidates = zip(np.concatenate([at_node, rows]).tolist(),
+                     np.concatenate([ms[at_node, node], bracketed]).tolist())
     roots: list[float] = []
-    for r in np.sort(np.concatenate([ms[f == 0.0], bracketed])):
-        if not roots or r - roots[-1] >= 1e-8:
-            roots.append(float(r))
+    root_rows: list[int] = []
+    for row, r in sorted(candidates):
+        if not roots or row != root_rows[-1] or r - roots[-1] >= 1e-8:
+            roots.append(r)
+            root_rows.append(row)
+    quad = stack.take(root_rows)
     _, mean, var = quad.moments(roots)
-    return [
-        FixedPoint(m_star=r, stability=_classify(rp), residual=float(abs(R - r)), r_prime=float(rp))
-        for r, R, rp in zip(roots, mean, quad.c * var)
-    ]
+    points: list[list[FixedPoint]] = [[] for _ in quads]
+    for row, r, R, rp in zip(root_rows, roots, mean, quad.c * var):
+        points[row].append(
+            FixedPoint(m_star=r, stability=_classify(rp), residual=float(abs(R - r)),
+                       r_prime=float(rp))
+        )
+    return [tuple(pts) for pts in points]
+
+
+def fixed_points(prob: SelfConsistencyProblem) -> list[FixedPoint]:
+    """All solutions of R(m) = m, in increasing order: :func:`_fixed_point_sets` on one rule.
+
+    The rule is the problem's own (its window, the :func:`_ladder` rule,
+    checked on the 81-node m scan), so this is the one-beta case of
+    :func:`bifurcation_diagram`.
+    """
+    return list(_fixed_point_sets([prob._quadrature])[0])
 
 
 @dataclass(frozen=True)
@@ -365,7 +481,7 @@ def _critical_gap(quad: _Quadrature, betas) -> tuple[np.ndarray, np.ndarray]:
     """
     out = []
     for b in betas:
-        var, _, cov = quad.at(b).central(0.0)
+        var, _, cov = quad.at(b).central(0.0, True)
         out.append((b * quad.eta2 * var[0] - 1.0, quad.eta2 * (var[0] - b * cov[0])))
     return tuple(np.array(out).T)
 
@@ -383,37 +499,45 @@ def critical_beta(
     if not 0.0 < beta_lo < beta_hi < math.inf:
         raise ShapeMismatch(f"need 0 < beta_lo < beta_hi < inf, got [{beta_lo}, {beta_hi}]")
     L = default_window(prob.potential, prob.eta2, beta_lo)
-    quad, _ = _ladder(prob, L, [beta_lo, beta_hi], 0.0)
+    [(quad, _)] = _ladder(prob, [L], [([beta_lo, beta_hi], 0.0)])
     (g_lo, g_hi), _ = _critical_gap(quad, [beta_lo, beta_hi])
     if g_lo == 0.0:
         return beta_lo
     if g_lo * g_hi > 0:
         return None
     return float(
-        _newton(lambda b: _critical_gap(quad, b), [beta_lo], [beta_hi], [np.sign(g_lo)], tol)[0]
+        _newton(lambda b, _: _critical_gap(quad, b), [beta_lo], [beta_hi], [np.sign(g_lo)], tol)[0]
     )
 
 
 def bifurcation_diagram(
     prob: SelfConsistencyProblem, beta_grid: Sequence[float]
 ) -> BifurcationDiagram:
-    """Fixed-point branches over an increasing beta grid.
+    """Fixed-point branches over an increasing beta grid, all betas in one pass per stage.
+
+    One :func:`default_window` call gives every beta its window; each
+    :func:`_ladder` rung builds the rules of all betas still climbing from
+    one evaluation of V, and scans them one beta at a time;
+    :func:`_fixed_point_sets` then brackets, folds, solves and evaluates the
+    roots of all betas together.  Every branch equals :func:`fixed_points`
+    of the problem at that beta.
 
     The critical inverse temperature is refined by :func:`critical_beta` in
     the first grid interval where R'(0) - 1 changes sign and |R(0)| <= 1e-14
-    at both ends: a pitchfork needs m = 0 to be a fixed point.  It is None
-    when no interval qualifies, as for a potential that is not even.
+    at both ends: a pitchfork needs m = 0 to be a fixed point.  R(0) and
+    R'(0) are read off each scan, whose node _SCAN_HALF is m = 0.  It is
+    None when no interval qualifies, as for a potential that is not even.
     """
     betas = np.asarray(list(beta_grid), dtype=float)
     if betas.size < 1 or np.any(np.diff(betas) <= 0):
         raise ShapeMismatch("beta grid must be strictly increasing")
-    branches, at_zero = [], []
-    for beta in betas:
-        p = replace(prob, beta=float(beta))
-        branches.append(tuple(fixed_points(p)))
-        quad = p._quadrature  # m = 0 is node _SCAN_HALF of its scan
-        at_zero.append((quad.scan_mean[_SCAN_HALF], quad.c * quad.scan_var[_SCAN_HALF]))
-    r0, slopes = np.array(at_zero).T
+    bad = betas[~((0.0 < betas) & (betas < math.inf))]
+    if bad.size:
+        raise ShapeMismatch(f"beta must be finite and positive, got {float(bad[0])}")
+    quads = _scanned_rules(prob, betas.tolist())
+    branches = _fixed_point_sets(quads)
+    r0 = np.array([quad.scan_mean[_SCAN_HALF] for quad in quads])
+    slopes = np.array([quad.c * quad.scan_var[_SCAN_HALF] for quad in quads])
     fixed = np.abs(r0) <= _ROOT_WIDTH
 
     beta_c = None

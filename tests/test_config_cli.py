@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glekit import quadratic
+from glekit import cli, quadratic
 from glekit.cli import _fmt, _render_table, main
 from glekit.config import parse_config
 from glekit.errors import ConfigError, RootFindingFailure, ShapeMismatch
@@ -157,12 +157,69 @@ def test_validate_exits_one_when_the_spectrum_root_finding_fails(tmp_path, capsy
 
 
 def test_out_naming_an_existing_file_is_a_usage_error(tmp_path, capsys):
+    # checked before the run: validate used to print its summary first
     taken = tmp_path / "taken"
     taken.write_text("")
     code = run_cli(["validate", "--config", QUAD_GMV, "--out", taken])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert err.count("\n") == 1 and str(taken) in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_out_below_an_existing_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = run_cli(["validate", "--config", QUAD_GMV, "--out", taken / "sub"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.count("\n") == 1 and str(taken / "sub") in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_out_naming_an_existing_file_stops_simulate_before_its_run(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    ran = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda *args: ran.append(args))
+    code = run_cli(["simulate", "--config", QUAD_GMV, "--out", taken, "--n", "16"])
+    assert code == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert ran == []
+    assert taken.read_text() == ""
+
+
+# short runs of the commands that read [run] seed (thermo has no --n)
+SEEDED_RUNS = {
+    "simulate": ["--n", "100", "--t-final", "0.01"],
+    "whitenoise": ["--n", "100", "--t-final", "0.01"],
+    "thermo": ["--t-final", "0.01"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SEEDED_RUNS))
+def test_a_negative_seed_flag_is_a_usage_error(tmp_path, capsys, cmd):
+    # numpy seeds only from non-negative integers: simulate and whitenoise ended in a
+    # ValueError traceback, and thermo, which draws nothing, exited 0
+    out = tmp_path / "out"
+    code = run_cli([cmd, "--config", QUAD_GMV, "--out", out, "--seed", "-5", *SEEDED_RUNS[cmd]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", sorted(SEEDED_RUNS))
+def test_a_negative_seed_in_the_config_is_a_usage_error(tmp_path, capsys, cmd):
+    cfg = tmp_path / "neg_seed.conf"
+    cfg.write_text(QUAD_GMV.read_text().replace("seed = ", "seed = -5\n# was ", 1))
+    assert "seed = -5" in cfg.read_text()
+    out = tmp_path / "out"
+    code = run_cli([cmd, "--config", cfg, "--out", out, *SEEDED_RUNS[cmd]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_a_failed_run_leaves_no_out_directory(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ def test_second_slope_is_c_squared_times_the_third_central_moment(potential, m):
     h = 1e-4
     fd = (r_map(prob, m + h)[1] - r_map(prob, m - h)[1]) / (2 * h)
     assert d2f[0] == pytest.approx(fd, rel=1e-6)
+
+
+def test_stacked_fold_slope_squares_c_as_a_python_float():
+    # for c = beta eta2 = 3.231904596328192, Python's c**2 (libm pow) and numpy's c * c
+    # differ in the last bit; with c * c on the stack, the tilted well's fixed points at
+    # this beta moved from those of the scalar c of the one-rule solver
+    beta = 3.231904596328192
+    assert beta**2 != beta * beta
+    quad = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=beta)._quadrature
+    m = [0.38, 0.42]
+    _, d2f = _fold_slopes(stationary._stacked([quad]).take([0, 0]), m)
+    assert np.array_equal(d2f, beta**2 * quad.central(m)[1])
 
 
 @pytest.mark.parametrize("beta", [1.5, BETA_CRITICAL_DW11_ETA1, 3.0])
@@ -399,13 +412,15 @@ def _count_passes_and_windows(monkeypatch):
 def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
     # the 32-beta scan of the bifurcation benchmark: 1094 quadrature passes and
     # 71 windows with bisection; 201 and 38 with a problem per Newton iterate in
-    # beta; 193 and 33 with one rule per critical_beta bracket
+    # beta; 193 and 33 with one rule per critical_beta bracket; 81 and 2 with
+    # the grid solved in one pass per stage (74 scan passes on the ladder, the
+    # fold, root and final passes of all betas together, and critical_beta's)
     calls = _count_passes_and_windows(monkeypatch)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
     diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
     assert abs(diag.beta_critical - BETA_CRITICAL_DW11_ETA1) <= 1e-12
-    assert calls["passes"] <= 193
-    assert calls["windows"] <= 33
+    assert calls["passes"] <= 81
+    assert calls["windows"] <= 2
 
 
 def test_critical_beta_builds_one_window_for_its_bracket(monkeypatch):
@@ -419,10 +434,11 @@ def test_critical_beta_builds_one_window_for_its_bracket(monkeypatch):
 
 
 def test_bifurcation_evaluates_each_scan_once(monkeypatch):
-    # the ladder's last pass on the 81-node scan serves fixed_points and R(0), R'(0);
-    # the rules critical_beta checks at m = 0 alone make no scan pass
-    counts = {"rules": 0, "scan passes": 0}
-    init, moments = stationary._Quadrature.__init__, stationary._Quadrature.moments
+    # every beta's rule on every ladder rung gets exactly one pass on its 81-node scan,
+    # and no other pass covers 81 points, so R(0), R'(0) and the brackets all come
+    # from that pass; the rules critical_beta checks at m = 0 alone make no scan pass
+    rules, scan_passes = [], []
+    rules_fn, moments = stationary._rules, stationary._Quadrature.moments
     in_critical_beta = []
 
     def counted_critical_beta(*args):
@@ -432,21 +448,61 @@ def test_bifurcation_evaluates_each_scan_once(monkeypatch):
         finally:
             in_critical_beta.pop()
 
-    def counted_init(self, *args):
-        counts["rules"] += not in_critical_beta
-        init(self, *args)
+    def counted_rules(*args):
+        built = rules_fn(*args)
+        if not in_critical_beta:
+            rules.extend(built)  # kept alive, so no two rules share an id
+        return built
 
     def counted_moments(self, m):
-        counts["scan passes"] += np.size(m) == 2 * stationary._SCAN_HALF + 1
+        if np.size(m) == 2 * stationary._SCAN_HALF + 1:
+            scan_passes.append(id(self.q))
         return moments(self, m)
 
-    monkeypatch.setattr(stationary._Quadrature, "__init__", counted_init)
+    monkeypatch.setattr(stationary, "_rules", counted_rules)
     monkeypatch.setattr(stationary._Quadrature, "moments", counted_moments)
     monkeypatch.setattr(stationary, "critical_beta", counted_critical_beta)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
     diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
     assert diag.beta_critical is not None
-    assert counts["scan passes"] == counts["rules"]
+    assert len(rules) >= 2 * 32
+    assert sorted(scan_passes) == sorted(id(quad.q) for quad in rules)
+
+
+def _assert_branches_equal_one_beta_at_a_time(prob, betas):
+    """Every branch of the batched diagram is fixed_points at its beta, field by field."""
+    diag = bifurcation_diagram(prob, betas)
+    for beta, branch in zip(betas, diag.branches):
+        alone = fixed_points(replace(prob, beta=float(beta)))
+        assert len(branch) == len(alone), f"beta={beta}"
+        for a, b in zip(branch, alone):
+            assert a.m_star == b.m_star and a.stability == b.stability, f"beta={beta}"
+            assert a.residual == b.residual and a.r_prime == b.r_prime, f"beta={beta}"
+    return diag
+
+
+def test_batched_diagram_equals_one_beta_at_a_time_on_the_bench_grid():
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    diag = _assert_branches_equal_one_beta_at_a_time(prob, np.linspace(1.0, 4.0, 32))
+    assert abs(diag.beta_critical - BETA_CRITICAL_DW11_ETA1) <= 1e-12
+
+
+def test_batched_diagram_equals_one_beta_at_a_time_across_rule_lengths():
+    # beta <= 11.4 settles on 16 panels (128 nodes) and beta >= 14 on 32 (256 nodes),
+    # so the shorter rules run padded with zero-weight nodes in the stacked passes
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    betas = np.linspace(1.0, 40.0, 16)
+    sizes = {replace(prob, beta=float(b))._quadrature.q.size for b in betas}
+    assert sizes == {128, 256}
+    _assert_branches_equal_one_beta_at_a_time(prob, betas)
+
+
+def test_batched_diagram_equals_one_beta_at_a_time_through_a_fold():
+    # the grid crosses the tilted well's fold at 3.2219, where roots are born in pairs
+    prob = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=1.0)
+    diag = _assert_branches_equal_one_beta_at_a_time(prob, np.linspace(3.0, 3.5, 11))
+    assert diag.beta_critical is None
+    assert [len(b) for b in diag.branches] == [1] * 5 + [3] * 6
 
 
 def test_scan_moments_at_m_zero_equal_a_pass_at_zero_bitwise():
