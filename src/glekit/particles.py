@@ -23,6 +23,18 @@ SFC64 generator per run, seeded through a ``SeedSequence`` (the fastest of
 numpy's bit generators per normal; substreams come from the seed sequence),
 so identical (model, N, seed, dt, T) reproduce observable series bitwise.
 
+A step allocates nothing of the state's size but the potential's gradient
+and, below ``PREFETCH_MIN`` normals per step, its block of normals.  Every
+update is written in place or with ``out=`` into work arrays that belong to
+the ensemble: two (N, d) force arrays used in turn, one (N, d) scratch array
+and two (n, N) arrays for the O step of the n (p, z) rows.  They are made on
+its first step, made again when the shape of its state changes, and left out
+of its pickled and deep-copied state.  They belong to the ensemble rather
+than to the stepper because one stepper may step several ensembles from
+several threads.  Each update keeps the operations and the order of the
+plain expressions, so no number changes.  The kept end-of-step force is one
+of the two force arrays, so the step after the next one overwrites it.
+
 The normals are most of the cost of a large step, so from ``PREFETCH_MIN``
 normals per step on, one worker thread draws the next step's block while the
 main thread runs the current step.  It draws from the ensemble's own
@@ -102,12 +114,17 @@ class ParticleEnsemble:
     [q; p; z].  ``q``, ``p`` and ``z`` are (N, d) and (N, d*m) transposed
     views of its row blocks (``None`` where the kind has no such block), so
     writing into one writes into ``X``; assigning one copies the value into
-    ``X`` and clears ``end_force``.
+    ``X`` and clears ``end_force``.  An ``X`` that is not (k*d, N), or a value
+    that does not broadcast to its block, is a :class:`ShapeMismatch`.
 
     ``end_force`` holds ``(model, force)`` from the end of the last kinetic
     step, so the next step of the same model can start from it.  Code that
     edits ``X`` or a view of it in place between steps must set
-    ``end_force = None``.
+    ``end_force = None``.  The force array is one of the ensemble's step work
+    arrays (see the module docstring): the step after the next one
+    overwrites it, so a caller that keeps it must copy it.  The work arrays
+    are made on the first step, sized from ``X.shape``, and left out of
+    copies.
 
     An ensemble from :func:`init_ensemble` keeps its generator a second time,
     privately, for the prefetch of the normals (see the module docstring).
@@ -125,12 +142,26 @@ class ParticleEnsemble:
     rng: np.random.Generator
     end_force: Optional[tuple] = field(default=None, repr=False, compare=False)
     _prefetch: Optional["_Prefetch"] = field(default=None, init=False, repr=False, compare=False)
+    _work: Optional["_Work"] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.X)
+        if not (self.d >= 1 and len(shape) == 2 and shape[1] == self.N
+                and shape[0] >= self.d and shape[0] % self.d == 0):
+            raise ShapeMismatch(
+                f"X must be (k*d, N) = (k*{self.d}, {self.N}) for k >= 1, got {shape}")
 
     def __getstate__(self):
         # a fill in flight would race the copy of the generator
         if self._prefetch is not None:
             self._prefetch.wait()
-        return self.__dict__
+        return {**self.__dict__, "_work": None}
+
+    def _work_arrays(self) -> "_Work":
+        """The step's work arrays, made on first use and again when ``X`` changes shape."""
+        if self._work is None or self._work.shape != self.X.shape:
+            self._work = _Work(self.X.shape, self.d)
+        return self._work
 
     def _rows(self, a: int, b: Optional[int]) -> slice:
         return slice(a * self.d, None if b is None else b * self.d)
@@ -140,7 +171,16 @@ class ParticleEnsemble:
         return block.T if len(block) else None
 
     def _set(self, a: int, b: Optional[int], value) -> None:
-        self.X[self._rows(a, b)] = np.asarray(value).T
+        block = self.X[self._rows(a, b)].T
+        value = np.asarray(value)
+        try:
+            fits = block.size > 0 and np.broadcast_shapes(value.shape, block.shape) == block.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeMismatch(
+                f"block of shape {block.shape} cannot take a value of shape {value.shape}")
+        block[...] = value
         self.end_force = None
 
     # the row blocks [q; p; z] of X, in units of d rows
@@ -348,42 +388,72 @@ class _Stepper:
         self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
         self.d = d
 
-    def force(self, q: np.ndarray, m1: np.ndarray) -> np.ndarray:
-        # confining force plus O(N) Curie-Weiss mean-field force
-        return -self.model.grad_potential(q) - self.eta2 * (q - m1)
+    def force(self, q: np.ndarray, m1: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """Confining force plus the O(N) Curie-Weiss force, -grad V(q) - eta2 (q - m1).
 
-    def _ou(self, ens: ParticleEnsemble) -> None:
+        Written into ``out`` with ``tmp`` as scratch when given, both shaped like ``q``.
+        """
+        out = np.negative(self.model.grad_potential(q), out=out)
+        tmp = np.subtract(q, m1, out=tmp)
+        tmp *= self.eta2
+        out -= tmp
+        return out
+
+    def _ou(self, ens: ParticleEnsemble, w: "_Work") -> None:
         """Exact O step of the (p, z) rows: T (p, z) + S xi, summed over T's columns, then S's."""
         pz = ens.X[self.d :]
         xi = _normals(ens, pz.shape)
-        out = np.einsum("ij,jk->ik", self.T, pz)
+        out, term = w.pz
+        np.einsum("ij,jk->ik", self.T, pz, out=out)
         for j in range(len(xi)):
-            out += self.S[:, j : j + 1] * xi[j]
+            np.multiply(self.S[:, j : j + 1], xi[j], out=term)
+            out += term
         pz[...] = out
 
     def step(self, ens: ParticleEnsemble) -> ParticleEnsemble:
         dt = self.dt
         q = ens.q
+        w = ens._work_arrays()
+        tmp = w.tmp
         if self.kind is Kind.OVERDAMPED:
             m1 = q.mean(axis=0)
             xi = _normals(ens, q.shape)
-            q += self.force(q, m1) * dt + self.noise_std * xi
+            F = self.force(q, m1, w.forces[0], tmp)
+            F *= dt
+            F += np.multiply(xi, self.noise_std, out=tmp)
+            q += F
+            ens.end_force = None  # a kept force was for the old q, and may have been forces[0]
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
+            h = 0.5 * dt
             p = ens.p
             cached = ens.end_force
             F = cached[1] if cached is not None and cached[0] is self.model else None
-            p += 0.5 * dt * (self.force(q, q.mean(axis=0)) if F is None else F)
-            q += 0.5 * dt * p
-            self._ou(ens)
-            q += 0.5 * dt * p
-            F = self.force(q, q.mean(axis=0))
+            if F is None:
+                F = self.force(q, q.mean(axis=0), w.forces[0], tmp)
+            p += np.multiply(F, h, out=tmp)
+            q += np.multiply(p, h, out=tmp)
+            self._ou(ens, w)
+            q += np.multiply(p, h, out=tmp)
+            # the other force array, so that the kept force lives until the step after next
+            F = self.force(q, q.mean(axis=0), w.forces[F is w.forces[0]], tmp)
             ens.end_force = (self.model, F)
-            p += 0.5 * dt * F
+            p += np.multiply(F, h, out=tmp)
         ens.time += dt
         if not np.isfinite(np.sum(q)):
             raise NonFiniteState(f"state became non-finite at t={ens.time}")
         return ens
+
+
+class _Work:
+    """One ensemble's step work arrays (see the module docstring); the (N, d) ones are
+    transposed (d, N) arrays, laid out like ``ens.q``."""
+
+    def __init__(self, shape: tuple, d: int):
+        rows, N = self.shape = shape
+        self.forces = (np.empty((d, N)).T, np.empty((d, N)).T)
+        self.tmp = np.empty((d, N)).T
+        self.pz = (np.empty((rows - d, N)), np.empty((rows - d, N)))
 
 
 def make_stepper(model: ValidatedModel, dt: float) -> _Stepper:

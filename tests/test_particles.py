@@ -1,8 +1,10 @@
 import copy
 import math
+import pickle
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ import pytest
 from glekit import particles
 from glekit import quadratic as qa
 from glekit.errors import InsufficientParticles, NonFiniteState, ShapeMismatch
-from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, CurieWeiss, ValidatedModel, validate
+from glekit.model import (
+    CurieWeiss, DoubleWell, Kind, MemorySpec, ModelSpec, Quadratic, ValidatedModel, validate,
+)
 from glekit.particles import (
     PREFETCH_MIN,
     BlockLaw,
     InitGaussian,
     InitPoint,
     InitProduct,
+    ParticleEnsemble,
     covariance_se,
     empirical_moments,
     init_ensemble,
@@ -24,7 +29,7 @@ from glekit.particles import (
     simulate,
 )
 
-from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
+from conftest import doublewell_gmv, quadratic_gmv, quadratic_omv, quadratic_umv
 
 
 def test_point_init():
@@ -72,6 +77,29 @@ def test_init_is_deterministic_in_seed():
     a = init_ensemble(model, 100, seed=9, init=init)
     b = init_ensemble(model, 100, seed=9, init=init)
     assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p) and np.array_equal(a.z, b.z)
+
+
+@pytest.mark.parametrize(
+    "N, d, shape",
+    [(5, 1, (3, 7)), (5, 1, (5,)), (5, 2, (3, 5)), (5, 1, (1, 5, 1)), (5, 1, (0, 5))],
+    ids=["other-N", "1-D", "rows-not-a-multiple-of-d", "3-D", "no-rows"],
+)
+def test_an_ensemble_state_of_the_wrong_shape_is_a_shape_mismatch(N, d, shape):
+    # X is (k*d, N); a state of another shape would step silently and record over the wrong N
+    with pytest.raises(ShapeMismatch):
+        ParticleEnsemble(N=N, d=d, X=np.zeros(shape), time=0.0, rng=sfc64(0))
+
+
+def test_a_block_value_of_the_wrong_shape_is_a_shape_mismatch():
+    ens = init_ensemble(quadratic_umv(), 10, seed=0, init=InitPoint([1.0, 0.0]))
+    wrong = {"q": np.zeros((11, 1)), "p": np.zeros((10, 2)), "z": np.zeros((10, 1))}
+    for name, value in wrong.items():
+        with pytest.raises(ShapeMismatch):
+            setattr(ens, name, value)
+    assert np.all(ens.q == 1.0) and np.all(ens.p == 0.0)
+    ens.p = 2.0  # a value that broadcasts to the block still fills it
+    ens.q = np.arange(10.0)[:, None]
+    assert np.all(ens.p == 2.0) and np.array_equal(ens.X[0], np.arange(10.0))
 
 
 def test_series_is_deterministic_in_seed():
@@ -215,6 +243,19 @@ def test_force_reuse_matches_recomputing_the_force_every_step(kind):
         assert np.array_equal(ens.q, ref.q) and np.array_equal(ens.p, ref.p)
         if kind == "generalized":
             assert np.array_equal(ens.z, ref.z)
+
+
+def test_a_step_of_another_kind_drops_the_kept_force():
+    # an overdamped step moves q, so the kinetic force kept from the step before no longer
+    # holds: the next kinetic step recomputes it, as a run that never keeps one does
+    kinetic, overdamped = make_stepper(quadratic_gmv(), 1e-2), make_stepper(quadratic_omv(), 1e-2)
+    ens = init_ensemble(quadratic_gmv(), 64, seed=5, init=INIT_PZ)
+    ref = copy.deepcopy(ens)
+    for st in (kinetic, kinetic, overdamped, kinetic, kinetic):
+        st.step(ens)
+        ref.end_force = None
+        st.step(ref)
+    assert np.array_equal(ens.X, ref.X)
 
 
 def test_empirical_moments_two_particles():
@@ -440,6 +481,27 @@ def general_memory_d3():
     return MemorySpec(m=2, lam=lam, A=B @ B.T + 0.5 * np.eye(6))
 
 
+def baoab_by_hand(q, pz, force, T, S, dt, rng):
+    """One B-A-O-A-B step on rows q (d, N) and pz (n, N): the O step sums each output over
+    the columns of T, then of S, in order, with xi of shape (n, N)."""
+    d, (n, N) = len(q), pz.shape
+    pz[:d] = pz[:d] + 0.5 * dt * force(q)
+    q = q + 0.5 * dt * pz[:d]
+    xi = rng.standard_normal((n, N))
+    new = np.empty_like(pz)
+    for i in range(n):
+        acc = T[i, 0] * pz[0]
+        for j in range(1, n):
+            acc = acc + T[i, j] * pz[j]
+        for j in range(n):
+            acc = acc + S[i, j] * xi[j]
+        new[i] = acc
+    pz = new
+    q = q + 0.5 * dt * pz[:d]
+    pz[:d] = pz[:d] + 0.5 * dt * force(q)
+    return q, pz
+
+
 @pytest.mark.parametrize("kind", ["generalized", "underdamped"])
 def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind):
     # B-A-O-A-B by hand on rows: the force subtracts each q row's mean, and the O step
@@ -464,20 +526,7 @@ def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind
 
     for _ in range(20):
         stepper.step(ens)
-        pz[:d] = pz[:d] + 0.5 * dt * force(q)
-        q = q + 0.5 * dt * pz[:d]
-        xi = rng.standard_normal((n, N))
-        new = np.empty_like(pz)
-        for i in range(n):
-            acc = T[i, 0] * pz[0]
-            for j in range(1, n):
-                acc = acc + T[i, j] * pz[j]
-            for j in range(n):
-                acc = acc + S[i, j] * xi[j]
-            new[i] = acc
-        pz = new
-        q = q + 0.5 * dt * pz[:d]
-        pz[:d] = pz[:d] + 0.5 * dt * force(q)
+        q, pz = baoab_by_hand(q, pz, force, T, S, dt, rng)
     assert ens._prefetch.ahead
     assert np.array_equal(ens.X, np.vstack([q, pz]))
     # the blocks are views of X, and assigning one drops the force kept from the last step
@@ -487,6 +536,52 @@ def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind
         setattr(ens, name, getattr(ens, name) * 1.0)
         assert ens.end_force is None
         stepper.step(ens)
+
+
+def double_well_force(a, b, eta2):
+    """-(a |q|^2 - b) q - eta2 (q - mean q) on rows (d, N), |q|^2 summed over the rows in order."""
+    def force(q):
+        r2 = q[0] * q[0]
+        for row in q[1:]:
+            r2 = r2 + row * row
+        return -((a * r2 - b) * q) - eta2 * (q - q.mean(axis=1)[:, None])
+
+    return force
+
+
+def test_generalized_double_well_on_the_sfc64_stream_bitwise():
+    # the physics of configs/doublewell_gmv.conf, at N = PREFETCH_MIN
+    model = doublewell_gmv()
+    dt, seed, N = 0.01, 11, PREFETCH_MIN
+    ens = init_ensemble(model, N, seed, INIT_PZ)
+    stepper = make_stepper(model, dt)
+    rng = sfc64(seed)
+    q = 0.5 + math.sqrt(0.2) * rng.standard_normal((1, N))
+    pz = math.sqrt(0.5) * np.vstack([rng.standard_normal((1, N)), rng.standard_normal((1, N))])
+    force = double_well_force(1.0, 1.0, 1.0)
+    for _ in range(20):
+        stepper.step(ens)
+        q, pz = baoab_by_hand(q, pz, force, stepper.T, stepper.S, dt, rng)
+    assert ens._prefetch.ahead
+    assert np.array_equal(ens.X, np.vstack([q, pz]))
+
+
+def test_overdamped_double_well_at_d3_on_the_sfc64_stream_bitwise():
+    # Euler-Maruyama q + (F dt + sqrt(2 dt / beta) xi), xi of shape (N, d), at N = PREFETCH_MIN
+    a, b, eta2, beta, dt, seed, d, N = 0.8, 1.3, 0.7, 2.0, 0.01, 11, 3, PREFETCH_MIN
+    model = validate(ModelSpec(d=d, beta=beta, potential=DoubleWell(a, b),
+                               interaction=CurieWeiss(eta2), kind=Kind.OVERDAMPED))
+    ens = init_ensemble(model, N, seed, INIT_PZ)
+    stepper = make_stepper(model, dt)
+    rng = sfc64(seed)
+    q = np.ascontiguousarray((0.5 + math.sqrt(0.2) * rng.standard_normal((N, d))).T)
+    sigma = math.sqrt(2.0 * (1.0 / beta) * dt)
+    force = double_well_force(a, b, eta2)
+    for _ in range(20):
+        stepper.step(ens)
+        q = q + (force(q) * dt + sigma * rng.standard_normal((N, d)).T)
+    assert ens._prefetch.ahead
+    assert np.array_equal(ens.X, q)
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +715,43 @@ def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, mo
     for name in ("q", "p", "z"):
         a, b = getattr(plain, name), getattr(logged, name)
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the step's work arrays
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind", list(Kind), ids=[k.value for k in Kind])
+def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d):
+    # from PREFETCH_MIN normals per step on, every update runs in the ensemble's own work
+    # arrays: one warmed-up step's traced peak is the gradient's (N, d) result and a few
+    # small objects, and the work arrays stay where they are
+    extra = {Kind.GENERALIZED: {"memory": MemorySpec.diagonal([1.0], [1.0], d)},
+             Kind.UNDERDAMPED: {"gamma": 0.8}, Kind.OVERDAMPED: {}}[kind]
+    model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(1.3),
+                               interaction=CurieWeiss(0.7), kind=kind, **extra))
+    N = PREFETCH_MIN
+    ens = init_ensemble(model, N, 3, INIT_PZ)
+    stepper = make_stepper(model, 0.01)
+    for _ in range(2):
+        stepper.step(ens)
+
+    def pointers():
+        w = ens._work
+        return [a.__array_interface__["data"][0] for a in (*w.forces, w.tmp, *w.pz)]
+
+    before = pointers()
+    tracemalloc.start()
+    try:
+        stepper.step(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= N * d * 8 + 4096
+    stepper.step(ens)
+    assert pointers() == before
+    # the work arrays are not state: copies leave them out and make their own
+    for twin in (copy.deepcopy(ens), pickle.loads(pickle.dumps(ens))):
+        assert twin._work is None
