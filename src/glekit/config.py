@@ -9,11 +9,11 @@ Grammar (exact):
     d = <int>
     beta = <float>                  # 'inf' switches the noise off
     potential.kind = quadratic | double_well
-    potential.params = [<float>, ...]   # quadratic: [omega2]; double_well: [a, b]
+    potential.params = [<float>, ...]   # quadratic: [omega2] (default [1.0]); double_well: [a, b]
     interaction.eta2 = <float>      # omit for free particles (eta2 = 0)
-    gamma = <float>                 # underdamped kind only
+    gamma = <float>                 # underdamped kind only; an error for the others
 
-    [memory]                        # generalized kind only
+    [memory]                        # generalized kind only; an error for the others
     m = <int>
     lambda = [<float>, ...]         # flat row-major (d*m) x d; m entries when d = 1
     A = [<float>, ...]              # flat row-major (d*m) x (d*m)
@@ -27,7 +27,7 @@ Grammar (exact):
     record_every = <int>
 
 Values are integers, floats, bare words, or bracketed lists of numbers.
-Unknown sections or keys are errors.
+Unknown sections or keys are errors, and so are keys for another kind.
 """
 
 from __future__ import annotations
@@ -198,10 +198,17 @@ def build_model_spec(sections: dict) -> ModelSpec:
     d = _whole(model, "d", 1)
     beta = _number(model, "beta", 1.0)
 
+    if "gamma" in model and kind is not Kind.UNDERDAMPED:
+        raise ConfigError(f"gamma is for the underdamped kind only, not {kind.value}")
+    if "memory" in sections and kind is not Kind.GENERALIZED:
+        raise ConfigError(f"a [memory] section is for the generalized kind only, not {kind.value}")
+
     pkind = str(model.get("potential.kind", "quadratic")).lower()
-    params = _numbers(model, "potential.params") if "potential.params" in model else []
+    params = _numbers(model, "potential.params") if "potential.params" in model else [1.0]
     if pkind == "quadratic":
-        potential = Quadratic(omega2=float(params[0]) if len(params) else 1.0)
+        if len(params) != 1:
+            raise ConfigError("quadratic needs potential.params = [omega2]")
+        potential = Quadratic(omega2=float(params[0]))
     elif pkind == "double_well":
         if len(params) != 2:
             raise ConfigError("double_well needs potential.params = [a, b]")

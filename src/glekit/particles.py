@@ -23,34 +23,35 @@ SFC64 generator per run, seeded through a ``SeedSequence`` (the fastest of
 numpy's bit generators per normal; substreams come from the seed sequence),
 so identical (model, N, seed, dt, T) reproduce observable series bitwise.
 
-A step allocates nothing of the state's size but the potential's gradient
-and, below ``PREFETCH_MIN`` normals per step, its block of normals.  Every
-update is written in place or with ``out=`` into work arrays that belong to
-the ensemble: two (N, d) force arrays used in turn, one (N, d) scratch array
-and two (n, N) arrays for the O step of the n (p, z) rows.  They are made on
-its first step, made again when the shape of its state changes, and left out
-of its pickled and deep-copied state.  They belong to the ensemble rather
+A step allocates nothing of the state's size but the potential's gradient.
+Every update is written in place or with ``out=`` into work arrays of the
+ensemble: one (N, d) force array, one (N, d) scratch array, two (n, N)
+arrays for the O step of the n (p, z) rows, and two buffers of normals, at
+every N.  They are made on first use and again when a shape changes, and left
+out of copies, which hold only state.  They belong to the ensemble rather
 than to the stepper because one stepper may step several ensembles from
 several threads.  Each update keeps the operations and the order of the
-plain expressions, so no number changes.  The kept end-of-step force is one
-of the two force arrays, so the step after the next one overwrites it.
+plain expressions, so no number changes.  The kept end-of-step force is the
+force array, so the next step overwrites it.  One exception is numpy's own:
+with n >= 3 rows and n N under its 8192-element ufunc buffer (d = 3, small
+N), each broadcast product S[:, j] xi[j] of the O step is buffered whole.
 
-The normals are most of the cost of a large step, so from ``PREFETCH_MIN``
-normals per step on, one worker thread draws the next step's block while the
-main thread runs the current step.  It draws from the ensemble's own
-generator, in the same shape and order as an inline draw, into one of two
-preallocated buffers, so every number lands where it lands without it.  A
-draw of another shape undoes the pending block (the generator state is
-saved before each fill) and draws inline.  The worker is a daemon thread,
-created on first use and shared first in, first out by all ensembles; below
-the threshold no thread is involved.
+The normals are most of the cost of a large step, so once an ensemble draws
+``PREFETCH_MIN`` normals per step, one worker thread draws the next step's
+block while the main thread runs the current step.  It draws on the bit
+generator of the ensemble's ``rng`` through a private generator, never
+through a wrapper the caller put on ``rng``, in the same shape and order as
+an inline draw, so every number lands where it lands without it.  A draw of
+another shape undoes the pending block (the generator state is saved before
+each fill) and draws inline.  The worker is a daemon thread, created on
+first use and shared first in, first out by all ensembles.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -120,19 +121,17 @@ class ParticleEnsemble:
     ``end_force`` holds ``(model, force)`` from the end of the last kinetic
     step, so the next step of the same model can start from it.  Code that
     edits ``X`` or a view of it in place between steps must set
-    ``end_force = None``.  The force array is one of the ensemble's step work
-    arrays (see the module docstring): the step after the next one
-    overwrites it, so a caller that keeps it must copy it.  The work arrays
-    are made on the first step, sized from ``X.shape``, and left out of
-    copies.
+    ``end_force = None``.  It is the ensemble's one force work array (see
+    the module docstring), so the next step overwrites it: a caller that
+    keeps it must copy it.
 
-    An ensemble from :func:`init_ensemble` keeps its generator a second time,
-    privately, for the prefetch of the normals (see the module docstring).
-    From ``PREFETCH_MIN`` normals per step on, ``rng`` is therefore one block
-    of normals ahead after each step: the next step's block is already drawn.
-    Steps draw only through the stepper, so their numbers do not change; a
-    caller that draws from ``rng`` itself between steps gets numbers from
-    after that block.
+    Steps draw their normals through a prefetch on ``rng``'s bit generator
+    (see the module docstring).  From ``PREFETCH_MIN`` normals per step on,
+    ``rng`` is therefore one block ahead after each step; a caller that draws
+    from ``rng`` itself between steps gets numbers from after that block, and
+    the steps' numbers do not change.  A copy, deep or pickled, holds only
+    state: the block drawn ahead is undone first, and ``end_force``, the
+    prefetch and the work arrays are made again by the copy's next step.
     """
 
     N: int
@@ -152,10 +151,9 @@ class ParticleEnsemble:
                 f"X must be (k*d, N) = (k*{self.d}, {self.N}) for k >= 1, got {shape}")
 
     def __getstate__(self):
-        # a fill in flight would race the copy of the generator
         if self._prefetch is not None:
-            self._prefetch.wait()
-        return {**self.__dict__, "_work": None}
+            self._prefetch.rewind()  # waits for a fill in flight, which would race the copy
+        return {**self.__dict__, "end_force": None, "_prefetch": None, "_work": None}
 
     def _work_arrays(self) -> "_Work":
         """The step's work arrays, made on first use and again when ``X`` changes shape."""
@@ -224,9 +222,7 @@ def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> Part
     else:
         raise ShapeMismatch(f"unknown initial law {type(init).__name__}")
 
-    ens = ParticleEnsemble(N=N, d=d, X=np.ascontiguousarray(X.T), time=0.0, rng=rng)
-    ens._prefetch = _Prefetch(rng)
-    return ens
+    return ParticleEnsemble(N=N, d=d, X=np.ascontiguousarray(X.T), time=0.0, rng=rng)
 
 
 def _check_finite_init(what: str, value) -> None:
@@ -255,17 +251,13 @@ def _sample_block(name: str, law: Optional[BlockLaw], N: int, width: int,
 # the fewest normals per step worth a hand-off to the worker (measured crossover)
 PREFETCH_MIN = 1 << 13
 
-_jobs: deque = deque()
-_wake = threading.Lock()  # held while the worker has nothing to do
-_wake.acquire()
+_jobs: queue.SimpleQueue = queue.SimpleQueue()
 _worker: Optional[threading.Thread] = None
 
 
 def _serve() -> None:
     while True:
-        _wake.acquire()
-        while _jobs:
-            _jobs.popleft().fill()
+        _jobs.get().fill()
 
 
 def _submit(job: "_Prefetch") -> None:
@@ -273,18 +265,14 @@ def _submit(job: "_Prefetch") -> None:
     if _worker is None:  # two threads racing here start two workers, which share the queue
         _worker = threading.Thread(target=_serve, name="glekit-normals", daemon=True)
         _worker.start()
-    _jobs.append(job)
-    try:
-        _wake.release()
-    except RuntimeError:  # already awake: it drains the queue before it sleeps
-        pass
+    _jobs.put(job)
 
 
 class _Prefetch:
-    """Two buffers of normals from one generator; ``bufs[1]`` is the next block when ``ahead``."""
+    """Two normal buffers from a private generator; ``bufs[1]`` is the next block if ``ahead``."""
 
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self.gen = np.random.Generator(bit_generator)
         self.bufs: tuple = ()
         self.ahead = False
         self.state = None  # generator state before the block in bufs[1]
@@ -323,29 +311,21 @@ class _Prefetch:
             if not self.bufs or self.bufs[0].shape != shape:
                 self.bufs = (np.empty(shape), np.empty(shape))
             self.gen.standard_normal(out=self.bufs[0])
-        self.state = self.gen.bit_generator.state
-        self.ahead = True
-        self.filled.acquire()
-        _submit(self)
+        if shape[0] * shape[1] >= PREFETCH_MIN:
+            self.state = self.gen.bit_generator.state
+            self.ahead = True
+            self.filled.acquire()
+            _submit(self)
         return self.bufs[0]
-
-    def __getstate__(self):
-        self.wait()
-        return {k: v for k, v in vars(self).items() if k != "filled"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.filled = threading.Lock()
 
 
 def _normals(ens: ParticleEnsemble, shape: tuple) -> np.ndarray:
     """Standard normals of ``shape`` from the ensemble's stream, prefetched when large."""
     pf = ens._prefetch
-    if pf is None:
-        return ens.rng.standard_normal(shape)
-    if shape[0] * shape[1] < PREFETCH_MIN or ens.rng.bit_generator is not pf.gen.bit_generator:
-        pf.rewind()
-        return ens.rng.standard_normal(shape)
+    if pf is None or pf.gen.bit_generator is not ens.rng.bit_generator:
+        if pf is not None:  # rng was replaced: hand the old one back unadvanced
+            pf.rewind()
+        pf = ens._prefetch = _Prefetch(ens.rng.bit_generator)
     return pf.draw(shape)
 
 
@@ -418,11 +398,11 @@ class _Stepper:
         if self.kind is Kind.OVERDAMPED:
             m1 = q.mean(axis=0)
             xi = _normals(ens, q.shape)
-            F = self.force(q, m1, w.forces[0], tmp)
+            F = self.force(q, m1, w.force, tmp)
             F *= dt
             F += np.multiply(xi, self.noise_std, out=tmp)
             q += F
-            ens.end_force = None  # a kept force was for the old q, and may have been forces[0]
+            ens.end_force = None  # a kept force was for the old q, and F overwrote it
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
             h = 0.5 * dt
@@ -430,13 +410,12 @@ class _Stepper:
             cached = ens.end_force
             F = cached[1] if cached is not None and cached[0] is self.model else None
             if F is None:
-                F = self.force(q, q.mean(axis=0), w.forces[0], tmp)
+                F = self.force(q, q.mean(axis=0), w.force, tmp)
             p += np.multiply(F, h, out=tmp)
             q += np.multiply(p, h, out=tmp)
             self._ou(ens, w)
             q += np.multiply(p, h, out=tmp)
-            # the other force array, so that the kept force lives until the step after next
-            F = self.force(q, q.mean(axis=0), w.forces[F is w.forces[0]], tmp)
+            F = self.force(q, q.mean(axis=0), w.force, tmp)  # the start force is spent
             ens.end_force = (self.model, F)
             p += np.multiply(F, h, out=tmp)
         ens.time += dt
@@ -451,7 +430,7 @@ class _Work:
 
     def __init__(self, shape: tuple, d: int):
         rows, N = self.shape = shape
-        self.forces = (np.empty((d, N)).T, np.empty((d, N)).T)
+        self.force = np.empty((d, N)).T
         self.tmp = np.empty((d, N)).T
         self.pz = (np.empty((rows - d, N)), np.empty((rows - d, N)))
 

@@ -82,17 +82,24 @@ def run_cli(args):
 
 
 @pytest.fixture(scope="module")
-def cli_import_modules():
-    # one interpreter imports glekit.cli and lists the scipy* modules, concurrent.futures
-    # and logging it loaded; the three tests below each read their part of that list
+def cli_import():
+    # one interpreter imports glekit.cli, then lists the scipy* modules, concurrent.futures
+    # and logging it loaded, and counts its threads; the tests below each read their part
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, glekit.cli; print(' '.join(k for k in sys.modules if k.split('.')[0] == "
-             "'scipy' or k in ('concurrent.futures', 'logging')))")
+    probe = ("import sys, threading, glekit.cli; print(' '.join(k for k in sys.modules if "
+             "k.split('.')[0] == 'scipy' or k in ('concurrent.futures', 'logging'))); "
+             "print(threading.active_count())")
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
-    return out.stdout.split()
+    modules, threads = out.stdout.split("\n")[:2]
+    return modules.split(), int(threads)
+
+
+@pytest.fixture
+def cli_import_modules(cli_import):
+    return cli_import[0]
 
 
 def test_cli_import_leaves_scipy_optimize_out(cli_import_modules):
@@ -109,6 +116,12 @@ def test_cli_import_loads_no_thread_pool_or_logging(cli_import_modules):
     # the prefetch of the normals runs on a bare thread: concurrent.futures would pull in
     # logging and add about 8 ms to the start-up of every subcommand
     assert [k for k in cli_import_modules if k in ("concurrent.futures", "logging")] == []
+
+
+def test_cli_import_starts_no_thread(cli_import):
+    # the worker that draws normals ahead starts on the first large draw, so subcommands
+    # that step no particles, such as bifurcation and thermo, never pay for it
+    assert cli_import[1] == 1
 
 
 def test_simulate_with_a_block_drawn_ahead_exits_promptly(tmp_path):
@@ -250,6 +263,32 @@ def test_config_grammar_error_exit_code(tmp_path, capsys):
     code = run_cli(["validate", "--config", bad, "--out", tmp_path])
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+MISFIT_KEYS = {
+    # read by nothing: the generalized kind has no gamma of its own
+    "gamma-generalized": (QUAD_GMV, "[model]\n", "[model]\ngamma = 7.0\n", "gamma"),
+    # the underdamped kind runs with its own gamma, not lambda^2/alpha = 12.5
+    "memory-underdamped": (QUAD_UMV, "[run]",
+                           "[memory]\nm = 1\nlambda = [5.0]\ndiag = [2.0]\n[run]", "memory"),
+    # a quadratic potential reads exactly one number, omega2
+    "quadratic-no-params": (QUAD_GMV, "params = [1.0]", "params = []", "omega2"),
+    "quadratic-two-params": (QUAD_GMV, "params = [1.0]", "params = [2.0, 3.0]", "omega2"),
+}
+
+
+@pytest.mark.parametrize("conf, old, new, named", MISFIT_KEYS.values(), ids=MISFIT_KEYS.keys())
+def test_a_key_that_does_not_fit_the_kind_is_a_config_error(tmp_path, capsys, conf, old, new,
+                                                             named):
+    bad = tmp_path / "bad.conf"
+    bad.write_text(conf.read_text().replace(old, new, 1))
+    assert new in bad.read_text()
+    out = tmp_path / "out"
+    code = run_cli(["validate", "--config", bad, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ConfigError" in err and named in err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_two(tmp_path):

@@ -619,19 +619,28 @@ def test_draws_of_two_shapes_keep_the_inline_stream(monkeypatch, kind, N):
     assert np.array_equal(prefetched.rng.standard_normal(4), inline.rng.standard_normal(4))
 
 
-def test_deepcopy_mid_run_continues_bit_for_bit():
+def test_deepcopy_mid_run_continues_bit_for_bit(monkeypatch):
     model = quadratic_gmv()
     stepper = make_stepper(model, 0.01)
-    ens = init_ensemble(model, PREFETCH_MIN, 8, INIT_PZ)
-    for _ in range(5):
-        stepper.step(ens)
+
+    def run(steps):
+        ens = init_ensemble(model, PREFETCH_MIN, 8, INIT_PZ)
+        for _ in range(steps):
+            stepper.step(ens)
+        return ens
+
+    ens = run(5)
     twin = copy.deepcopy(ens)
+    at_copy = copy.deepcopy(twin.rng)
     for _ in range(10):
         stepper.step(ens)
     for _ in range(10):
         stepper.step(twin)
     assert np.array_equal(ens.q, twin.q) and np.array_equal(ens.p, twin.p)
     assert np.array_equal(ens.z, twin.z)
+    # the copy holds no block drawn ahead: its generator stands where an inline run's does
+    monkeypatch.setattr(particles, "PREFETCH_MIN", math.inf)
+    assert np.array_equal(at_copy.standard_normal(4), run(5).rng.standard_normal(4))
 
 
 def test_ensembles_stepped_from_several_threads_keep_their_streams(monkeypatch):
@@ -665,6 +674,37 @@ def test_ensembles_stepped_from_several_threads_keep_their_streams(monkeypatch):
     for s in seeds:
         run(s, inline)
         assert np.array_equal(threaded[s], inline[s])
+
+
+class DrawFailed(Exception):
+    pass
+
+
+class FailingDraws:
+    """Stands in for a prefetch's generator: every draw raises."""
+
+    def __init__(self, gen):
+        self.bit_generator = gen.bit_generator
+
+    def standard_normal(self, out):
+        raise DrawFailed
+
+
+def test_a_failed_worker_draw_is_raised_on_the_stepping_thread():
+    # the worker keeps the error of a failed fill; the next draw, rewind or copy raises
+    # it on the stepping thread, and so does every later one
+    model = quadratic_umv()
+    stepper = make_stepper(model, 0.01)
+    ens = init_ensemble(model, PREFETCH_MIN, 5, INIT_PZ)
+    stepper.step(ens)
+    pf = ens._prefetch
+    pf.wait()
+    pf.gen = FailingDraws(pf.gen)
+    stepper.step(ens)  # takes the block drawn ahead and hands the next fill to the worker
+    for _ in range(2):
+        for fails in (lambda: stepper.step(ens), pf.rewind, lambda: copy.deepcopy(ens)):
+            with pytest.raises(DrawFailed):
+                fails()
 
 
 class ThreadLog:
@@ -722,17 +762,18 @@ def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, mo
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d, N", [(1, PREFETCH_MIN), (3, PREFETCH_MIN), (1, 1024)],
+                         ids=["1", "3", "1-below-prefetch"])
 @pytest.mark.parametrize("kind", list(Kind), ids=[k.value for k in Kind])
-def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d):
-    # from PREFETCH_MIN normals per step on, every update runs in the ensemble's own work
-    # arrays: one warmed-up step's traced peak is the gradient's (N, d) result and a few
-    # small objects, and the work arrays stay where they are
+def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N):
+    # every update runs in the ensemble's own work arrays, and the normals land in its two
+    # kept buffers, drawn ahead from PREFETCH_MIN normals per step on and inline below: one
+    # warmed-up step's traced peak is the gradient's (N, d) result and a few small objects,
+    # and after two steps every array is where it was
     extra = {Kind.GENERALIZED: {"memory": MemorySpec.diagonal([1.0], [1.0], d)},
              Kind.UNDERDAMPED: {"gamma": 0.8}, Kind.OVERDAMPED: {}}[kind]
     model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(1.3),
                                interaction=CurieWeiss(0.7), kind=kind, **extra))
-    N = PREFETCH_MIN
     ens = init_ensemble(model, N, 3, INIT_PZ)
     stepper = make_stepper(model, 0.01)
     for _ in range(2):
@@ -740,7 +781,8 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d):
 
     def pointers():
         w = ens._work
-        return [a.__array_interface__["data"][0] for a in (*w.forces, w.tmp, *w.pz)]
+        arrays = (w.force, w.tmp, *w.pz, *ens._prefetch.bufs)
+        return [a.__array_interface__["data"][0] for a in arrays]
 
     before = pointers()
     tracemalloc.start()
@@ -752,6 +794,8 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d):
     assert peak <= N * d * 8 + 4096
     stepper.step(ens)
     assert pointers() == before
-    # the work arrays are not state: copies leave them out and make their own
+    assert ens._prefetch.ahead == (N >= PREFETCH_MIN)
+    # the work arrays, the prefetch and the kept force are not state: copies leave them out
+    # and make their own
     for twin in (copy.deepcopy(ens), pickle.loads(pickle.dumps(ens))):
-        assert twin._work is None
+        assert twin._work is None and twin.end_force is None and twin._prefetch is None
