@@ -70,8 +70,7 @@ def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
         if len(row) != len(header):
             raise ValueError(f"table row has {len(row)} values for {len(header)} columns")
     if fmt == "json":
-        payload = [dict(zip(header, [_json_safe(v) for v in row])) for row in rows]
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        return _json_text([dict(zip(header, row)) for row in rows])
     # one formatter per column: repr where every value is a plain float, else _fmt
     cols = [
         map(repr if all(type(v) is float for v in col) else _fmt, col) for col in zip(*rows)
@@ -86,25 +85,24 @@ def write_table(out_dir: Path, name: str, header: list[str], rows: list[list], f
     return path
 
 
-def _json_safe(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return [_json_safe(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
-    return v
+def _numpy_to_json(v):
+    """json's hook for what it cannot encode: numpy arrays and scalars become lists and numbers.
+
+    np.float64 is a float, so json writes it itself, with float's repr.
+    """
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """The text of a JSON output file: sorted keys, one value a line, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=1, default=_numpy_to_json) + "\n"
 
 
 def write_summary(out_dir: Path, name: str, payload: dict) -> Path:
     path = out_dir / f"{name}_summary.json"
-    path.write_text(
-        json.dumps(_json_safe(payload), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    path.write_text(_json_text(payload), encoding="utf-8")
     return path
 
 
@@ -145,7 +143,7 @@ def write_manifest(
     if timings:
         manifest["timings_s"] = timings
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(_json_safe(manifest), sort_keys=True, indent=1) + "\n")
+    path.write_text(_json_text(manifest))
     return path
 
 
@@ -214,7 +212,7 @@ def cmd_validate(args, model, rp):
         summary["spectral_gap"] = quadratic.spectral_gap(rep)
     except UnsupportedPotential:
         pass  # non-quadratic models have no closed-form spectrum
-    print(json.dumps(_json_safe(summary), sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, default=_numpy_to_json))
     return None, summary, None
 
 

@@ -81,7 +81,76 @@ class Config:
     sections: dict
 
     def model_spec(self) -> ModelSpec:
-        return build_model_spec(self.sections)
+        """The ``[model]`` and ``[memory]`` sections as a :class:`ModelSpec`, not yet validated."""
+        model = self.sections["model"]
+        try:
+            kind = Kind(str(model["kind"]).lower())
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"model.kind missing or invalid: {exc}") from exc
+        d = _whole(model, "d", 1)
+        beta = _number(model, "beta", 1.0)
+
+        if "gamma" in model and kind is not Kind.UNDERDAMPED:
+            raise ConfigError(f"gamma is for the underdamped kind only, not {kind.value}")
+        if "memory" in self.sections and kind is not Kind.GENERALIZED:
+            raise ConfigError(
+                f"a [memory] section is for the generalized kind only, not {kind.value}")
+
+        pkind = str(model.get("potential.kind", "quadratic")).lower()
+        params = _numbers(model, "potential.params") if "potential.params" in model else [1.0]
+        if pkind == "quadratic":
+            if len(params) != 1:
+                raise ConfigError("quadratic needs potential.params = [omega2]")
+            potential = Quadratic(omega2=float(params[0]))
+        elif pkind == "double_well":
+            if len(params) != 2:
+                raise ConfigError("double_well needs potential.params = [a, b]")
+            potential = DoubleWell(a=float(params[0]), b=float(params[1]))
+        else:
+            raise ConfigError(f"unknown potential.kind {pkind!r}")
+
+        interaction = CurieWeiss(eta2=_number(model, "interaction.eta2", 0.0))
+        gamma = _number(model, "gamma", None) if "gamma" in model else None
+
+        memory = None
+        if "memory" in self.sections:
+            mem = self.sections["memory"]
+            for key in ("m", "lambda"):
+                if key not in mem:
+                    raise ConfigError(f"memory section needs {key}")
+            m = _whole(mem, "m", None)
+            if d < 1 or m < 1:
+                raise ShapeMismatch(f"a memory block needs d >= 1 and m >= 1, got d={d}, m={m}")
+            dm = d * m
+            lam = _numbers(mem, "lambda")
+            if lam.size != dm * d:
+                raise ConfigError(f"lambda needs {dm * d} entries")
+            lam = lam.reshape(dm, d)
+            if "A" in mem and "diag" in mem:
+                raise ConfigError("give either A or diag, not both")
+            if "diag" in mem:
+                diag = _numbers(mem, "diag")
+                if diag.size != dm:
+                    raise ConfigError(f"diag needs {dm} entries")
+                A = np.diag(diag)
+            elif "A" in mem:
+                A = _numbers(mem, "A")
+                if A.size != dm * dm:
+                    raise ConfigError(f"A needs {dm * dm} entries")
+                A = A.reshape(dm, dm)
+            else:
+                raise ConfigError("memory section needs A or diag")
+            memory = MemorySpec(m=m, lam=lam, A=A)
+
+        return ModelSpec(
+            d=d,
+            beta=beta,
+            potential=potential,
+            interaction=interaction,
+            memory=memory,
+            gamma=gamma,
+            kind=kind,
+        )
 
     def model(self) -> ValidatedModel:
         return validate(self.model_spec())
@@ -187,74 +256,3 @@ def parse_config(text: str) -> Config:
 def load_config(path) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def build_model_spec(sections: dict) -> ModelSpec:
-    model = sections["model"]
-    try:
-        kind = Kind(str(model["kind"]).lower())
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"model.kind missing or invalid: {exc}") from exc
-    d = _whole(model, "d", 1)
-    beta = _number(model, "beta", 1.0)
-
-    if "gamma" in model and kind is not Kind.UNDERDAMPED:
-        raise ConfigError(f"gamma is for the underdamped kind only, not {kind.value}")
-    if "memory" in sections and kind is not Kind.GENERALIZED:
-        raise ConfigError(f"a [memory] section is for the generalized kind only, not {kind.value}")
-
-    pkind = str(model.get("potential.kind", "quadratic")).lower()
-    params = _numbers(model, "potential.params") if "potential.params" in model else [1.0]
-    if pkind == "quadratic":
-        if len(params) != 1:
-            raise ConfigError("quadratic needs potential.params = [omega2]")
-        potential = Quadratic(omega2=float(params[0]))
-    elif pkind == "double_well":
-        if len(params) != 2:
-            raise ConfigError("double_well needs potential.params = [a, b]")
-        potential = DoubleWell(a=float(params[0]), b=float(params[1]))
-    else:
-        raise ConfigError(f"unknown potential.kind {pkind!r}")
-
-    interaction = CurieWeiss(eta2=_number(model, "interaction.eta2", 0.0))
-    gamma = _number(model, "gamma", None) if "gamma" in model else None
-
-    memory = None
-    if "memory" in sections:
-        mem = sections["memory"]
-        for key in ("m", "lambda"):
-            if key not in mem:
-                raise ConfigError(f"memory section needs {key}")
-        m = _whole(mem, "m", None)
-        if d < 1 or m < 1:
-            raise ShapeMismatch(f"a memory block needs d >= 1 and m >= 1, got d={d}, m={m}")
-        dm = d * m
-        lam = _numbers(mem, "lambda")
-        if lam.size != dm * d:
-            raise ConfigError(f"lambda needs {dm * d} entries")
-        lam = lam.reshape(dm, d)
-        if "A" in mem and "diag" in mem:
-            raise ConfigError("give either A or diag, not both")
-        if "diag" in mem:
-            diag = _numbers(mem, "diag")
-            if diag.size != dm:
-                raise ConfigError(f"diag needs {dm} entries")
-            A = np.diag(diag)
-        elif "A" in mem:
-            A = _numbers(mem, "A")
-            if A.size != dm * dm:
-                raise ConfigError(f"A needs {dm * dm} entries")
-            A = A.reshape(dm, dm)
-        else:
-            raise ConfigError("memory section needs A or diag")
-        memory = MemorySpec(m=m, lam=lam, A=A)
-
-    return ModelSpec(
-        d=d,
-        beta=beta,
-        potential=potential,
-        interaction=interaction,
-        memory=memory,
-        gamma=gamma,
-        kind=kind,
-    )

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
-from .model import Kind, ModelSpec, ValidatedModel, validate
+from .model import Kind, ValidatedModel, validate
 from .particles import BlockLaw, InitProduct, covariance_se, init_ensemble, make_stepper
 from .quadratic import base_spectrum, meanfield_green, split_BK, whole_steps
 
@@ -63,27 +63,20 @@ def scaled_spec(model: ValidatedModel, epsilon: float) -> ValidatedModel:
     mem = model.memory
     scaled_mem = replace(mem, lam=np.asarray(mem.lam, dtype=float) / epsilon,
                          A=np.asarray(mem.A, dtype=float) / epsilon**2)
-    return validate(replace(model.spec, memory=scaled_mem))
+    return validate(replace(model, memory=scaled_mem))
 
 
 def underdamped_reference(model: ValidatedModel) -> ValidatedModel:
     """Underdamped model with gamma = lam^T A^{-1} lam, which must be a multiple of I."""
+    if model.kind is not Kind.GENERALIZED:
+        raise ShapeMismatch("the underdamped reference applies to the generalized kind")
     g = np.atleast_2d(effective_gamma(model.memory.lam, model.memory.A))
     g_scalar = float(np.mean(np.diag(g)))
     if np.max(np.abs(g - g_scalar * np.eye(model.d))) > 1e-12 * abs(g_scalar):
         raise ShapeMismatch(f"effective friction {g} is not a multiple of the identity")
     if g_scalar <= 0:
         raise DegenerateFriction("effective friction is zero; no noise reaches p")
-    return validate(
-        ModelSpec(
-            d=model.d,
-            beta=model.beta,
-            potential=model.potential,
-            interaction=model.interaction,
-            gamma=g_scalar,
-            kind=Kind.UNDERDAMPED,
-        )
-    )
+    return validate(replace(model, memory=None, gamma=g_scalar, kind=Kind.UNDERDAMPED))
 
 
 def slow_eigenvalues(model: ValidatedModel, epsilon: float) -> np.ndarray:

@@ -15,14 +15,14 @@ inverse temperature, and one of three dynamics kinds:
 
 State layout everywhere in the package is ``[q (d), p (d), z (dm)]``.
 
-``validate`` checks a :class:`ModelSpec` and wraps it in an immutable
+``validate`` checks a :class:`ModelSpec` and returns it as an immutable
 :class:`ValidatedModel`, which is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -194,77 +194,42 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class ValidatedModel:
-    """A checked :class:`ModelSpec`; immutable, safe to share across threads."""
+class ValidatedModel(ModelSpec):
+    """A :class:`ModelSpec` that ``validate`` has checked; immutable, safe to share across threads.
 
-    spec: ModelSpec
-
-    # -- pass-through accessors ------------------------------------------------
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
-    @property
-    def beta(self) -> float:
-        return self.spec.beta
+    It adds no field, only quantities derived from the spec's.
+    """
 
     @property
     def beta_inv(self) -> float:
-        return 0.0 if math.isinf(self.spec.beta) else 1.0 / self.spec.beta
-
-    @property
-    def kind(self) -> Kind:
-        return self.spec.kind
-
-    @property
-    def potential(self) -> Potential:
-        return self.spec.potential
-
-    @property
-    def interaction(self) -> CurieWeiss:
-        return self.spec.interaction
+        return 0.0 if math.isinf(self.beta) else 1.0 / self.beta
 
     @property
     def eta2(self) -> float:
-        return self.spec.interaction.eta2
-
-    @property
-    def gamma(self) -> float:
-        if self.spec.gamma is None:
-            raise MissingField("gamma not set")
-        return self.spec.gamma
-
-    @property
-    def memory(self) -> MemorySpec:
-        if self.spec.memory is None:
-            raise MissingField("memory not set")
-        return self.spec.memory
+        return self.interaction.eta2
 
     @property
     def m(self) -> int:
+        if self.memory is None:
+            raise MissingField("memory not set")
         return self.memory.m
 
     @property
     def omega2(self) -> float:
-        if not isinstance(self.spec.potential, Quadratic):
+        if not isinstance(self.potential, Quadratic):
             raise UnsupportedPotential("closed-form analytics need a quadratic potential")
-        return self.spec.potential.omega2
+        return self.potential.omega2
 
     def state_dim(self) -> int:
         """Total phase-space dimension per particle for this kind."""
-        d = self.spec.d
-        if self.spec.kind is Kind.OVERDAMPED:
-            return d
-        if self.spec.kind is Kind.UNDERDAMPED:
-            return 2 * d
-        return 2 * d + d * self.memory.m
+        if self.kind is Kind.OVERDAMPED:
+            return self.d
+        if self.kind is Kind.UNDERDAMPED:
+            return 2 * self.d
+        return 2 * self.d + self.d * self.m
 
     def grad_potential(self, q):
-        return self.spec.potential.gradient(q)
-
-    def potential_energy(self, q):
-        return self.spec.potential.energy(q)
+        return self.potential.gradient(q)
 
 
 def _check_finite(**values: float) -> None:
@@ -307,7 +272,7 @@ def _probe_gradient(potential: CustomPotential, n_probe: int = 8, step: float = 
 
 
 def validate(spec: ModelSpec) -> ValidatedModel:
-    """Check a :class:`ModelSpec` and wrap it in a :class:`ValidatedModel`.
+    """Check a :class:`ModelSpec` and return it as a :class:`ValidatedModel`.
 
     Raises
     ------
@@ -358,5 +323,5 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         if a_min <= 0:
             raise NonSPDMatrix(f"A must be positive definite, min eigenvalue {a_min}")
 
-    return ValidatedModel(spec=spec)
+    return ValidatedModel(**{f.name: getattr(spec, f.name) for f in fields(ModelSpec)})
 

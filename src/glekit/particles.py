@@ -60,6 +60,7 @@ import numpy as np
 from . import matrixkit as mk
 from .errors import InsufficientParticles, NonFiniteState, ShapeMismatch
 from .model import Kind, ValidatedModel
+from .quadratic import whole_steps
 
 # ---------------------------------------------------------------------------
 # initial laws
@@ -71,14 +72,6 @@ class InitPoint:
     """All particles at the same full-state point [q, p, z]."""
 
     x0: Sequence[float]
-
-
-@dataclass(frozen=True)
-class InitGaussian:
-    """Full-state Gaussian with given mean vector and covariance matrix."""
-
-    mean: Sequence[float]
-    cov: Sequence[Sequence[float]] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ class InitProduct:
     z: Optional[BlockLaw] = None
 
 
-InitialLaw = Union[InitPoint, InitGaussian, InitProduct]
+InitialLaw = Union[InitPoint, InitProduct]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +201,6 @@ def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> Part
             raise ShapeMismatch(f"x0 must have length {dim}, got {x0.shape}")
         _check_finite_init("x0", x0)
         X = np.tile(x0, (N, 1))
-    elif isinstance(init, InitGaussian):
-        mean = np.atleast_1d(np.asarray(init.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(init.cov, dtype=float))
-        if mean.shape != (dim,) or cov.shape != (dim, dim):
-            raise ShapeMismatch(f"Gaussian init must have dimension {dim}")
-        _check_finite_init("Gaussian init mean", mean)
-        L = mk.psd_sqrt(cov)
-        X = mean + rng.standard_normal((N, dim)) @ L.T
     elif isinstance(init, InitProduct):
         widths = (("q", init.q, d), ("p", init.p, dim - d - dm), ("z", init.z, dm))
         X = np.hstack([_sample_block(name, law, N, w, rng) for name, law, w in widths if w])
@@ -497,19 +482,17 @@ def simulate(
 ) -> ObservableSeries:
     """Run the integrator to time T, recording observables every ``record_every`` steps.
 
-    The number of steps is round(T/dt), so the final time is within dt of T;
-    the final state is always recorded.  Raises :class:`NonFiniteState` with
-    the failing time on blow-up.
+    T must be a whole number of steps dt (``quadratic.whole_steps``), else
+    :class:`ShapeMismatch`; the final state is always recorded.  Raises
+    :class:`NonFiniteState` with the failing time on blow-up.
     """
     if not 0 < T < math.inf:
         raise ShapeMismatch(f"T must be positive and finite, got {T}")
-    if dt > T:
-        raise ShapeMismatch(f"dt={dt} exceeds T={T}")
     if record_every < 1:
         raise ShapeMismatch(f"record_every must be a positive step count, got {record_every}")
     ens = init_ensemble(model, N, seed, init)
     stepper = make_stepper(model, dt)
-    n_steps = int(round(T / dt))
+    n_steps = whole_steps(T, dt)
     records = [_record(ens)]
     for k in range(1, n_steps + 1):
         stepper.step(ens)

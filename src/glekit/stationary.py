@@ -569,7 +569,7 @@ class StationaryDensity:
     def q_density(self, q):
         q = np.asarray(q, dtype=float)
         model = self.model
-        v = model.potential_energy(q.reshape(-1, 1)).reshape(q.shape)
+        v = model.potential.energy(q.reshape(-1, 1)).reshape(q.shape)
         phi = -model.beta * (v + 0.5 * model.eta2 * (q - self.m_star) ** 2)
         return np.exp(phi - self.q_log_norm)
 

@@ -265,7 +265,7 @@ def degeneracy_residual(density: GridDensity, model: ValidatedModel) -> tuple[fl
 
     p = density.p[None, :, None]
     z = density.z[None, None, :]
-    v = model.potential_energy(density.q[:, None])
+    v = model.potential.energy(density.q[:, None])
     m0, m1, m2 = density.q_moments()  # (U * rho)(q) from the q-marginal
     u = 0.5 * model.eta2 * (density.q**2 * m0 - 2.0 * density.q * m1 + m2)
     H = 0.5 * p**2 + (v + u)[:, None, None] + 0.5 * z**2

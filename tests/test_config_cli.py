@@ -341,6 +341,16 @@ def test_simulate_rejects_a_nonpositive_record_interval(tmp_path, capsys, record
     assert not (tmp_path / "simulate.csv").exists()
 
 
+def test_simulate_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
+    # 0.25 / 0.1 steps: the rows would stop at t = 0.2 under a summary saying T = 0.25
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--config", QUAD_GMV, "--out", out, "--n", "8",
+                    "--t-final", "0.25", "--dt", "0.1"])
+    assert code == 1
+    assert "ShapeMismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stationary_and_bifurcation_outputs(tmp_path):
     code = run_cli(["stationary", "--config", REPO / "configs" / "doublewell_gmv.conf",
                     "--out", tmp_path])

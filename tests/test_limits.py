@@ -11,7 +11,7 @@ from glekit.errors import DegenerateFriction, InsufficientParticles, NonSPDMatri
 from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
 from glekit.quadratic import base_spectrum
 
-from conftest import quadratic_gmv, quadratic_umv
+from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
 
 
 def matched_distance(a, b):
@@ -108,6 +108,14 @@ def test_underdamped_reference_carries_effective_gamma():
     ref = limits.underdamped_reference(model)
     assert ref.gamma == pytest.approx(2.0)
     assert ref.omega2 == model.omega2
+    assert ref.kind is Kind.UNDERDAMPED and ref.memory is None
+
+
+@pytest.mark.parametrize("model", [quadratic_umv(), quadratic_omv()],
+                         ids=["underdamped", "overdamped"])
+def test_underdamped_reference_needs_a_generalized_model(model):
+    with pytest.raises(ShapeMismatch, match="generalized"):
+        limits.underdamped_reference(model)
 
 
 def _gmv_2d(memory):

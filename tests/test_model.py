@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from glekit.model import (
     MemorySpec,
     ModelSpec,
     Quadratic,
+    ValidatedModel,
     validate,
 )
 
-from conftest import quadratic_gmv
+from conftest import quadratic_gmv, quadratic_umv
 
 
 def test_validate_accepts_basic_generalized_model():
@@ -25,6 +27,22 @@ def test_validate_accepts_basic_generalized_model():
     assert m.d == 1
     assert m.state_dim() == 3
     assert m.eta2 == 1.0
+
+
+def test_validate_returns_the_spec_as_a_model_spec_with_no_field_of_its_own():
+    spec = ModelSpec(d=1, beta=2.0, potential=Quadratic(1.0), interaction=CurieWeiss(0.5),
+                     memory=MemorySpec.diagonal([1.0], [1.0]), kind=Kind.GENERALIZED)
+    model = validate(spec)
+    assert isinstance(model, ModelSpec)
+    assert fields(ValidatedModel) == fields(ModelSpec)
+    assert all(getattr(model, f.name) is getattr(spec, f.name) for f in fields(ModelSpec))
+
+
+def test_m_without_memory_is_a_missing_field():
+    model = quadratic_umv()
+    assert model.memory is None
+    with pytest.raises(MissingField):
+        model.m
 
 
 def test_validate_rejects_asymmetric_A():

@@ -371,7 +371,7 @@ def hamiltonian_grid(density: GridDensity, model) -> float:
     hq, hp, hz = density.spacings()
     p = density.p[None, :, None]
     z = density.z[None, None, :]
-    v = model.potential_energy(density.q[:, None])
+    v = model.potential.energy(density.q[:, None])
     m0, m1, m2 = density.q_moments()  # (U * rho)(q) from the q-marginal
     u = 0.5 * model.eta2 * (density.q**2 * m0 - 2.0 * density.q * m1 + m2)
     integrand = (0.5 * p**2 + (v + 0.5 * u)[:, None, None] + 0.5 * z**2) * density.values
