@@ -180,8 +180,8 @@ class ModelSpec:
     """Single source of truth for the dynamics.
 
     ``beta`` is the inverse temperature (``math.inf`` switches the noise
-    off, which some deterministic tests use).  ``gamma`` is only read by the
-    underdamped kind, ``memory`` only by the generalized kind.
+    off, which some deterministic tests use).  ``gamma`` belongs to the
+    underdamped kind and ``memory`` to the generalized kind alone.
     """
 
     d: int
@@ -281,8 +281,8 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         has the wrong sign).
     ShapeMismatch
         d < 1, m < 1, ``lam`` / ``A`` shapes inconsistent with (d, m), a coefficient
-        (omega2, a, b, eta2, gamma, lam, A) that is not finite, or a ``beta`` that is
-        nan or not positive (``math.inf`` is allowed).
+        (omega2, a, b, eta2, gamma, lam, A) that is not finite, a ``beta`` that is
+        nan or not positive (``math.inf`` is allowed), or a field of another kind.
     MissingField
         Generalized kind without memory, underdamped without gamma.
     """
@@ -294,6 +294,10 @@ def validate(spec: ModelSpec) -> ValidatedModel:
     _check_finite(eta2=spec.interaction.eta2)
     if spec.interaction.eta2 < 0:
         raise NonSPDMatrix(f"interaction needs eta2 >= 0, got {spec.interaction.eta2}")
+
+    for name, kind in (("gamma", Kind.UNDERDAMPED), ("memory", Kind.GENERALIZED)):
+        if getattr(spec, name) is not None and spec.kind is not kind:
+            raise ShapeMismatch(f"{name} is for the {kind.value} kind only, not {spec.kind.value}")
 
     if spec.kind is Kind.UNDERDAMPED:
         if spec.gamma is None:

@@ -24,10 +24,11 @@ Stability is |R'(m*)| vs 1.
 
 A bifurcation scan solves its whole beta grid in one pass per stage: one
 window call for every beta, one evaluation of V per panel-ladder rung for
-every beta still climbing, the 81-node scan one beta at a time, then one
-Newton run over the fold brackets of all betas, one over all root brackets
-and one moment pass at all roots.  Each point is evaluated on its own
-beta's rule, a row of a zero-padded stack, so ``fixed_points``, the
+every beta still climbing, the 81-node scan one beta at a time (its 41
+nodes m >= 0 alone, mirrored, on a rule whose energies are even bitwise),
+then one Newton run over the fold brackets of all betas, one over all root
+brackets and one moment pass at all roots.  Each point is evaluated on its
+own beta's rule, a row of a zero-padded stack, so ``fixed_points``, the
 one-beta case of the same solver, agrees with every branch bitwise.
 
 The critical inverse temperature is the root of
@@ -47,7 +48,6 @@ also serve the grid diagnostics of :mod:`glekit.thermo`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,18 +112,25 @@ class _Quadrature:
     """Composite Gauss rule on [-L, L] with the m-independent Boltzmann log-weights.
 
     The nodes of the rule come in mirrored pairs +q, -q, stored as the
-    positive half ``q`` with the energy E = V + eta2 q^2 / 2 at each sign.
-    This makes R exactly odd, and R(0) exactly 0, for an even potential.
-    The log-weights are log w - beta E, so :meth:`at` moves the rule to
-    another beta without evaluating V again, and E gives the slopes in beta.
+    positive half ``q`` with e = (E+, E-), the energy E = V + eta2 q^2 / 2 at
+    each sign.  This makes R exactly odd, and R(0) exactly 0, for an even
+    potential.  The log-weights ``lw`` are log w - beta E, so :meth:`at` moves
+    the rule to another beta without evaluating V again, and E gives the
+    slopes in beta.
 
-    A stack (:func:`_stacked`) holds rules as rows, with ``L`` and ``beta``
-    per row, and :meth:`take` gives each evaluation point its own row.
+    A stack (:func:`_stacked`) holds rules as rows of ``L``, ``beta``, ``q``
+    and ``lw`` alone, so it is never reweighted, and :meth:`take` gives each
+    evaluation point its own row.
     """
 
-    def __init__(self, L, beta, eta2: float, q, log_w, e_pos, e_neg):
-        self.L, self.beta, self.eta2 = L, beta, eta2
-        self.q, self.log_w, self.e_pos, self.e_neg = q, log_w, e_pos, e_neg
+    def __init__(self, L, beta, eta2, q, log_w=None, e=None, lw=None):
+        self.L, self.beta, self.eta2, self.q = L, beta, eta2, q
+        self.log_w, self.e, self._lw = log_w, e, lw
+
+    @property
+    def lw(self):
+        """log w - beta E at +q and at -q: kept by a stack, worked out per pass on a rule."""
+        return self.log_w - self.beta * self.e if self._lw is None else self._lw
 
     @property
     def c(self):
@@ -131,14 +138,12 @@ class _Quadrature:
 
     def at(self, beta: float) -> _Quadrature:
         """The same nodes and energies, weighted for inverse temperature ``beta``."""
-        quad = copy.copy(self)
-        quad.beta = beta
-        return quad
+        return _Quadrature(self.L, beta, self.eta2, self.q, self.log_w, self.e)
 
     def take(self, rows) -> _Quadrature:
         """Row ``rows[i]`` of a stack as the rule of evaluation point i."""
         return _Quadrature(self.L[rows], self.beta[rows], self.eta2, self.q[rows],
-                           self.log_w[rows], self.e_pos[rows], self.e_neg[rows])
+                           lw=self.lw[:, rows])
 
     def _weights(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum.
@@ -148,12 +153,12 @@ class _Quadrature:
         that size grows the heap (and page-faults) again on each pass.
         """
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        beta = np.reshape(self.beta, (-1, 1))  # one value, or one per point of a stack
-        cm = np.reshape(self.c, (-1, 1)) * m[:, None]
+        cm = np.reshape(self.c, (-1, 1)) * m[:, None]  # c is one value, or one per stack row
+        lw = self.lw
         w_pos = cm * self.q
-        w_pos += self.log_w - beta * self.e_pos
+        w_pos += lw[0]
         w_neg = -cm * self.q
-        w_neg += self.log_w - beta * self.e_neg
+        w_neg += lw[1]
         shift = np.maximum(w_pos.max(axis=1), w_neg.max(axis=1))
         for w in (w_pos, w_neg):
             w -= shift[:, None]
@@ -177,6 +182,19 @@ class _Quadrature:
         var = np.sum(w_pos, axis=1) / z
         return shift + np.log(z) - 0.5 * self.c * m**2, mean, var
 
+    def mirrored_moments(self, ms) -> tuple[np.ndarray, np.ndarray]:
+        """R and Var at points ``ms`` mirrored about their middle one, m = 0.
+
+        On an even rule (E+ == E- bitwise) only m >= 0 is evaluated: c (-m) =
+        -(c m) swaps the terms at +q and -q in every sum, so R(-m) = -R(m) and
+        Var(-m) = Var(m) bitwise.
+        """
+        ms = np.atleast_1d(ms)
+        if not np.array_equal(*self.e):
+            return self.moments(ms)[1:]
+        _, mean, var = self.moments(ms[ms.size // 2:])
+        return np.concatenate([-mean[:0:-1], mean]), np.concatenate([var[:0:-1], var])
+
     def central(self, m, cov: bool = False) -> tuple[np.ndarray, ...]:
         """Per m: Var(q) and the third central moment kappa3.
 
@@ -190,9 +208,9 @@ class _Quadrature:
         k3 = np.sum(d_pos**3 * w_pos + d_neg**3 * w_neg, axis=1)
         if not cov:
             return var, k3
-        e_bar = (w_pos @ self.e_pos + w_neg @ self.e_neg)[:, None]
+        e_bar = (w_pos @ self.e[0] + w_neg @ self.e[1])[:, None]
         cov = np.sum(
-            d_pos**2 * (self.e_pos - e_bar) * w_pos + d_neg**2 * (self.e_neg - e_bar) * w_neg, axis=1
+            d_pos**2 * (self.e[0] - e_bar) * w_pos + d_neg**2 * (self.e[1] - e_bar) * w_neg, axis=1
         )
         return var, k3, cov
 
@@ -200,23 +218,19 @@ class _Quadrature:
 def _stacked(quads: Sequence[_Quadrature]) -> _Quadrature:
     """The rules ``quads`` as the rows of one stack, each padded to the longest.
 
-    A padded node has zero weight (q = 0, log w = -inf, E = 0) and sits after
-    the rule's own nodes.  Node counts are powers of two, and numpy sums a
-    row pairwise, over halves down to blocks of 128 and within a block in
-    eight interleaved partial sums; the padding only adds zeros at the end of
-    each.  So each row's sums are bitwise those of its rule alone.
+    A row holds q and log w - beta E at each sign; a padded node has zero
+    weight (q = 0, log w - beta E = -inf) and sits after the rule's own
+    nodes.  Node counts are powers of two, and numpy sums a row pairwise,
+    over halves down to blocks of 128 and within a block in eight interleaved
+    partial sums; the padding only adds zeros at the end of each.  So each
+    row's sums are bitwise those of its rule alone.
     """
-    n = max(quad.q.size for quad in quads)
-
-    def rows(name, pad):
-        out = np.full((len(quads), n), pad)
-        for i, quad in enumerate(quads):
-            out[i, : quad.q.size] = getattr(quad, name)
-        return out
-
+    q = np.zeros((len(quads), max(quad.q.size for quad in quads)))
+    lw = np.full((2, *q.shape), -np.inf)
+    for i, quad in enumerate(quads):
+        q[i, : quad.q.size], lw[:, i, : quad.q.size] = quad.q, quad.lw
     L, beta = (np.array([getattr(quad, name) for quad in quads]) for name in ("L", "beta"))
-    return _Quadrature(L, beta, quads[0].eta2, rows("q", 0.0), rows("log_w", -np.inf),
-                       rows("e_pos", 0.0), rows("e_neg", 0.0))
+    return _Quadrature(L, beta, quads[0].eta2, q, lw=lw)
 
 
 @dataclass(frozen=True)
@@ -262,15 +276,17 @@ def _rules(prob: SelfConsistencyProblem, Ls, betas, n_panels: int) -> list[_Quad
     log_w = np.tile(np.log(half[:, 0] * _GL_WEIGHTS), n_panels // 2)
     x = np.concatenate([q.ravel(), -q.ravel()])
     e = (prob.potential.energy(x[:, None]) + 0.5 * prob.eta2 * x**2).reshape(2, *q.shape)
-    return [_Quadrature(L, b, prob.eta2, *rule) for L, b, *rule in zip(Ls, betas, q, log_w, *e)]
+    return [_Quadrature(L, b, prob.eta2, *rule)
+            for L, b, *rule in zip(Ls, betas, q, log_w, e.swapaxes(0, 1))]
 
 
 def _ladder(prob: SelfConsistencyProblem, Ls, checks) -> list[tuple[_Quadrature, list]]:
     """Per window L_i, the first panel-ladder rule on [-L_i, L_i] that agrees with the rule before.
 
-    ``checks[i]`` is (betas, ms): R and R' at the points ``ms`` must agree at
-    every beta in ``betas``.  Each rung builds the rules of all windows still
-    climbing at once (:func:`_rules`); each rule's pass runs on its own.
+    ``checks[i]`` is (betas, ms): R and R' at the points ``ms``, mirrored
+    about m = 0, must agree at every beta in ``betas``.  Each rung builds the
+    rules of all windows still climbing at once (:func:`_rules`); each rule's
+    pass (:meth:`_Quadrature.mirrored_moments`) runs on its own.
     Returns per window the rule, weighted for its first beta, and its last
     pass: (R, Var) at ``ms`` per beta.
     """
@@ -281,7 +297,7 @@ def _ladder(prob: SelfConsistencyProblem, Ls, checks) -> list[tuple[_Quadrature,
         for i, quad in zip(todo, _rules(prob, [Ls[i] for i in todo],
                                         [checks[i][0][0] for i in todo], n_panels)):
             betas, ms = checks[i]
-            passes = [quad.at(b).moments(ms)[1:] for b in betas]
+            passes = [quad.at(b).mirrored_moments(ms) for b in betas]
             cur = np.array([(mean, b * prob.eta2 * var) for b, (mean, var) in zip(betas, passes)])
             if prev[i] is not None and np.max(np.abs(cur - prev[i])) <= 5e-12:
                 out[i] = quad, passes

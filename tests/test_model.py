@@ -102,6 +102,24 @@ def test_validate_rejects_underdamped_without_gamma():
         validate(spec)
 
 
+@pytest.mark.parametrize(
+    "field, kind, extra",
+    [
+        ("memory", Kind.UNDERDAMPED, dict(gamma=1.0, memory=MemorySpec.diagonal([1.0], [1.0]))),
+        ("memory", Kind.OVERDAMPED, dict(memory=MemorySpec.diagonal([1.0], [1.0]))),
+        ("gamma", Kind.GENERALIZED, dict(gamma=1.0, memory=MemorySpec.diagonal([1.0], [1.0]))),
+        ("gamma", Kind.OVERDAMPED, dict(gamma=1.0)),
+    ],
+    ids=["memory-underdamped", "memory-overdamped", "gamma-generalized", "gamma-overdamped"],
+)
+def test_validate_rejects_a_field_of_another_kind(field, kind, extra):
+    # an underdamped model with a one-term memory had state_dim() 2, while
+    # thermo.stationary_law gave it a 3 x 3 covariance
+    spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), kind=kind, **extra)
+    with pytest.raises(ShapeMismatch, match=f"^{field} is for the"):
+        validate(spec)
+
+
 def test_eval_potential_quadratic():
     potential = quadratic_gmv().potential
     assert potential.energy(np.array([2.0])) == pytest.approx(2.0)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,10 @@ TILTED = CustomPotential(
     gradient=lambda q: q**3 - q + 0.05,
 )
 BETA_FOLD_TILTED = 3.2219453
+
+# the same double well written as a custom potential: even, but not a DoubleWell
+EVEN_CUSTOM = CustomPotential(energy=lambda q: np.sum(0.25 * q**4 - 0.5 * q**2, axis=-1),
+                              gradient=lambda q: q**3 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +372,7 @@ def test_bifurcation_doublewell_branch_transition():
     "potential, beta_c",
     [
         (DoubleWell(1.0, 1.0), BETA_CRITICAL_DW11_ETA1),
-        (CustomPotential(energy=lambda q: np.sum(0.25 * q**4 - 0.5 * q**2, axis=-1),
-                         gradient=lambda q: q**3 - q), BETA_CRITICAL_DW11_ETA1),
+        (EVEN_CUSTOM, BETA_CRITICAL_DW11_ETA1),
         (TILTED, None),
     ],
     ids=["double well", "even custom well", "tilted well"],
@@ -414,7 +419,8 @@ def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
     # 71 windows with bisection; 201 and 38 with a problem per Newton iterate in
     # beta; 193 and 33 with one rule per critical_beta bracket; 81 and 2 with
     # the grid solved in one pass per stage (74 scan passes on the ladder, the
-    # fold, root and final passes of all betas together, and critical_beta's)
+    # fold, root and final passes of all betas together, and critical_beta's);
+    # still 81 and 2 with each scan pass on its 41 nodes m >= 0 alone, mirrored
     calls = _count_passes_and_windows(monkeypatch)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
     diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
@@ -434,10 +440,11 @@ def test_critical_beta_builds_one_window_for_its_bracket(monkeypatch):
 
 
 def test_bifurcation_evaluates_each_scan_once(monkeypatch):
-    # every beta's rule on every ladder rung gets exactly one pass on its 81-node scan,
-    # and no other pass covers 81 points, so R(0), R'(0) and the brackets all come
-    # from that pass; the rules critical_beta checks at m = 0 alone make no scan pass
-    rules, scan_passes = [], []
+    # every beta's rule on every ladder rung gets exactly one pass on its scan, so R(0),
+    # R'(0) and the brackets all come from that pass: on the m >= 0 half of the 81-node
+    # scan for an even rule, on all of it for the tilted one; the rules critical_beta
+    # checks at m = 0 alone make no scan pass
+    rules, passes = [], []
     rules_fn, moments = stationary._rules, stationary._Quadrature.moments
     in_critical_beta = []
 
@@ -455,18 +462,97 @@ def test_bifurcation_evaluates_each_scan_once(monkeypatch):
         return built
 
     def counted_moments(self, m):
-        if np.size(m) == 2 * stationary._SCAN_HALF + 1:
-            scan_passes.append(id(self.q))
+        passes.append((id(self.q), np.size(m)))
         return moments(self, m)
 
     monkeypatch.setattr(stationary, "_rules", counted_rules)
     monkeypatch.setattr(stationary._Quadrature, "moments", counted_moments)
     monkeypatch.setattr(stationary, "critical_beta", counted_critical_beta)
+    for potential, points in [(DoubleWell(1.0, 1.0), 41), (TILTED, 81)]:
+        rules.clear()
+        passes.clear()
+        prob = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=1.0)
+        diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
+        assert (diag.beta_critical is None) == (potential is TILTED)
+        assert len(rules) >= 2 * 32
+        ids = {id(quad.q) for quad in rules}
+        scan_passes = [(i, n) for i, n in passes if i in ids]
+        assert Counter(i for i, _ in scan_passes) == Counter(ids)
+        assert {n for _, n in scan_passes} == {points}
+
+
+@pytest.mark.parametrize("beta, nodes", [(3.0, 128), (40.0, 256)])
+@pytest.mark.parametrize("potential", [DoubleWell(1.0, 1.0), Quadratic(1.0), EVEN_CUSTOM],
+                         ids=["double well", "quadratic", "even custom well"])
+def test_mirrored_scan_pass_equals_a_full_pass_bitwise(monkeypatch, potential, beta, nodes):
+    # a rule with E+ == E- bitwise evaluates the 41 scan nodes m >= 0 and mirrors them:
+    # -R[::-1], Var[::-1].  DoubleWell and Quadratic square |q|^2, so theirs always are;
+    # numpy's q**4 can differ in the last bit between q and -q, and then the custom well
+    # takes the full 81-node pass
+    sizes = []
+    moments = stationary._Quadrature.moments
+    monkeypatch.setattr(stationary._Quadrature, "moments",
+                        lambda self, m: sizes.append(np.size(m)) or moments(self, m))
+    quad = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=beta)._quadrature
+    even = np.array_equal(*quad.e)
+    assert even or isinstance(potential, CustomPotential)
+    assert quad.q.size == nodes
+    assert set(sizes) == {stationary._SCAN_HALF + 1 if even else 2 * stationary._SCAN_HALF + 1}
+    _, mean, var = moments(quad, quad.scan)
+    assert np.array_equal(quad.scan_mean, mean) and np.array_equal(quad.scan_var, var)
+
+
+def test_scan_pass_on_a_rule_that_is_not_even_covers_all_nodes(monkeypatch):
+    sizes = []
+    moments = stationary._Quadrature.moments
+    monkeypatch.setattr(stationary._Quadrature, "moments",
+                        lambda self, m: sizes.append(np.size(m)) or moments(self, m))
+    quad = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=3.0)._quadrature
+    assert set(sizes) == {2 * stationary._SCAN_HALF + 1}
+    _, mean, var = moments(quad, quad.scan)
+    assert np.array_equal(quad.scan_mean, mean) and np.array_equal(quad.scan_var, var)
+
+
+@pytest.mark.parametrize("potential", [DoubleWell(1.0, 1.0), TILTED], ids=["doublewell", "tilted"])
+def test_rule_moved_to_another_beta_equals_a_rule_built_there_bitwise(potential):
+    prob = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=1.0)
+    [moved] = stationary._rules(prob, [4.5], [1.7], 16)
+    [fresh] = stationary._rules(prob, [4.5], [3.1], 16)
+    moved = moved.at(3.1)
+    assert np.array_equal(moved.lw, fresh.lw)
+    m = np.linspace(-1.5, 1.5, 7)
+    for a, b in zip(moved.moments(m) + moved.central(m, True),
+                    fresh.moments(m) + fresh.central(m, True)):
+        assert np.array_equal(a, b)
+
+
+def test_taken_stack_row_equals_its_rule_alone_bitwise():
+    # rules of 128 and 256 nodes: the shorter runs padded with zero-weight nodes
+    prob = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=1.0)
+    quads = stationary._scanned_rules(prob, [2.0, 3.0, 40.0])
+    assert [quad.q.size for quad in quads] == [128, 128, 256]
+    stack = stationary._stacked(quads)
+    m = np.array([-0.9, -0.2, 0.0, 0.4, 1.1])
+    for i, quad in enumerate(quads):
+        row = stack.take([i] * m.size)
+        for a, b in zip(row.moments(m) + row.central(m), quad.moments(m) + quad.central(m)):
+            assert np.array_equal(a, b)
+
+
+def test_bifurcation_workload_traced_peak_memory():
+    # the 32-beta bench scan peaked at 1032 KB traced while a stack row kept log w, E+
+    # and E-, four arrays gathered per pass; 922 KB with rows of q and log w - beta E,
+    # most of it the final pass over the gathered rows of every root (numpy 2.4)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
-    diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
-    assert diag.beta_critical is not None
-    assert len(rules) >= 2 * 32
-    assert sorted(scan_passes) == sorted(id(quad.q) for quad in rules)
+    betas = np.linspace(1.0, 4.0, 32)
+    bifurcation_diagram(prob, betas)
+    tracemalloc.start()
+    try:
+        bifurcation_diagram(prob, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 975 * 1024
 
 
 def _assert_branches_equal_one_beta_at_a_time(prob, betas):
