@@ -403,54 +403,51 @@ def cmd_whitenoise(args, model, rp):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The glekit parser; with ``only``, just the subcommands named in it get their options.
+
+    Every subcommand keeps its name and help line either way, so the top-level
+    usage, help and errors do not change.  ``main`` passes its first argument:
+    building the options of all eight subcommands cost more than parsing.
+    """
     parser = argparse.ArgumentParser(prog="glekit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"glekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary):
+    common = [
+        ("--config", dict(required=True, help="model config file")),
+        ("--seed", dict(type=int, help="override run.seed")),
+        ("--out", dict(default=".", help="output directory")),
+        ("--format", dict(choices=("csv", "json"), default="csv")),
+        ("--threads", dict(type=int, default=1, help="only recorded in the manifest")),
+    ]
+    for name, handler, summary, options in [
+        ("validate", cmd_validate, "check a config and echo derived quantities", []),
+        ("simulate", cmd_simulate, "run the particle integrator",
+         [("--n", dict(type=int)), ("--t-final", dict(type=float)), ("--dt", dict(type=float)),
+          ("--record-every", dict(type=int))]),
+        ("spectrum", cmd_spectrum, "drift eigenvalues and generator lattice",
+         [("--cap", dict(type=int, default=4))]),
+        ("greens", cmd_greens, "Gaussian mean-field law at chosen times",
+         [("--times", dict(default="0.5,1,2")), ("--x0", {})]),
+        ("stationary", cmd_stationary, "fixed points of the self-consistency map", []),
+        ("bifurcation", cmd_bifurcation, "fixed-point branches over a beta grid",
+         [("--beta-min", dict(type=float, required=True)),
+          ("--beta-max", dict(type=float, required=True)),
+          ("--beta-steps", dict(type=int, default=32))]),
+        ("thermo", cmd_thermo, "energy/entropy/free-energy series",
+         [("--t-final", dict(type=float)), ("--dt", dict(type=float)),
+          ("--z-var-factor", dict(type=float, default=2.0))]),
+        ("whitenoise", cmd_whitenoise, "memory-to-friction limit study",
+         [("--epsilons", dict(default="0.5,0.25,0.125")),
+          ("--checkpoints", dict(default="0.5,1,2")), ("--base-dt", dict(type=float)),
+          ("--n", dict(type=int)), ("--t-final", dict(type=float))]),
+    ]:
         p = sub.add_parser(name, help=summary)
+        if only is not None and name not in only:
+            continue
         p.set_defaults(_run=handler)  # the leading _ keeps it out of argv_overrides
-        p.add_argument("--config", required=True, help="model config file")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1, help="only recorded in the manifest")
-        return p
-
-    command("validate", cmd_validate, "check a config and echo derived quantities")
-
-    p = command("simulate", cmd_simulate, "run the particle integrator")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--record-every", type=int, default=None)
-
-    p = command("spectrum", cmd_spectrum, "drift eigenvalues and generator lattice")
-    p.add_argument("--cap", type=int, default=4)
-
-    p = command("greens", cmd_greens, "Gaussian mean-field law at chosen times")
-    p.add_argument("--times", default="0.5,1,2")
-    p.add_argument("--x0", default=None)
-
-    command("stationary", cmd_stationary, "fixed points of the self-consistency map")
-
-    p = command("bifurcation", cmd_bifurcation, "fixed-point branches over a beta grid")
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--beta-steps", type=int, default=32)
-
-    p = command("thermo", cmd_thermo, "energy/entropy/free-energy series")
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--z-var-factor", type=float, default=2.0)
-
-    p = command("whitenoise", cmd_whitenoise, "memory-to-friction limit study")
-    p.add_argument("--epsilons", default="0.5,0.25,0.125")
-    p.add_argument("--checkpoints", default="0.5,1,2")
-    p.add_argument("--base-dt", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t-final", type=float, default=None)
+        for flag, kwargs in common + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -481,8 +478,9 @@ def _attach_list_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[:1])
+    args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
     args._started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()

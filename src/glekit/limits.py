@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
-from .model import Kind, ValidatedModel, validate
+from .model import Kind, ValidatedModel
 from .particles import BlockLaw, InitProduct, covariance_se, init_ensemble, make_stepper
 from .quadratic import base_spectrum, meanfield_green, split_BK, whole_steps
 
@@ -63,7 +63,7 @@ def scaled_spec(model: ValidatedModel, epsilon: float) -> ValidatedModel:
     mem = model.memory
     scaled_mem = replace(mem, lam=np.asarray(mem.lam, dtype=float) / epsilon,
                          A=np.asarray(mem.A, dtype=float) / epsilon**2)
-    return validate(replace(model, memory=scaled_mem))
+    return replace(model, memory=scaled_mem)
 
 
 def underdamped_reference(model: ValidatedModel) -> ValidatedModel:
@@ -76,7 +76,7 @@ def underdamped_reference(model: ValidatedModel) -> ValidatedModel:
         raise ShapeMismatch(f"effective friction {g} is not a multiple of the identity")
     if g_scalar <= 0:
         raise DegenerateFriction("effective friction is zero; no noise reaches p")
-    return validate(replace(model, memory=None, gamma=g_scalar, kind=Kind.UNDERDAMPED))
+    return replace(model, memory=None, gamma=g_scalar, kind=Kind.UNDERDAMPED)
 
 
 def slow_eigenvalues(model: ValidatedModel, epsilon: float) -> np.ndarray:

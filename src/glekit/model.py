@@ -195,10 +195,51 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ValidatedModel(ModelSpec):
-    """A :class:`ModelSpec` that ``validate`` has checked; immutable, safe to share across threads.
+    """A :class:`ModelSpec` that passed ``validate``'s checks; immutable, safe to share by threads.
 
+    The checks run on every construction, ``dataclasses.replace`` included.
     It adds no field, only quantities derived from the spec's.
     """
+
+    def __post_init__(self):
+        if not self.beta > 0:
+            raise ShapeMismatch(f"beta must be positive, got {self.beta}")
+        if self.d < 1:
+            raise ShapeMismatch(f"spatial dimension must be >= 1, got {self.d}")
+        _check_potential(self.potential)
+        _check_finite(eta2=self.interaction.eta2)
+        if self.interaction.eta2 < 0:
+            raise NonSPDMatrix(f"interaction needs eta2 >= 0, got {self.interaction.eta2}")
+        for name, kind in (("gamma", Kind.UNDERDAMPED), ("memory", Kind.GENERALIZED)):
+            if getattr(self, name) is not None and self.kind is not kind:
+                raise ShapeMismatch(
+                    f"{name} is for the {kind.value} kind only, not {self.kind.value}")
+        if self.kind is Kind.UNDERDAMPED:
+            if self.gamma is None:
+                raise MissingField("underdamped kind requires gamma")
+            _check_finite(gamma=self.gamma)
+            if not self.gamma > 0:
+                raise NonSPDMatrix(f"friction gamma must be positive, got {self.gamma}")
+        if self.kind is Kind.GENERALIZED:
+            if self.memory is None:
+                raise MissingField("generalized kind requires a memory spec")
+            mem = self.memory
+            if mem.m < 1:
+                raise ShapeMismatch(f"memory needs m >= 1 auxiliary variables, got {mem.m}")
+            dm = self.d * mem.m
+            lam = np.asarray(mem.lam, dtype=float)
+            A = np.asarray(mem.A, dtype=float)
+            if lam.shape != (dm, self.d):
+                raise ShapeMismatch(f"lam must have shape {(dm, self.d)}, got {lam.shape}")
+            if A.shape != (dm, dm):
+                raise ShapeMismatch(f"A must have shape {(dm, dm)}, got {A.shape}")
+            if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(A)):
+                raise ShapeMismatch("memory matrices contain non-finite entries")
+            if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
+                raise NonSPDMatrix("A is not symmetric")
+            a_min = np.linalg.eigvalsh(A)[0]
+            if a_min <= 0:
+                raise NonSPDMatrix(f"A must be positive definite, min eigenvalue {a_min}")
 
     @property
     def beta_inv(self) -> float:
@@ -286,46 +327,5 @@ def validate(spec: ModelSpec) -> ValidatedModel:
     MissingField
         Generalized kind without memory, underdamped without gamma.
     """
-    if not spec.beta > 0:
-        raise ShapeMismatch(f"beta must be positive, got {spec.beta}")
-    if spec.d < 1:
-        raise ShapeMismatch(f"spatial dimension must be >= 1, got {spec.d}")
-    _check_potential(spec.potential)
-    _check_finite(eta2=spec.interaction.eta2)
-    if spec.interaction.eta2 < 0:
-        raise NonSPDMatrix(f"interaction needs eta2 >= 0, got {spec.interaction.eta2}")
-
-    for name, kind in (("gamma", Kind.UNDERDAMPED), ("memory", Kind.GENERALIZED)):
-        if getattr(spec, name) is not None and spec.kind is not kind:
-            raise ShapeMismatch(f"{name} is for the {kind.value} kind only, not {spec.kind.value}")
-
-    if spec.kind is Kind.UNDERDAMPED:
-        if spec.gamma is None:
-            raise MissingField("underdamped kind requires gamma")
-        _check_finite(gamma=spec.gamma)
-        if not spec.gamma > 0:
-            raise NonSPDMatrix(f"friction gamma must be positive, got {spec.gamma}")
-
-    if spec.kind is Kind.GENERALIZED:
-        if spec.memory is None:
-            raise MissingField("generalized kind requires a memory spec")
-        mem = spec.memory
-        if mem.m < 1:
-            raise ShapeMismatch(f"memory needs m >= 1 auxiliary variables, got {mem.m}")
-        dm = spec.d * mem.m
-        lam = np.asarray(mem.lam, dtype=float)
-        A = np.asarray(mem.A, dtype=float)
-        if lam.shape != (dm, spec.d):
-            raise ShapeMismatch(f"lam must have shape {(dm, spec.d)}, got {lam.shape}")
-        if A.shape != (dm, dm):
-            raise ShapeMismatch(f"A must have shape {(dm, dm)}, got {A.shape}")
-        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(A)):
-            raise ShapeMismatch("memory matrices contain non-finite entries")
-        if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
-            raise NonSPDMatrix("A is not symmetric")
-        a_min = np.linalg.eigvalsh(A)[0]
-        if a_min <= 0:
-            raise NonSPDMatrix(f"A must be positive definite, min eigenvalue {a_min}")
-
     return ValidatedModel(**{f.name: getattr(spec, f.name) for f in fields(ModelSpec)})
 

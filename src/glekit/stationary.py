@@ -24,7 +24,8 @@ Stability is |R'(m*)| vs 1.
 
 A bifurcation scan solves its whole beta grid in one pass per stage: one
 window call for every beta, one evaluation of V per panel-ladder rung for
-every beta still climbing, the 81-node scan one beta at a time (its 41
+every beta still climbing, the 81-node scans of those betas in a few
+passes, each over as many rules as fit in 2^14 (m, node) pairs (the 41
 nodes m >= 0 alone, mirrored, on a rule whose energies are even bitwise),
 then one Newton run over the fold brackets of all betas, one over all root
 brackets and one moment pass at all roots.  Each point is evaluated on its
@@ -66,6 +67,7 @@ _PANEL_LADDER = (8, 16, 32, 64, 128, 256)
 _SCAN_HALF = 40  # the m scan has 2 * 40 + 1 nodes on [-L, L]
 _ROOT_WIDTH = 1e-14  # bracket width or last step at which a fixed point is accepted
 _FOLD_WIDTH = 1e-8  # an extremum of f only has to decide the sign of f there
+_CHUNK = 1 << 14  # (m, node) pairs per work array of a ladder pass: 128 KB
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +89,18 @@ def default_window(potential: Potential, eta2: float, beta) -> np.ndarray:
     beta (V - min V) is below the target at q or at -q, with min V taken over
     both signs, so that the wells beyond a high barrier stay inside on either
     side; L does not grow with beta.  The interaction term only narrows the
-    density further.  One evaluation of V serves every beta: with x the
-    suffix minimum of min(V(q), V(-q)) - min V over the probe, beta x is
-    below the target exactly on the nodes up to that last one, because
-    rounding is monotone.
+    density further.  One evaluation of V serves every beta, and only the
+    nodes where the smallest beta is below the target are compared: rounding
+    is monotone, so no larger beta is below it anywhere else.
     """
     target = 14.0 * math.log(10.0) + 4.0  # margin over 1e-14
     beta = np.asarray(beta, dtype=float)
     v = potential.energy(_PROBE_BOTH_SIGNS).reshape(2, -1)
-    x = np.minimum.accumulate((np.min(v, axis=0) - np.min(v))[::-1])[::-1]
-    # no beta x reaches below the target past x = 2 target / min beta, so the
-    # (beta, node) comparison stays small
-    x = x[: np.searchsorted(x, 2.0 * target / np.min(beta), side="right")]
-    past = np.count_nonzero(beta[..., None] * x < target, axis=-1)
+    y = np.min(v, axis=0) - np.min(v)
+    # the nodes where beta y is below the target are among those where it is
+    # for the smallest beta, so the (beta, node) comparison stays small
+    j = np.flatnonzero(np.min(beta) * y < target)
+    past = np.max(np.where(beta[..., None] * y[j] < target, j + 1, 0), axis=-1, initial=0)
     return np.maximum(_PROBE[np.minimum(past, _PROBE.size - 1)], 3.0)
 
 
@@ -119,8 +120,11 @@ class _Quadrature:
     slopes in beta.
 
     A stack (:func:`_stacked`) holds rules as rows of ``L``, ``beta``, ``q``
-    and ``lw`` alone, so it is never reweighted, and :meth:`take` gives each
-    evaluation point its own row.
+    and ``lw`` alone, so it is never reweighted.  One pass serves every
+    shape: a rule evaluates a vector of points m, :meth:`take` gives each
+    point its own row of a stack, and :func:`_rows` gives each row of a
+    stack its own vector of points.  Every sum runs over the contiguous node
+    axis of one (row, m), so it is bitwise that of the rule alone.
     """
 
     def __init__(self, L, beta, eta2, q, log_w=None, e=None, lw=None):
@@ -146,24 +150,25 @@ class _Quadrature:
                            lw=self.lw[:, rows])
 
     def _weights(self, m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per m (rows): the log-shift, the shifted weights at +q and -q, and their sum.
+        """Per point m: the log-shift, the shifted weights at +q and -q, and their sum.
 
-        The (m, node) arrays are updated in place here and in :meth:`moments`:
-        a scan pass is 81 rows by up to 2048 nodes, and every extra temporary of
-        that size grows the heap (and page-faults) again on each pass.
+        The (m, node) work arrays, with a leading row axis for :func:`_rows`,
+        are updated in place here and in :meth:`moments`: every extra
+        temporary of their size grows the heap (and page-faults) again on
+        each pass.
         """
         m = np.atleast_1d(np.asarray(m, dtype=float))
-        cm = np.reshape(self.c, (-1, 1)) * m[:, None]  # c is one value, or one per stack row
+        cm = (self.c * m)[..., None]  # c is one value, or one per stack row
         lw = self.lw
         w_pos = cm * self.q
         w_pos += lw[0]
         w_neg = -cm * self.q
         w_neg += lw[1]
-        shift = np.maximum(w_pos.max(axis=1), w_neg.max(axis=1))
+        shift = np.maximum(w_pos.max(axis=-1), w_neg.max(axis=-1))
         for w in (w_pos, w_neg):
-            w -= shift[:, None]
+            w -= shift[..., None]
             np.exp(w, out=w)
-        z = np.sum(w_pos + w_neg, axis=1)
+        z = np.sum(w_pos + w_neg, axis=-1)
         if not np.all(np.isfinite(z)):
             L = np.broadcast_to(self.L, z.shape)[~np.isfinite(z)][0]
             raise QuadratureFailure(f"non-finite normalization on [-{L}, {L}]")
@@ -174,26 +179,13 @@ class _Quadrature:
         m, shift, w_pos, w_neg, z = self._weights(m)
         d = w_pos - w_neg
         d *= self.q
-        mean = np.sum(d, axis=1) / z
-        mu = mean[:, None]
+        mean = np.sum(d, axis=-1) / z
+        mu = mean[..., None]
         w_pos *= np.square(np.subtract(self.q, mu, out=d), out=d)  # (q - mu)^2 w_pos
         w_neg *= np.square(np.add(self.q, mu, out=d), out=d)  # (q + mu)^2 w_neg
         w_pos += w_neg
-        var = np.sum(w_pos, axis=1) / z
+        var = np.sum(w_pos, axis=-1) / z
         return shift + np.log(z) - 0.5 * self.c * m**2, mean, var
-
-    def mirrored_moments(self, ms) -> tuple[np.ndarray, np.ndarray]:
-        """R and Var at points ``ms`` mirrored about their middle one, m = 0.
-
-        On an even rule (E+ == E- bitwise) only m >= 0 is evaluated: c (-m) =
-        -(c m) swaps the terms at +q and -q in every sum, so R(-m) = -R(m) and
-        Var(-m) = Var(m) bitwise.
-        """
-        ms = np.atleast_1d(ms)
-        if not np.array_equal(*self.e):
-            return self.moments(ms)[1:]
-        _, mean, var = self.moments(ms[ms.size // 2:])
-        return np.concatenate([-mean[:0:-1], mean]), np.concatenate([var[:0:-1], var])
 
     def central(self, m, cov: bool = False) -> tuple[np.ndarray, ...]:
         """Per m: Var(q) and the third central moment kappa3.
@@ -280,25 +272,69 @@ def _rules(prob: SelfConsistencyProblem, Ls, betas, n_panels: int) -> list[_Quad
             for L, b, *rule in zip(Ls, betas, q, log_w, e.swapaxes(0, 1))]
 
 
+def _rows(quads: Sequence[_Quadrature]) -> _Quadrature:
+    """The rules ``quads``, of one node count, as the rows of a pass with an m axis each.
+
+    A rule alone is its own row, as its (n,) nodes broadcast against (1, k)
+    points, and needs no stack.  Several rules are the rows of
+    :func:`_stacked`, as q of shape (rows, 1, n) and log-weights of shape
+    (2, rows, 1, n).  Each row's sums are bitwise those of its rule alone.
+    """
+    if len(quads) == 1:
+        return quads[0]
+    st = _stacked(quads)
+    return _Quadrature(st.L[:, None], st.beta[:, None], st.eta2, st.q[:, None],
+                       lw=st.lw[:, :, None])
+
+
+def _checked_moments(quads: Sequence[_Quadrature], checks) -> list[list[tuple]]:
+    """Per rule ``quads[j]`` with ``checks[j]`` = (betas, ms): (R, Var) at ``ms`` per beta.
+
+    Each (rule, beta) is one row of points m.  On an even rule (E+ == E-
+    bitwise) a row holds the points m >= 0 of ``ms``, which are mirrored about
+    m = 0, alone: c (-m) = -(c m) swaps the terms at +q and -q in every sum,
+    so R(-m) = -R(m) and Var(-m) = Var(m) bitwise.  Rows of one length run in
+    chunks of at most ``_CHUNK`` (m, node) pairs, one :meth:`_Quadrature.moments`
+    pass on the :func:`_rows` of each chunk.
+    """
+    groups: dict[tuple, list] = {}
+    for j, (quad, (betas, ms)) in enumerate(zip(quads, checks)):
+        ms = np.atleast_1d(ms)
+        even = np.array_equal(*quad.e)
+        ms = ms[ms.size // 2:] if even else ms
+        groups.setdefault((even, ms.size), []).extend((j, b, ms) for b in betas)
+    out: list[list[tuple]] = [[] for _ in quads]
+    for (even, k), group in groups.items():
+        per = max(1, _CHUNK // (k * quads[0].q.size))
+        for chunk in (group[s:s + per] for s in range(0, len(group), per)):
+            rows = _rows([quads[j].at(b) for j, b, _ in chunk])
+            _, mean, var = rows.moments(np.array([ms for _, _, ms in chunk]))
+            if even:
+                mean = np.concatenate([-mean[:, :0:-1], mean], axis=1)
+                var = np.concatenate([var[:, :0:-1], var], axis=1)
+            for (j, _, _), R, v in zip(chunk, mean, var):
+                out[j].append((R, v))
+    return out
+
+
 def _ladder(prob: SelfConsistencyProblem, Ls, checks) -> list[tuple[_Quadrature, list]]:
     """Per window L_i, the first panel-ladder rule on [-L_i, L_i] that agrees with the rule before.
 
     ``checks[i]`` is (betas, ms): R and R' at the points ``ms``, mirrored
     about m = 0, must agree at every beta in ``betas``.  Each rung builds the
-    rules of all windows still climbing at once (:func:`_rules`); each rule's
-    pass (:meth:`_Quadrature.mirrored_moments`) runs on its own.
+    rules of all windows still climbing at once (:func:`_rules`) and
+    evaluates all their checks in a few chunked passes (:func:`_checked_moments`).
     Returns per window the rule, weighted for its first beta, and its last
     pass: (R, Var) at ``ms`` per beta.
     """
     out, prev = [None] * len(Ls), [None] * len(Ls)
     todo = list(range(len(Ls)))
     for n_panels in _PANEL_LADDER:
+        quads = _rules(prob, [Ls[i] for i in todo], [checks[i][0][0] for i in todo], n_panels)
         climbing = []
-        for i, quad in zip(todo, _rules(prob, [Ls[i] for i in todo],
-                                        [checks[i][0][0] for i in todo], n_panels)):
-            betas, ms = checks[i]
-            passes = [quad.at(b).mirrored_moments(ms) for b in betas]
-            cur = np.array([(mean, b * prob.eta2 * var) for b, (mean, var) in zip(betas, passes)])
+        for i, quad, passes in zip(todo, quads, _checked_moments(quads, [checks[i] for i in todo])):
+            cur = np.array([(mean, b * prob.eta2 * var)
+                            for b, (mean, var) in zip(checks[i][0], passes)])
             if prev[i] is not None and np.max(np.abs(cur - prev[i])) <= 5e-12:
                 out[i] = quad, passes
             else:
@@ -314,9 +350,10 @@ def _ladder(prob: SelfConsistencyProblem, Ls, checks) -> list[tuple[_Quadrature,
 def _scanned_rules(prob: SelfConsistencyProblem, betas) -> list[_Quadrature]:
     """Per beta, the :func:`_ladder` rule on its own window, checked on its m scan.
 
-    One :func:`default_window` call gives every window.  Each rule keeps its
-    last pass as ``scan``, ``scan_mean`` and ``scan_var``: R(m) and Var_m(q)
-    at the scan nodes.
+    One :func:`default_window` call gives every window, and each ladder rung
+    scans the rules of all betas still climbing in a few chunked passes.
+    Each rule keeps its row of the last pass as ``scan``, ``scan_mean`` and
+    ``scan_var``: R(m) and Var_m(q) at the scan nodes.
     """
     Ls = default_window(prob.potential, prob.eta2, betas)
     scans = _scan(Ls)
@@ -533,7 +570,7 @@ def bifurcation_diagram(
 
     One :func:`default_window` call gives every beta its window; each
     :func:`_ladder` rung builds the rules of all betas still climbing from
-    one evaluation of V, and scans them one beta at a time;
+    one evaluation of V, and scans them in a few chunked passes;
     :func:`_fixed_point_sets` then brackets, folds, solves and evaluates the
     roots of all betas together.  Every branch equals :func:`fixed_points`
     of the problem at that beta.

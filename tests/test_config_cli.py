@@ -297,6 +297,42 @@ def test_unknown_subcommand_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+COMMANDS = ("validate", "simulate", "spectrum", "greens", "stationary", "bifurcation", "thermo",
+            "whitenoise")
+USAGE_RUNS = [["-h"], *([cmd, "-h"] for cmd in COMMANDS), ["frobnicate", "--config", "x"],
+              ["--version"], [], ["bifurcation", "--config", "x"]]
+
+
+def _exit_and_text(capsys, run):
+    with pytest.raises(SystemExit) as exc:
+        run()
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", USAGE_RUNS, ids=" ".join)
+def test_usage_text_equals_that_of_the_parser_with_every_option(capsys, monkeypatch, argv):
+    # main builds the options of the subcommand it runs alone; help, version and usage
+    # errors print what the parser with every subcommand's options prints
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _exit_and_text(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert _exit_and_text(capsys, lambda: main(argv)) == full
+
+
+def test_threads_error_text_equals_that_of_the_parser_with_every_option(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    message = "--threads must be at least 1, got 0"
+    full = _exit_and_text(capsys, lambda: cli.build_parser().error(message))
+    argv = ["validate", "--config", str(QUAD_GMV), "--threads", "0"]
+    assert _exit_and_text(capsys, lambda: main(argv)) == full
+
+
+def test_parser_adds_options_only_to_the_subcommands_named():
+    parser = cli.build_parser(["simulate"])
+    assert parser.parse_args(["simulate", "--config", "x", "--n", "3"]).n == 3
+    with pytest.raises(SystemExit):
+        parser.parse_args(["validate", "--config", "x"])
+
+
 def test_spectrum_outputs(tmp_path):
     code = run_cli(["spectrum", "--config", QUAD_GMV, "--out", tmp_path, "--cap", "2"])
     assert code == 0

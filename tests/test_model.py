@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from glekit.model import (
     validate,
 )
 
-from conftest import quadratic_gmv, quadratic_umv
+from conftest import doublewell_gmv, quadratic_gmv, quadratic_umv
 
 
 def test_validate_accepts_basic_generalized_model():
@@ -118,6 +118,22 @@ def test_validate_rejects_a_field_of_another_kind(field, kind, extra):
     spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), kind=kind, **extra)
     with pytest.raises(ShapeMismatch, match=f"^{field} is for the"):
         validate(spec)
+
+
+@pytest.mark.parametrize(
+    "changes, error",
+    [
+        (dict(beta=-1.0), ShapeMismatch),
+        (dict(gamma=1.0), ShapeMismatch),
+        (dict(memory=None), MissingField),
+        (dict(potential=DoubleWell(-1.0, 1.0)), NonSPDMatrix),
+    ],
+    ids=["beta", "gamma-generalized", "no-memory", "double-well-a"],
+)
+def test_a_replaced_validated_model_is_checked_again(changes, error):
+    # dataclasses.replace builds a new ValidatedModel; it used to skip every check
+    with pytest.raises(error):
+        replace(doublewell_gmv(), **changes)
 
 
 def test_eval_potential_quadratic():

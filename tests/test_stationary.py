@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import glekit.stationary as stationary
 from glekit import thermo
-from glekit.errors import GridTooCoarse, ShapeMismatch
+from glekit.errors import GridTooCoarse, QuadratureFailure, ShapeMismatch
 from glekit.model import CustomPotential, DoubleWell, Quadratic
 from glekit.quadratic import meanfield_law
 from glekit.stationary import (
@@ -420,12 +420,14 @@ def test_bifurcation_workload_quadrature_pass_and_window_counts(monkeypatch):
     # beta; 193 and 33 with one rule per critical_beta bracket; 81 and 2 with
     # the grid solved in one pass per stage (74 scan passes on the ladder, the
     # fold, root and final passes of all betas together, and critical_beta's);
-    # still 81 and 2 with each scan pass on its 41 nodes m >= 0 alone, mirrored
+    # still 81 and 2 with each scan pass on its 41 nodes m >= 0 alone, mirrored; 32 and 2
+    # with the ladder's scans in chunks of rules (6 chunks on 8 panels, 11 on 16, 2 for
+    # critical_beta's check), 6 Newton passes and 1 at the roots, and 6 of beta_c's slope
     calls = _count_passes_and_windows(monkeypatch)
     prob = SelfConsistencyProblem.from_model(doublewell_gmv())
     diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
     assert abs(diag.beta_critical - BETA_CRITICAL_DW11_ETA1) <= 1e-12
-    assert calls["passes"] <= 81
+    assert calls["passes"] <= 32
     assert calls["windows"] <= 2
 
 
@@ -439,13 +441,33 @@ def test_critical_beta_builds_one_window_for_its_bracket(monkeypatch):
     assert calls["windows"] == 1
 
 
+def _spy_ladder_passes(monkeypatch):
+    """Record every ladder pass as (node arrays of its rows' rules, its (rows, points) m)."""
+    passes, pending = [], {}
+    rows_fn, moments = stationary._rows, stationary._Quadrature.moments
+
+    def spied_rows(quads):
+        rows = rows_fn(quads)
+        pending[id(rows)] = [id(quad.q) for quad in quads]  # at() keeps the rule's own q
+        return rows
+
+    def spied_moments(self, m):
+        if id(self) in pending:
+            passes.append((pending.pop(id(self)), np.array(m)))
+        return moments(self, m)
+
+    monkeypatch.setattr(stationary, "_rows", spied_rows)
+    monkeypatch.setattr(stationary._Quadrature, "moments", spied_moments)
+    return passes
+
+
 def test_bifurcation_evaluates_each_scan_once(monkeypatch):
-    # every beta's rule on every ladder rung gets exactly one pass on its scan, so R(0),
-    # R'(0) and the brackets all come from that pass: on the m >= 0 half of the 81-node
-    # scan for an even rule, on all of it for the tilted one; the rules critical_beta
-    # checks at m = 0 alone make no scan pass
-    rules, passes = [], []
-    rules_fn, moments = stationary._rules, stationary._Quadrature.moments
+    # every beta's rule on every ladder rung is one row of exactly one batched pass, so
+    # R(0), R'(0) and the brackets all come from that row: the 41 scan nodes m >= 0 for
+    # an even rule, all 81 for the tilted one; the rules critical_beta checks at m = 0
+    # alone are rows of their own passes
+    rules = []
+    rules_fn = stationary._rules
     in_critical_beta = []
 
     def counted_critical_beta(*args):
@@ -461,13 +483,9 @@ def test_bifurcation_evaluates_each_scan_once(monkeypatch):
             rules.extend(built)  # kept alive, so no two rules share an id
         return built
 
-    def counted_moments(self, m):
-        passes.append((id(self.q), np.size(m)))
-        return moments(self, m)
-
     monkeypatch.setattr(stationary, "_rules", counted_rules)
-    monkeypatch.setattr(stationary._Quadrature, "moments", counted_moments)
     monkeypatch.setattr(stationary, "critical_beta", counted_critical_beta)
+    passes = _spy_ladder_passes(monkeypatch)
     for potential, points in [(DoubleWell(1.0, 1.0), 41), (TILTED, 81)]:
         rules.clear()
         passes.clear()
@@ -475,10 +493,13 @@ def test_bifurcation_evaluates_each_scan_once(monkeypatch):
         diag = bifurcation_diagram(prob, np.linspace(1.0, 4.0, 32))
         assert (diag.beta_critical is None) == (potential is TILTED)
         assert len(rules) >= 2 * 32
-        ids = {id(quad.q) for quad in rules}
-        scan_passes = [(i, n) for i, n in passes if i in ids]
-        assert Counter(i for i, _ in scan_passes) == Counter(ids)
-        assert {n for _, n in scan_passes} == {points}
+        by_id = {id(quad.q): quad for quad in rules}
+        scan_rows = [(i, m) for ids, ms in passes for i, m in zip(ids, ms) if i in by_id]
+        assert Counter(i for i, _ in scan_rows) == Counter(by_id.keys())
+        assert len(passes) < len(by_id)  # rules share passes
+        for i, m in scan_rows:
+            scan = stationary._scan(by_id[i].L)
+            assert np.array_equal(m, scan[scan.size - points:])
 
 
 @pytest.mark.parametrize("beta, nodes", [(3.0, 128), (40.0, 256)])
@@ -489,28 +510,102 @@ def test_mirrored_scan_pass_equals_a_full_pass_bitwise(monkeypatch, potential, b
     # -R[::-1], Var[::-1].  DoubleWell and Quadratic square |q|^2, so theirs always are;
     # numpy's q**4 can differ in the last bit between q and -q, and then the custom well
     # takes the full 81-node pass
-    sizes = []
-    moments = stationary._Quadrature.moments
-    monkeypatch.setattr(stationary._Quadrature, "moments",
-                        lambda self, m: sizes.append(np.size(m)) or moments(self, m))
+    passes = _spy_ladder_passes(monkeypatch)
     quad = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=beta)._quadrature
     even = np.array_equal(*quad.e)
     assert even or isinstance(potential, CustomPotential)
     assert quad.q.size == nodes
-    assert set(sizes) == {stationary._SCAN_HALF + 1 if even else 2 * stationary._SCAN_HALF + 1}
-    _, mean, var = moments(quad, quad.scan)
+    assert {(len(ids), ms.size) for ids, ms in passes} == {
+        (1, stationary._SCAN_HALF + 1 if even else 2 * stationary._SCAN_HALF + 1)}
+    _, mean, var = stationary._Quadrature.moments(quad, quad.scan)
     assert np.array_equal(quad.scan_mean, mean) and np.array_equal(quad.scan_var, var)
 
 
 def test_scan_pass_on_a_rule_that_is_not_even_covers_all_nodes(monkeypatch):
-    sizes = []
-    moments = stationary._Quadrature.moments
-    monkeypatch.setattr(stationary._Quadrature, "moments",
-                        lambda self, m: sizes.append(np.size(m)) or moments(self, m))
+    passes = _spy_ladder_passes(monkeypatch)
     quad = SelfConsistencyProblem(potential=TILTED, eta2=1.0, beta=3.0)._quadrature
-    assert set(sizes) == {2 * stationary._SCAN_HALF + 1}
-    _, mean, var = moments(quad, quad.scan)
+    assert {(len(ids), ms.size) for ids, ms in passes} == {(1, 2 * stationary._SCAN_HALF + 1)}
+    assert np.array_equal(passes[-1][1][0], quad.scan)
+    _, mean, var = stationary._Quadrature.moments(quad, quad.scan)
     assert np.array_equal(quad.scan_mean, mean) and np.array_equal(quad.scan_var, var)
+
+
+def _scan_checks(prob, betas):
+    """The ladder checks of a bifurcation scan: each beta on its own window's m scan."""
+    scans = stationary._scan(default_window(prob.potential, prob.eta2, betas))
+    return [([b], scan) for b, scan in zip(np.asarray(betas).tolist(), scans)]
+
+
+def _assert_chunks_equal_rule_passes(prob, checks, n_panels, monkeypatch):
+    """Each (rule, beta) row of the chunked ladder passes equals a full pass of its rule alone.
+
+    ``checks[i]`` = (betas, ms), on the window of its first beta.  Returns the rules and
+    the number of passes.
+    """
+    first = [bs[0] for bs, _ in checks]
+    quads = stationary._rules(prob, default_window(prob.potential, prob.eta2, first), first,
+                              n_panels)
+    passes = _spy_ladder_passes(monkeypatch)
+    results = stationary._checked_moments(quads, checks)
+    monkeypatch.undo()
+    for quad, (bs, ms), rule_passes in zip(quads, checks, results):
+        assert len(rule_passes) == len(bs)
+        for b, (mean, var) in zip(bs, rule_passes):
+            _, alone_mean, alone_var = quad.at(b).moments(ms)
+            assert np.array_equal(mean, alone_mean) and np.array_equal(var, alone_var)
+    return quads, len(passes)
+
+
+def test_ladder_chunks_equal_rule_passes_on_a_grid_that_is_not_a_multiple_of_the_chunk():
+    # 6 rules of 64 nodes per chunk and 3 of 128: 13 betas leave one rule in a last chunk
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    checks = _scan_checks(prob, np.linspace(1.0, 4.0, 13))
+    for n_panels, passes in [(8, 3), (16, 5)]:
+        with pytest.MonkeyPatch.context() as mp:
+            _, n = _assert_chunks_equal_rule_passes(prob, checks, n_panels, mp)
+        assert n == passes
+
+
+def test_ladder_chunks_equal_rule_passes_with_even_and_uneven_rules_on_one_rung():
+    # numpy's q**4 is even bitwise on the custom well's 8-panel rule of beta = 1 + 3/31 and
+    # not on the other 31 rules of the bench grid: 41-point rows and 81-point rows
+    prob = SelfConsistencyProblem(potential=EVEN_CUSTOM, eta2=1.0, beta=1.0)
+    checks = _scan_checks(prob, np.linspace(1.0, 4.0, 32))
+    with pytest.MonkeyPatch.context() as mp:
+        quads, _ = _assert_chunks_equal_rule_passes(prob, checks, 8, mp)
+    assert {np.array_equal(*quad.e) for quad in quads} == {True, False}
+
+
+def test_ladder_chunk_equals_rule_passes_on_the_critical_beta_check():
+    # critical_beta checks one rule at both ends of its bracket at m = 0: one pass, two rows
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    bracket = np.linspace(1.0, 4.0, 32)[12:14].tolist()
+    for n_panels in (8, 16):
+        with pytest.MonkeyPatch.context() as mp:
+            _, n = _assert_chunks_equal_rule_passes(prob, [(bracket, 0.0)], n_panels, mp)
+        assert n == 1
+
+
+def test_ladder_chunks_equal_rule_passes_on_256_node_rules():
+    # one 256-node rule fills a chunk (41 x 256 pairs), so each row is a rule's own pass
+    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        quads, n = _assert_chunks_equal_rule_passes(
+            prob, _scan_checks(prob, np.linspace(1.0, 40.0, 16)), 32, mp)
+    assert {quad.q.size for quad in quads} == {256} and n == len(quads)
+
+
+def test_quadrature_failure_names_the_window_of_the_failing_row():
+    # V is nan beyond |q| = 4: outside the window [-3, 3], inside [-6, 6]; both rules are
+    # uneven, so they are rows of one chunked ladder pass, and the second one fails
+    bad = CustomPotential(
+        energy=lambda q: np.sum(np.where(np.abs(q) > 4.0, np.nan, q**2 + 0.1 * q), axis=-1),
+        gradient=lambda q: 2 * q + 0.1,
+    )
+    prob = SelfConsistencyProblem(potential=bad, eta2=1.0, beta=1.0)
+    Ls = [3.0, 6.0]
+    with pytest.raises(QuadratureFailure, match=r"^non-finite normalization on \[-6.0, 6.0\]$"):
+        stationary._ladder(prob, Ls, [([1.0], scan) for scan in stationary._scan(Ls)])
 
 
 @pytest.mark.parametrize("potential", [DoubleWell(1.0, 1.0), TILTED], ids=["doublewell", "tilted"])
