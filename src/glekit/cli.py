@@ -8,7 +8,9 @@ Subcommands: ``validate``, ``simulate``, ``spectrum``, ``greens``,
 Command-line flags may override scalar run parameters (N, T, dt, grids);
 the physics always comes from the config file.  Every run writes the result
 table ``<cmd>.<fmt>``, a ``<cmd>_summary.json``, and a ``manifest.json`` with
-config echo, seed, version, and sha256 checksums of the outputs.  Identical
+config echo, seed, version, and sha256 checksums of the outputs, each taken
+from the bytes as they are written.  A CSV table is written in blocks of rows,
+so its memory does not grow with its rows.  Identical
 config, seed, and flags reproduce the result files byte-identically; a table
 column named ``wallclock_s`` (``whitenoise``) is the one inherently
 nondeterministic field, so that table is also checksummed in canonical form
@@ -23,8 +25,9 @@ builds both inputs once per run: ``model`` is the config's validated model,
 and ``rp`` its ``[run]`` parameters with any ``--seed``, ``--n``,
 ``--t-final``, ``--dt`` or ``--record-every`` flag applied.  A handler returns
 ``(table, summary, timings)``: the table as ``(header, rows)`` (None for
-``validate``), the summary dict, and the manifest timings or None.  ``main``
-alone writes files.
+``validate``), with rows a list of rows or, for an all-float table, a 2-d
+array; the summary dict; and the manifest timings or None.  ``main`` alone
+writes files.
 
 Exit codes: 0 success, 1 domain error (error class name on stderr),
 2 usage or config error (grammar, or a value of the wrong type).
@@ -39,6 +42,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,24 +69,58 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _render_table(header: list[str], rows: list[list], fmt: str) -> str:
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"table row has {len(row)} values for {len(header)} columns")
+_ROW_BLOCK = 512  # table rows rendered, written and hashed at a time
+
+
+class Output(NamedTuple):
+    """A written output file and the sha256 of the bytes written; path-like."""
+
+    path: Path
+    sha256: str
+
+    def __fspath__(self) -> str:
+        return str(self.path)
+
+
+def _table_blocks(header: list[str], rows, fmt: str):
+    """The bytes of a table file: JSON whole; CSV as its header, then blocks of rows."""
     if fmt == "json":
-        return _json_text([dict(zip(header, row)) for row in rows])
-    # one formatter per column: repr where every value is a plain float, else _fmt
-    cols = [
-        map(repr if all(type(v) is float for v in col) else _fmt, col) for col in zip(*rows)
-    ]
-    lines = [",".join(header)] + [",".join(vals) for vals in zip(*cols)]
-    return "\n".join(lines) + "\n"
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        yield _json_text([dict(zip(header, row)) for row in rows]).encode()
+        return
+    yield (",".join(header) + "\n").encode()
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        block = block.tolist() if isinstance(block, np.ndarray) else block
+        # one formatter per column: repr where every value is a plain float, else _fmt;
+        # choosing per block changes no byte, since _fmt of a float is repr(float(v))
+        cols = [
+            map(repr if all(type(v) is float for v in col) else _fmt, col) for col in zip(*block)
+        ]
+        yield "".join(",".join(vals) + "\n" for vals in zip(*cols)).encode()
 
 
-def write_table(out_dir: Path, name: str, header: list[str], rows: list[list], fmt: str) -> Path:
-    path = out_dir / f"{name}.{fmt}"
-    path.write_text(_render_table(header, rows, fmt), encoding="utf-8")
-    return path
+def _sha256(blocks, fh=None) -> str:
+    """The sha256 of byte blocks, each written to the binary file ``fh`` first if given."""
+    digest = hashlib.sha256()
+    for block in blocks:
+        if fh is not None:
+            fh.write(block)
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _write(path: Path, blocks) -> Output:
+    with open(path, "wb") as fh:
+        return Output(path, _sha256(blocks, fh))
+
+
+def write_table(out_dir: Path, name: str, header: list[str], rows, fmt: str) -> Output:
+    """Write ``<name>.<fmt>``; a ragged row is a ValueError before the file is opened."""
+    for width in [rows.shape[1]] if isinstance(rows, np.ndarray) else map(len, rows):
+        if width != len(header):
+            raise ValueError(f"table row has {width} values for {len(header)} columns")
+    return _write(out_dir / f"{name}.{fmt}", _table_blocks(header, rows, fmt))
 
 
 def _numpy_to_json(v):
@@ -100,25 +138,19 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, default=_numpy_to_json) + "\n"
 
 
-def write_summary(out_dir: Path, name: str, payload: dict) -> Path:
-    path = out_dir / f"{name}_summary.json"
-    path.write_text(_json_text(payload), encoding="utf-8")
-    return path
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def write_summary(out_dir: Path, name: str, payload: dict) -> Output:
+    return _write(out_dir / f"{name}_summary.json", [_json_text(payload).encode()])
 
 
 def write_manifest(
-    out_dir, args, cfg: Config, rp, outputs: list[Path], timings, canonical
-) -> Path:
+    out_dir, args, cfg: Config, rp, outputs: list[Output], timings, canonical
+) -> Output:
     """The run manifest; ``canonical`` maps an output name to its canonical sha256."""
     entries = []
-    for p in outputs:
-        entry = {"path": p.name, "sha256": _sha256(p.read_bytes())}
-        if p.name in canonical:
-            entry["canonical_sha256"] = canonical[p.name]
+    for out in outputs:
+        entry = {"path": out.path.name, "sha256": out.sha256}
+        if out.path.name in canonical:
+            entry["canonical_sha256"] = canonical[out.path.name]
             entry["note"] = "canonical form zeroes the wallclock_s column"
         entries.append(entry)
     manifest = {
@@ -142,9 +174,7 @@ def write_manifest(
     }
     if timings:
         manifest["timings_s"] = timings
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(_json_text(manifest))
-    return path
+    return _write(Path(out_dir) / "manifest.json", [_json_text(manifest).encode()])
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -245,16 +275,14 @@ def cmd_greens(args, model, rp):
     else:
         x0[0] = 1.0
     times = _parse_floats(args.times)
-    header = ["t"] + [f"mean_{i}" for i in range(n)] + [
-        f"cov_{i}_{j}" for i in range(n) for j in range(i, n)
-    ]
+    upper = np.triu_indices(n)
+    header = ["t"] + [f"mean_{i}" for i in range(n)] + [f"cov_{i}_{j}" for i, j in zip(*upper)]
     rows = []
     for t in times:
         law = quadratic.meanfield_green(B, K, D, t, x0)
-        row = [t] + list(law.mean) + [law.cov[i, j] for i in range(n) for j in range(i, n)]
-        rows.append(row)
+        rows.append(np.concatenate([[t], law.mean, law.cov[upper]]))
     summary = {"times": times, "x0": x0, "final_mean": law.mean, "final_cov": law.cov}
-    return (header, rows), summary, None
+    return (header, np.array(rows)), summary, None
 
 
 def cmd_stationary(args, model, rp):
@@ -340,7 +368,7 @@ def _series_rows(series: particles.ObservableSeries):
         width = col.shape[1]
         header += [name] if width == 1 else [f"{name}_{i}" for i in range(width)]
         cols.append(col)
-    return header, np.hstack(cols).tolist()
+    return header, np.hstack(cols)
 
 
 def cmd_thermo(args, model, rp):
@@ -362,7 +390,7 @@ def cmd_thermo(args, model, rp):
     series = thermo.evolve_coupled(state, model, dt, T)
     rows = np.column_stack(
         [series.times, series.energy, series.entropy, series.free_energy, series.dissipation]
-    ).tolist()
+    )
     summary = {
         "T": T,
         "dt": dt,
@@ -516,12 +544,11 @@ def main(argv=None) -> int:
     outputs, canonical = [], {}
     if table is not None:
         header, rows = table
-        path = write_table(out_dir, args.command, header, rows, args.format)
-        outputs.append(path)
+        outputs.append(write_table(out_dir, args.command, header, rows, args.format))
         if "wallclock_s" in header:
             i = header.index("wallclock_s")
             zeroed = [row[:i] + [0.0] + row[i + 1 :] for row in rows]
-            canonical[path.name] = _sha256(_render_table(header, zeroed, args.format).encode())
+            canonical[outputs[0].path.name] = _sha256(_table_blocks(header, zeroed, args.format))
     outputs.append(write_summary(out_dir, args.command, summary))
     write_manifest(out_dir, args, cfg, rp, outputs, timings, canonical)
     return 0

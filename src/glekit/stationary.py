@@ -91,11 +91,19 @@ def default_window(potential: Potential, eta2: float, beta) -> np.ndarray:
     side; L does not grow with beta.  The interaction term only narrows the
     density further.  One evaluation of V serves every beta, and only the
     nodes where the smallest beta is below the target are compared: rounding
-    is monotone, so no larger beta is below it anywhere else.
+    is monotone, so no larger beta is below it anywhere else.  An energy of
+    +inf is a hard wall; nan or -inf on the probe is a QuadratureFailure.
     """
     target = 14.0 * math.log(10.0) + 4.0  # margin over 1e-14
     beta = np.asarray(beta, dtype=float)
     v = potential.energy(_PROBE_BOTH_SIGNS).reshape(2, -1)
+    bad = ~(v > -np.inf)  # nan or -inf; +inf is a hard wall
+    if bad.any():
+        i, sign = np.argwhere(bad.T)[0]  # the bad node nearest 0, +q before -q
+        q = (1 - 2 * sign) * _PROBE[i]
+        raise QuadratureFailure(
+            f"potential energy is {v[sign, i]} at q = {q:g} on the window probe"
+        )
     y = np.min(v, axis=0) - np.min(v)
     # the nodes where beta y is below the target are among those where it is
     # for the smallest beta, so the (beta, node) comparison stays small

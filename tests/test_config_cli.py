@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glekit import cli, quadratic
-from glekit.cli import _fmt, _render_table, main
+from glekit.cli import _fmt, main
 from glekit.config import parse_config
 from glekit.errors import ConfigError, RootFindingFailure, ShapeMismatch
 from glekit.model import DoubleWell, Kind, Quadratic
@@ -575,19 +577,76 @@ def _tables(draw):
     return header, [list(row) for row in zip(*cols)]
 
 
+def _csv_of_each_value(header, rows) -> bytes:
+    """A CSV table rendered one value at a time by ``_fmt``: the reference."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tables())
 def test_csv_render_equals_formatting_each_value(table):
     header, rows = table
-    expected = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
-    assert _render_table(header, rows, "csv") == expected + "\n"
+    assert b"".join(cli._table_blocks(header, rows, "csv")) == _csv_of_each_value(header, rows)
+
+
+_B = cli._ROW_BLOCK
+
+
+def _body(kind: str, n_rows: int):
+    """A 5-column table body of ``n_rows``: a float array, or rows of mixed cells."""
+    rng = np.random.default_rng(n_rows)
+    values = rng.standard_normal((n_rows, 5)) * 10.0 ** rng.integers(-300, 300, (n_rows, 5))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 1e16][:n_rows]
+    values[: len(specials), 0] = specials
+    if kind == "array":
+        return values
+    rows = [
+        [float(a), np.float64(b), i**5 - 10**20 if i % 2 else np.int64(i), bool(i % 3), f"k{i};"]
+        for i, (a, b) in enumerate(values[:, :2])
+    ]
+    for row in rows[1::5]:
+        row[3] = np.bool_(row[3])
+    if n_rows > _B:  # a plain-float column with one numpy float, in the second block only
+        rows[_B][0] = np.float64(rows[_B][0])
+    return rows
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("kind", ["array", "mixed"])
+def test_streamed_csv_file_equals_formatting_each_value(tmp_path, kind, n_rows):
+    header = [f"c{i}" for i in range(5)]
+    rows = _body(kind, n_rows)
+    out = cli.write_table(tmp_path, "table", header, rows, "csv")
+    data = out.path.read_bytes()
+    assert data == _csv_of_each_value(header, rows)
+    assert out.sha256 == hashlib.sha256(data).hexdigest()
+    assert out.sha256 == cli._sha256(cli._table_blocks(header, rows, "csv"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("row", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
-def test_a_ragged_table_row_is_an_error(fmt, row):
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.5, 1.5], [1.0]], [[0.5, 1.5], [1.0, 2.0, 3.0]], np.ones((4, 3))],
+    ids=["short", "long", "array"],
+)
+def test_a_ragged_table_row_is_an_error(tmp_path, fmt, rows):
     with pytest.raises(ValueError, match="values for 2 columns"):
-        _render_table(["a", "b"], [[0.5, 1.5], row], fmt)
+        cli.write_table(tmp_path, "table", ["a", "b"], rows, fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writing_a_long_table_holds_one_block_at_a_time():
+    # one block of rows at a time traces about 0.3 MB; the whole table at once, about 29 MB
+    rows = np.random.default_rng(0).standard_normal((50_000, 5))
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            cli.write_table(Path(tmp), "table", list("abcde"), rows, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("checkpoints", ["5", "0", "-0.5", "0.0001", "inf", "nan"])

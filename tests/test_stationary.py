@@ -220,6 +220,26 @@ def test_window_tail_bound_on_the_low_side_of_a_tilted_well():
         assert np.exp(phi[-1] - phi.max()) < 1e-14
 
 
+def _walled(beyond):
+    """q^2 + 0.1 q, with the energy ``beyond`` where |q| > 4."""
+    return CustomPotential(
+        energy=lambda q: np.sum(np.where(np.abs(q) > 4.0, beyond, q**2 + 0.1 * q), axis=-1),
+        gradient=lambda q: 2 * q + 0.1,
+    )
+
+
+@pytest.mark.parametrize("beyond", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_window_rejects_an_energy_that_is_nan_or_minus_inf_on_the_probe(beyond):
+    # such an energy makes every node look outside, and L would fall to 3 for every beta
+    with pytest.raises(QuadratureFailure, match=r"^potential energy is (nan|-inf) at q = 4\.01 "):
+        default_window(_walled(beyond), 1.0, [1.0, 9.0])
+
+
+def test_window_stops_at_a_hard_wall():
+    # +inf is a wall: the window ends at the first probe node past it
+    assert default_window(_walled(np.inf), 1.0, [1.0, 9.0]).tolist() == [4.01, 3.0]
+
+
 # ---------------------------------------------------------------------------
 # fixed points
 # ---------------------------------------------------------------------------
