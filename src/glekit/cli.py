@@ -16,9 +16,8 @@ column named ``wallclock_s`` (``whitenoise``) is the one inherently
 nondeterministic field, so that table is also checksummed in canonical form
 (the column zeroed, rendered again in the run's format) and the measured
 values are recorded in the manifest timings.  ``--threads`` is only recorded
-in the manifest.  Whatever its value, a particle run with at least
-``particles.PREFETCH_MIN`` normals per step has one helper thread draw the
-next step's normals while the current step runs, so no output depends on it.
+in the manifest; glekit starts no thread of its own, and a particle run draws
+its normals on the thread that steps it.
 
 Each subparser names its handler ``cmd_<name>(args, model, rp)``.  ``main``
 builds both inputs once per run: ``model`` is the config's validated model,

@@ -18,40 +18,36 @@ The kinetic scheme evaluates one force per step: the force at the end of a
 step is kept on the ensemble and starts the next one.  The Curie-Weiss force
 is computed in O(N) from the empirical mean: each force first reduces
 m1 = mean(q), then updates all particles -- the one reduction barrier that
-makes the mean-field coupling order-independent.  Randomness comes from one
-SFC64 generator per run, seeded through a ``SeedSequence`` (the fastest of
-numpy's bit generators per normal; substreams come from the seed sequence),
-so identical (model, N, seed, dt, T) reproduce observable series bitwise.
+makes the mean-field coupling order-independent.  A kinetic step reduces the
+mean once: the end force's m1 also checks the final q for non-finite values.
+Randomness comes from one SFC64 generator per run, seeded through a
+``SeedSequence`` (the fastest of numpy's bit generators per normal; substreams
+come from the seed sequence), so identical (model, N, seed, dt, T) reproduce
+observable series bitwise.
 
 A step allocates nothing of the state's size but the potential's gradient.
 Every update is written in place or with ``out=`` into work arrays of the
-ensemble: one (N, d) force array, one (N, d) scratch array, two (n, N)
-arrays for the O step of the n (p, z) rows, and two buffers of normals, at
-every N.  They are made on first use and again when a shape changes, and left
-out of copies, which hold only state.  They belong to the ensemble rather
-than to the stepper because one stepper may step several ensembles from
-several threads.  Each update keeps the operations and the order of the
-plain expressions, so no number changes.  The kept end-of-step force is the
-force array, so the next step overwrites it.  One exception is numpy's own:
-with n >= 3 rows and n N under its 8192-element ufunc buffer (d = 3, small
-N), each broadcast product S[:, j] xi[j] of the O step is buffered whole.
+ensemble: one (N, d) force array, one (N, d) scratch array, and one buffer for
+the normals, at every N.  For the kinetic kinds that buffer is the O step's
+stacked (2n, N) array [(p, z); xi] of the n (p, z) rows: the rows are copied
+in, the normals drawn into its lower half, and one ``einsum`` with [T | S]
+writes T (p, z) + S xi back, summed over the columns of T, then of S, in
+order.  For the overdamped kind it is the (N, d) normals.  The work arrays are
+made on first use and again when a shape changes, and left out of copies,
+which hold only state.  They belong to the ensemble rather than to the stepper
+because one stepper may step several ensembles from several threads.  Each
+update keeps the operations and the order of the plain expressions, so no
+number changes.  The kept end-of-step force is the force array, so the next
+step overwrites it.
 
-The normals are most of the cost of a large step, so once an ensemble draws
-``PREFETCH_MIN`` normals per step, one worker thread draws the next step's
-block while the main thread runs the current step.  It draws on the bit
-generator of the ensemble's ``rng`` through a private generator, never
-through a wrapper the caller put on ``rng``, in the same shape and order as
-an inline draw, so every number lands where it lands without it.  A draw of
-another shape undoes the pending block (the generator state is saved before
-each fill) and draws inline.  The worker is a daemon thread, created on
-first use and shared first in, first out by all ensembles.
+The normals are drawn through the ensemble's ``rng`` on the stepping thread,
+into the step's own buffer: one ``standard_normal(out=)`` per step, of shape
+(n, N) for the kinetic kinds and (N, d) for the overdamped one.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -118,13 +114,10 @@ class ParticleEnsemble:
     the module docstring), so the next step overwrites it: a caller that
     keeps it must copy it.
 
-    Steps draw their normals through a prefetch on ``rng``'s bit generator
-    (see the module docstring).  From ``PREFETCH_MIN`` normals per step on,
-    ``rng`` is therefore one block ahead after each step; a caller that draws
-    from ``rng`` itself between steps gets numbers from after that block, and
-    the steps' numbers do not change.  A copy, deep or pickled, holds only
-    state: the block drawn ahead is undone first, and ``end_force``, the
-    prefetch and the work arrays are made again by the copy's next step.
+    Steps draw their normals from ``rng`` (see the module docstring), so a
+    caller that draws from ``rng`` between steps moves the steps' numbers.  A
+    copy, deep or pickled, holds only state: ``end_force`` and the work arrays
+    are made again by the copy's next step.
     """
 
     N: int
@@ -133,7 +126,6 @@ class ParticleEnsemble:
     time: float
     rng: np.random.Generator
     end_force: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _prefetch: Optional["_Prefetch"] = field(default=None, init=False, repr=False, compare=False)
     _work: Optional["_Work"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,9 +136,7 @@ class ParticleEnsemble:
                 f"X must be (k*d, N) = (k*{self.d}, {self.N}) for k >= 1, got {shape}")
 
     def __getstate__(self):
-        if self._prefetch is not None:
-            self._prefetch.rewind()  # waits for a fill in flight, which would race the copy
-        return {**self.__dict__, "end_force": None, "_prefetch": None, "_work": None}
+        return {**self.__dict__, "end_force": None, "_work": None}
 
     def _work_arrays(self) -> "_Work":
         """The step's work arrays, made on first use and again when ``X`` changes shape."""
@@ -230,91 +220,6 @@ def _sample_block(name: str, law: Optional[BlockLaw], N: int, width: int,
 
 
 # ---------------------------------------------------------------------------
-# normals, drawn one step ahead
-# ---------------------------------------------------------------------------
-
-# the fewest normals per step worth a hand-off to the worker (measured crossover)
-PREFETCH_MIN = 1 << 13
-
-_jobs: queue.SimpleQueue = queue.SimpleQueue()
-_worker: Optional[threading.Thread] = None
-
-
-def _serve() -> None:
-    while True:
-        _jobs.get().fill()
-
-
-def _submit(job: "_Prefetch") -> None:
-    global _worker
-    if _worker is None:  # two threads racing here start two workers, which share the queue
-        _worker = threading.Thread(target=_serve, name="glekit-normals", daemon=True)
-        _worker.start()
-    _jobs.put(job)
-
-
-class _Prefetch:
-    """Two normal buffers from a private generator; ``bufs[1]`` is the next block if ``ahead``."""
-
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        self.gen = np.random.Generator(bit_generator)
-        self.bufs: tuple = ()
-        self.ahead = False
-        self.state = None  # generator state before the block in bufs[1]
-        self.error: Optional[BaseException] = None
-        self.filled = threading.Lock()  # held while the worker fills bufs[1]
-
-    def fill(self) -> None:
-        """Worker side: draw the next block."""
-        try:
-            self.gen.standard_normal(out=self.bufs[1])
-        except BaseException as exc:  # raised by wait(), where the block is read
-            self.error = exc
-        finally:
-            self.filled.release()
-
-    def wait(self) -> None:
-        with self.filled:
-            pass
-        if self.error is not None:
-            raise self.error
-
-    def rewind(self) -> None:
-        """Undo the block drawn ahead, so the generator stands where inline draws left it."""
-        if self.ahead:
-            self.wait()
-            self.gen.bit_generator.state = self.state
-            self.ahead = False
-
-    def draw(self, shape: tuple) -> np.ndarray:
-        """This step's normals; valid until the next draw."""
-        if self.ahead and self.bufs[1].shape == shape:
-            self.wait()
-            self.bufs = self.bufs[::-1]
-        else:
-            self.rewind()
-            if not self.bufs or self.bufs[0].shape != shape:
-                self.bufs = (np.empty(shape), np.empty(shape))
-            self.gen.standard_normal(out=self.bufs[0])
-        if shape[0] * shape[1] >= PREFETCH_MIN:
-            self.state = self.gen.bit_generator.state
-            self.ahead = True
-            self.filled.acquire()
-            _submit(self)
-        return self.bufs[0]
-
-
-def _normals(ens: ParticleEnsemble, shape: tuple) -> np.ndarray:
-    """Standard normals of ``shape`` from the ensemble's stream, prefetched when large."""
-    pf = ens._prefetch
-    if pf is None or pf.gen.bit_generator is not ens.rng.bit_generator:
-        if pf is not None:  # rng was replaced: hand the old one back unadvanced
-            pf.rewind()
-        pf = ens._prefetch = _Prefetch(ens.rng.bit_generator)
-    return pf.draw(shape)
-
-
-# ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
 
@@ -351,6 +256,7 @@ class _Stepper:
         n = self.T.shape[0]
         Q = bi * (np.eye(n) - self.T @ self.T.T)
         self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
+        self.TS = np.hstack([self.T, self.S])
         self.d = d
 
     def force(self, q: np.ndarray, m1: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -364,16 +270,17 @@ class _Stepper:
         out -= tmp
         return out
 
-    def _ou(self, ens: ParticleEnsemble, w: "_Work") -> None:
-        """Exact O step of the (p, z) rows: T (p, z) + S xi, summed over T's columns, then S's."""
+    def _ou(self, ens: ParticleEnsemble, W: np.ndarray) -> None:
+        """Exact O step of the n (p, z) rows: [T | S] [(p, z); xi] on the stacked ``W``.
+
+        ``einsum`` sums each output over the columns of T, then of S, in order;
+        ``matmul`` would be faster but is not bitwise the same sum.
+        """
         pz = ens.X[self.d :]
-        xi = _normals(ens, pz.shape)
-        out, term = w.pz
-        np.einsum("ij,jk->ik", self.T, pz, out=out)
-        for j in range(len(xi)):
-            np.multiply(self.S[:, j : j + 1], xi[j], out=term)
-            out += term
-        pz[...] = out
+        n = len(pz)
+        W[:n] = pz
+        ens.rng.standard_normal(out=W[n:])
+        np.einsum("ij,jk->ik", self.TS, W, out=pz)
 
     def step(self, ens: ParticleEnsemble) -> ParticleEnsemble:
         dt = self.dt
@@ -382,12 +289,15 @@ class _Stepper:
         tmp = w.tmp
         if self.kind is Kind.OVERDAMPED:
             m1 = q.mean(axis=0)
-            xi = _normals(ens, q.shape)
+            # a kinetic state's W holds its O step's rows, so it draws into an array of its own
+            xi = w.W if w.W.shape == q.shape else np.empty(q.shape)
+            ens.rng.standard_normal(out=xi)
             F = self.force(q, m1, w.force, tmp)
             F *= dt
             F += np.multiply(xi, self.noise_std, out=tmp)
             q += F
             ens.end_force = None  # a kept force was for the old q, and F overwrote it
+            finite = np.isfinite(np.sum(q))
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
             h = 0.5 * dt
@@ -398,26 +308,30 @@ class _Stepper:
                 F = self.force(q, q.mean(axis=0), w.force, tmp)
             p += np.multiply(F, h, out=tmp)
             q += np.multiply(p, h, out=tmp)
-            self._ou(ens, w)
+            self._ou(ens, w.W)
             q += np.multiply(p, h, out=tmp)
-            F = self.force(q, q.mean(axis=0), w.force, tmp)  # the start force is spent
+            # bitwise q.mean(axis=0); q is final, so its mean also checks the state
+            m1 = np.add.reduce(q, axis=0) / ens.N
+            F = self.force(q, m1, w.force, tmp)  # the start force is spent
             ens.end_force = (self.model, F)
             p += np.multiply(F, h, out=tmp)
+            finite = np.isfinite(m1).all()
         ens.time += dt
-        if not np.isfinite(np.sum(q)):
+        if not finite:
             raise NonFiniteState(f"state became non-finite at t={ens.time}")
         return ens
 
 
 class _Work:
-    """One ensemble's step work arrays (see the module docstring); the (N, d) ones are
-    transposed (d, N) arrays, laid out like ``ens.q``."""
+    """One ensemble's step work arrays (see the module docstring): ``force`` and ``tmp`` are
+    transposed (d, N) arrays, laid out like ``ens.q``; ``W`` is the O step's stacked (2n, N)
+    rows of a kinetic state, or the (N, d) normals of an overdamped one."""
 
     def __init__(self, shape: tuple, d: int):
         rows, N = self.shape = shape
         self.force = np.empty((d, N)).T
         self.tmp = np.empty((d, N)).T
-        self.pz = (np.empty((rows - d, N)), np.empty((rows - d, N)))
+        self.W = np.empty((2 * (rows - d), N) if rows > d else (N, d))
 
 
 def make_stepper(model: ValidatedModel, dt: float) -> _Stepper:

@@ -84,19 +84,23 @@ def run_cli(args):
 
 
 @pytest.fixture(scope="module")
-def cli_import():
+def cli_import(tmp_path_factory):
     # one interpreter imports glekit.cli, then lists the scipy* modules, concurrent.futures
-    # and logging it loaded, and counts its threads; the tests below each read their part
+    # and logging it loaded, and counts its threads, before and after an in-process simulate
+    # at N = 2e4; the tests below each read their part
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     probe = ("import sys, threading, glekit.cli; print(' '.join(k for k in sys.modules if "
              "k.split('.')[0] == 'scipy' or k in ('concurrent.futures', 'logging'))); "
-             "print(threading.active_count())")
+             "print(threading.active_count()); "
+             "assert glekit.cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2], "
+             "'--n', '20000', '--t-final', '0.01']) == 0; print(threading.active_count())")
+    out_dir = tmp_path_factory.mktemp("cli-import") / "simulate"
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, str(QUAD_GMV), str(out_dir)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
-    modules, threads = out.stdout.split("\n")[:2]
-    return modules.split(), int(threads)
+    modules, threads, threads_after_simulate = out.stdout.split("\n")[:3]
+    return modules.split(), int(threads), int(threads_after_simulate)
 
 
 @pytest.fixture
@@ -115,28 +119,15 @@ def test_cli_import_loads_no_scipy(cli_import_modules):
 
 
 def test_cli_import_loads_no_thread_pool_or_logging(cli_import_modules):
-    # the prefetch of the normals runs on a bare thread: concurrent.futures would pull in
-    # logging and add about 8 ms to the start-up of every subcommand
+    # concurrent.futures would pull in logging and add about 8 ms to the start-up of every
+    # subcommand
     assert [k for k in cli_import_modules if k in ("concurrent.futures", "logging")] == []
 
 
 def test_cli_import_starts_no_thread(cli_import):
-    # the worker that draws normals ahead starts on the first large draw, so subcommands
-    # that step no particles, such as bifurcation and thermo, never pay for it
-    assert cli_import[1] == 1
-
-
-def test_simulate_with_a_block_drawn_ahead_exits_promptly(tmp_path):
-    # N = 2e4 is above the prefetch threshold, so the run ends with a fill pending on the
-    # worker thread; the interpreter must not wait on it at exit
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "glekit.cli", "simulate", "--config", str(QUAD_GMV),
-         "--out", str(tmp_path), "--n", "20000", "--t-final", "0.01"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    assert (tmp_path / "simulate.csv").exists()
+    # neither the import nor a particle run starts a thread: the steps draw their normals
+    # on the stepping thread
+    assert cli_import[1:] == (1, 1)
 
 
 def test_validate_exits_zero_and_reports_derived_quantities(tmp_path, capsys):

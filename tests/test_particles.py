@@ -9,14 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glekit import particles
 from glekit import quadratic as qa
 from glekit.errors import InsufficientParticles, NonFiniteState, ShapeMismatch
 from glekit.model import (
     CurieWeiss, DoubleWell, Kind, MemorySpec, ModelSpec, Quadratic, ValidatedModel, validate,
 )
 from glekit.particles import (
-    PREFETCH_MIN,
     BlockLaw,
     InitPoint,
     InitProduct,
@@ -290,6 +288,33 @@ def test_blow_up_raises_non_finite_state():
             stepper.step(ens)
 
 
+@pytest.mark.parametrize("kind, d, N, steps", [
+    ("overdamped", 1, 16, 9), ("overdamped", 3, 16, 7),
+    ("overdamped", 1, 9000, 7), ("overdamped", 3, 9000, 7),
+    ("underdamped", 1, 16, 98), ("underdamped", 3, 16, 39),
+    ("underdamped", 1, 9000, 8), ("underdamped", 3, 9000, 8),
+    ("generalized", 1, 16, 16), ("generalized", 3, 16, 11),
+    ("generalized", 1, 9000, 7), ("generalized", 3, 9000, 7),
+])
+def test_a_diverging_double_well_raises_at_a_pinned_step(kind, d, N, steps):
+    # dt = 0.9 is far past the double well's stable step; each run blows up at the step it
+    # always has, and the error names that step's time
+    extra = {"generalized": {"memory": MemorySpec.diagonal([1.0], [1.0], d)},
+             "underdamped": {"gamma": 1.0}, "overdamped": {}}[kind]
+    model = validate(ModelSpec(d=d, beta=3.0, potential=DoubleWell(1.0, 1.0),
+                               interaction=CurieWeiss(1.0), kind=Kind(kind), **extra))
+    dt = 0.9
+    ens = init_ensemble(model, N, 7, INIT_PZ)
+    stepper = make_stepper(model, dt)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as raised:
+        for _ in range(200):
+            stepper.step(ens)
+    t = 0.0
+    for _ in range(steps):
+        t += dt
+    assert ens.time == t and str(raised.value) == f"state became non-finite at t={t}"
+
+
 def test_underdamped_relaxes_to_momentum_temperature():
     model = quadratic_umv(omega2=1.0, eta2=0.5, beta=2.0, gamma=1.5)
     N = 8000
@@ -454,15 +479,6 @@ def test_underdamped_o_step_is_the_scalar_ou_map_bitwise():
     underdamped_bitwise(64)
 
 
-@pytest.mark.parametrize("by_hand", [overdamped_bitwise, underdamped_bitwise, generalized_bitwise],
-                         ids=["overdamped", "underdamped", "generalized"])
-def test_prefetched_normals_are_the_sfc64_stream_bitwise(by_hand):
-    # N * n >= PREFETCH_MIN: the worker draws each next block, and the hand-drawn
-    # reference still matches bit for bit
-    ens = by_hand(PREFETCH_MIN)
-    assert ens._prefetch.ahead
-
-
 def general_memory_d3():
     # d = 3, m = 2: a full 6 x 3 coupling and a non-diagonal SPD A
     lam = np.arange(18.0).reshape(6, 3) / 10.0 - 0.8
@@ -494,13 +510,13 @@ def baoab_by_hand(q, pz, force, T, S, dt, rng):
 @pytest.mark.parametrize("kind", ["generalized", "underdamped"])
 def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind):
     # B-A-O-A-B by hand on rows: the force subtracts each q row's mean, and the O step
-    # sums each output over the columns of T, then of S, in order; N * n >= PREFETCH_MIN
+    # sums each output over the columns of T, then of S, in order; N * n > 8192
     omega2, eta2, dt, seed, d = 1.3, 0.7, 0.01, 11, 3
     extra = ({"memory": general_memory_d3()} if kind == "generalized" else {"gamma": 0.8})
     model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(omega2),
                                interaction=CurieWeiss(eta2), kind=Kind(kind), **extra))
     n = model.state_dim() - d
-    N = PREFETCH_MIN // n + 1
+    N = 8192 // n + 1
     ens = init_ensemble(model, N, seed, INIT_PZ)
     stepper = make_stepper(model, dt)
     T, S = stepper.T, stepper.S
@@ -516,7 +532,6 @@ def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind
     for _ in range(20):
         stepper.step(ens)
         q, pz = baoab_by_hand(q, pz, force, T, S, dt, rng)
-    assert ens._prefetch.ahead
     assert np.array_equal(ens.X, np.vstack([q, pz]))
     # the blocks are views of X, and assigning one drops the force kept from the last step
     for name in ("q", "p", "z")[: 2 + (kind == "generalized")]:
@@ -539,9 +554,9 @@ def double_well_force(a, b, eta2):
 
 
 def test_generalized_double_well_on_the_sfc64_stream_bitwise():
-    # the physics of configs/doublewell_gmv.conf, at N = PREFETCH_MIN
+    # the physics of configs/doublewell_gmv.conf, at N = 8192
     model = doublewell_gmv()
-    dt, seed, N = 0.01, 11, PREFETCH_MIN
+    dt, seed, N = 0.01, 11, 8192
     ens = init_ensemble(model, N, seed, INIT_PZ)
     stepper = make_stepper(model, dt)
     rng = sfc64(seed)
@@ -551,13 +566,12 @@ def test_generalized_double_well_on_the_sfc64_stream_bitwise():
     for _ in range(20):
         stepper.step(ens)
         q, pz = baoab_by_hand(q, pz, force, stepper.T, stepper.S, dt, rng)
-    assert ens._prefetch.ahead
     assert np.array_equal(ens.X, np.vstack([q, pz]))
 
 
 def test_overdamped_double_well_at_d3_on_the_sfc64_stream_bitwise():
-    # Euler-Maruyama q + (F dt + sqrt(2 dt / beta) xi), xi of shape (N, d), at N = PREFETCH_MIN
-    a, b, eta2, beta, dt, seed, d, N = 0.8, 1.3, 0.7, 2.0, 0.01, 11, 3, PREFETCH_MIN
+    # Euler-Maruyama q + (F dt + sqrt(2 dt / beta) xi), xi of shape (N, d), at N = 8192
+    a, b, eta2, beta, dt, seed, d, N = 0.8, 1.3, 0.7, 2.0, 0.01, 11, 3, 8192
     model = validate(ModelSpec(d=d, beta=beta, potential=DoubleWell(a, b),
                                interaction=CurieWeiss(eta2), kind=Kind.OVERDAMPED))
     ens = init_ensemble(model, N, seed, INIT_PZ)
@@ -569,12 +583,11 @@ def test_overdamped_double_well_at_d3_on_the_sfc64_stream_bitwise():
     for _ in range(20):
         stepper.step(ens)
         q = q + (force(q) * dt + sigma * rng.standard_normal((N, d)).T)
-    assert ens._prefetch.ahead
     assert np.array_equal(ens.X, q)
 
 
 # ---------------------------------------------------------------------------
-# the prefetch of the normals
+# the normals
 # ---------------------------------------------------------------------------
 
 INIT_PZ = InitProduct(q=BlockLaw(mean=0.5, var=0.2), p=BlockLaw(var=0.5), z=BlockLaw(var=0.5))
@@ -582,38 +595,41 @@ INIT_PZ = InitProduct(q=BlockLaw(mean=0.5, var=0.2), p=BlockLaw(var=0.5), z=Bloc
 
 @pytest.mark.parametrize(
     "kind, N",
-    [("underdamped", PREFETCH_MIN), ("generalized", PREFETCH_MIN),
-     ("generalized", 3 * PREFETCH_MIN // 4)],
+    [("underdamped", 8192), ("generalized", 8192), ("generalized", 6144)],
     ids=["underdamped-both-prefetched", "generalized-both-prefetched", "generalized-one-inline"],
 )
-def test_draws_of_two_shapes_keep_the_inline_stream(monkeypatch, kind, N):
+def test_draws_of_two_shapes_keep_the_inline_stream(kind, N):
     # one kinetic ensemble stepped in turn by its own stepper, xi of shape (n, N), and by an
-    # overdamped stepper of the same d, xi of shape (N, d): each change of shape undoes the
-    # block drawn ahead
+    # overdamped stepper of the same d, xi of shape (N, d): the kept buffers change nothing
+    # against buffers made afresh for every step, and the steps draw exactly those shapes,
+    # in that order, from the stream (in the ids, "prefetched" marks a draw of at least 8192
+    # normals and "inline" a smaller one)
     model = quadratic_umv() if kind == "underdamped" else quadratic_gmv()
     steppers = (make_stepper(model, 0.01), make_stepper(quadratic_omv(), 0.01))
 
-    def run():
+    def run(fresh):
         ens = init_ensemble(model, N, 4, INIT_PZ)
+        stream = copy.deepcopy(ens.rng)
         for k in range(12):
-            steppers[k % 3 == 2].step(ens)
-        return ens
+            if fresh:
+                ens._work = None
+            stepper = steppers[k % 3 == 2]
+            stepper.step(ens)
+            stream.standard_normal(ens.q.shape if stepper.kind is Kind.OVERDAMPED
+                                   else (len(ens.X) - ens.d, N))
+        return ens, stream
 
-    prefetched = run()
-    monkeypatch.setattr(particles, "PREFETCH_MIN", math.inf)
-    inline = run()
-    assert np.array_equal(prefetched.q, inline.q) and np.array_equal(prefetched.p, inline.p)
-    # the generator itself stands one block ahead of the inline run, and no more
-    prefetched._prefetch.rewind()
-    assert np.array_equal(prefetched.rng.standard_normal(4), inline.rng.standard_normal(4))
+    (kept, stream), (fresh, _) = run(False), run(True)
+    assert np.array_equal(kept.X, fresh.X)
+    assert np.array_equal(kept.rng.standard_normal(4), stream.standard_normal(4))
 
 
-def test_deepcopy_mid_run_continues_bit_for_bit(monkeypatch):
+def test_deepcopy_mid_run_continues_bit_for_bit():
     model = quadratic_gmv()
     stepper = make_stepper(model, 0.01)
 
     def run(steps):
-        ens = init_ensemble(model, PREFETCH_MIN, 8, INIT_PZ)
+        ens = init_ensemble(model, 8192, 8, INIT_PZ)
         for _ in range(steps):
             stepper.step(ens)
         return ens
@@ -627,20 +643,19 @@ def test_deepcopy_mid_run_continues_bit_for_bit(monkeypatch):
         stepper.step(twin)
     assert np.array_equal(ens.q, twin.q) and np.array_equal(ens.p, twin.p)
     assert np.array_equal(ens.z, twin.z)
-    # the copy holds no block drawn ahead: its generator stands where an inline run's does
-    monkeypatch.setattr(particles, "PREFETCH_MIN", math.inf)
+    # the copy's generator stands where the run's stood after five steps
     assert np.array_equal(at_copy.standard_normal(4), run(5).rng.standard_normal(4))
 
 
-def test_ensembles_stepped_from_several_threads_keep_their_streams(monkeypatch):
-    # more stepping threads than cores, all handing fills to the one worker, with a short
-    # switch interval: a lost wake-up hangs a thread, a mixed-up block changes its numbers
+def test_ensembles_stepped_from_several_threads_keep_their_streams():
+    # more stepping threads than cores, sharing one stepper, with a short switch interval:
+    # a work array or a generator shared across ensembles would change their numbers
     model = quadratic_umv()
     stepper = make_stepper(model, 0.01)
     seeds = range(4)
 
     def run(seed, out):
-        ens = init_ensemble(model, PREFETCH_MIN, seed, INIT_PZ)
+        ens = init_ensemble(model, 8192, seed, INIT_PZ)
         for _ in range(30):
             stepper.step(ens)
         out[seed] = ens.q
@@ -658,42 +673,10 @@ def test_ensembles_stepped_from_several_threads_keep_their_streams(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    monkeypatch.setattr(particles, "PREFETCH_MIN", math.inf)
-    inline = {}
+    alone = {}
     for s in seeds:
-        run(s, inline)
-        assert np.array_equal(threaded[s], inline[s])
-
-
-class DrawFailed(Exception):
-    pass
-
-
-class FailingDraws:
-    """Stands in for a prefetch's generator: every draw raises."""
-
-    def __init__(self, gen):
-        self.bit_generator = gen.bit_generator
-
-    def standard_normal(self, out):
-        raise DrawFailed
-
-
-def test_a_failed_worker_draw_is_raised_on_the_stepping_thread():
-    # the worker keeps the error of a failed fill; the next draw, rewind or copy raises
-    # it on the stepping thread, and so does every later one
-    model = quadratic_umv()
-    stepper = make_stepper(model, 0.01)
-    ens = init_ensemble(model, PREFETCH_MIN, 5, INIT_PZ)
-    stepper.step(ens)
-    pf = ens._prefetch
-    pf.wait()
-    pf.gen = FailingDraws(pf.gen)
-    stepper.step(ens)  # takes the block drawn ahead and hands the next fill to the worker
-    for _ in range(2):
-        for fails in (lambda: stepper.step(ens), pf.rewind, lambda: copy.deepcopy(ens)):
-            with pytest.raises(DrawFailed):
-                fails()
+        run(s, alone)
+        assert np.array_equal(threaded[s], alone[s])
 
 
 class ThreadLog:
@@ -718,12 +701,12 @@ class ThreadLog:
 @pytest.mark.parametrize("model", [quadratic_omv(), quadratic_umv(), quadratic_gmv()],
                          ids=["overdamped", "underdamped", "generalized"])
 def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, model):
-    # a tracer that wraps ens.rng or the force keeps one span stack: the worker must
-    # reach neither, or its spans would interleave with the step's
+    # a tracer that wraps ens.rng or the force keeps one span stack: every draw goes
+    # through the wrapper, once per step, on the stepping thread, and changes no number
     threads = []
 
     def run(logged):
-        ens = init_ensemble(model, PREFETCH_MIN, 2, INIT_PZ)
+        ens = init_ensemble(model, 8192, 2, INIT_PZ)
         if logged:
             ens.rng = ThreadLog(ens.rng, threads)
         stepper = make_stepper(model, 0.01)
@@ -732,6 +715,8 @@ def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, mo
         return ens
 
     plain = run(False)
+    logged = run(True)
+    assert len(threads) == 2 * 10  # the attribute, then the call, of one draw per step
     grad = ValidatedModel.grad_potential
 
     def logged_grad(self, q):
@@ -739,8 +724,8 @@ def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, mo
         return grad(self, q)
 
     monkeypatch.setattr(ValidatedModel, "grad_potential", logged_grad)
-    logged = run(True)
-    assert threads and set(threads) == {threading.main_thread()}
+    run(False)
+    assert set(threads) == {threading.main_thread()}
     for name in ("q", "p", "z"):
         a, b = getattr(plain, name), getattr(logged, name)
         assert (a is None and b is None) or np.array_equal(a, b)
@@ -751,14 +736,15 @@ def test_wrapped_generator_and_force_run_only_on_the_main_thread(monkeypatch, mo
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d, N", [(1, PREFETCH_MIN), (3, PREFETCH_MIN), (1, 1024)],
-                         ids=["1", "3", "1-below-prefetch"])
+@pytest.mark.parametrize("d, N", [(1, 8192), (3, 8192), (1, 1024), (3, 1024)],
+                         ids=["1", "3", "1-below-prefetch", "3-below-prefetch"])
 @pytest.mark.parametrize("kind", list(Kind), ids=[k.value for k in Kind])
 def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N):
-    # every update runs in the ensemble's own work arrays, and the normals land in its two
-    # kept buffers, drawn ahead from PREFETCH_MIN normals per step on and inline below: one
-    # warmed-up step's traced peak is the gradient's (N, d) result and a few small objects,
-    # and after two steps every array is where it was
+    # every update runs in the ensemble's own work arrays, and the normals land in its kept
+    # buffer: one warmed-up step's traced peak is the gradient's (N, d) result and a few
+    # small objects, and after two steps every array is where it was.  N = 1024 puts n N
+    # below numpy's 8192-element ufunc buffer, which buffered whole broadcast products of an
+    # O step written as a sum of products
     extra = {Kind.GENERALIZED: {"memory": MemorySpec.diagonal([1.0], [1.0], d)},
              Kind.UNDERDAMPED: {"gamma": 0.8}, Kind.OVERDAMPED: {}}[kind]
     model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(1.3),
@@ -770,8 +756,7 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N)
 
     def pointers():
         w = ens._work
-        arrays = (w.force, w.tmp, *w.pz, *ens._prefetch.bufs)
-        return [a.__array_interface__["data"][0] for a in arrays]
+        return [a.__array_interface__["data"][0] for a in (w.force, w.tmp, w.W)]
 
     before = pointers()
     tracemalloc.start()
@@ -783,8 +768,7 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N)
     assert peak <= N * d * 8 + 4096
     stepper.step(ens)
     assert pointers() == before
-    assert ens._prefetch.ahead == (N >= PREFETCH_MIN)
-    # the work arrays, the prefetch and the kept force are not state: copies leave them out
-    # and make their own
+    # the work arrays and the kept force are not state: copies leave them out and make
+    # their own
     for twin in (copy.deepcopy(ens), pickle.loads(pickle.dumps(ens))):
-        assert twin._work is None and twin.end_force is None and twin._prefetch is None
+        assert twin._work is None and twin.end_force is None
