@@ -35,10 +35,12 @@ Exit codes: 0 success, 1 domain error (error class name on stderr),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -215,7 +217,8 @@ def _out_blocker(out: str):
     but is no directory.
     """
     path = Path(out)
-    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    # os.path.exists, unlike Path.exists, reads any stat failure (a too long name) as absent
+    existing = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
     return None if existing is None or existing.is_dir() else existing
 
 
@@ -328,7 +331,7 @@ def cmd_simulate(args, model, rp):
         "dt": rp.dt,
         "seed": rp.seed,
         "record_every": rp.record_every,
-        "records": series.n_records(),
+        "records": len(series.times),
         "final_time": float(series.times[-1]),
     }
     return _series_rows(series), summary, None
@@ -344,13 +347,6 @@ def _default_init(model) -> particles.InitProduct:
     )
 
 
-# the simulate table after its t column, in order: ObservableSeries fields
-_SERIES_COLUMNS = (
-    "mean_q", "mean_p", "var_q", "var_p", "cov_qp", "magnetization", "se_mean_q", "se_mean_p",
-    "mean_z", "var_z", "se_mean_z",
-)
-
-
 def _series_rows(series: particles.ObservableSeries):
     """Header and rows of the simulate table; a block wider than 1 gets ``_i`` suffixes.
 
@@ -358,8 +354,8 @@ def _series_rows(series: particles.ObservableSeries):
     there; the z columns appear only for the generalized kind.
     """
     header, cols = ["t"], [series.times[:, None]]
-    for name in _SERIES_COLUMNS:
-        col = getattr(series, name)
+    for f in dataclasses.fields(series)[1:]:
+        name, col = f.name, getattr(series, f.name)
         if col is None:
             if name.endswith("_z"):
                 continue

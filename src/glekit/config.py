@@ -32,7 +32,6 @@ Unknown sections or keys are errors, and so are keys for another kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -193,8 +192,6 @@ def _numbers(section: dict, key: str) -> np.ndarray:
 
 def _parse_scalar(text: str):
     text = text.strip()
-    if text.lower() in ("inf", "+inf"):
-        return math.inf
     try:
         return int(text)
     except ValueError:

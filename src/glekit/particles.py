@@ -43,6 +43,12 @@ step overwrites it.
 The normals are drawn through the ensemble's ``rng`` on the stepping thread,
 into the step's own buffer: one ``standard_normal(out=)`` per step, of shape
 (n, N) for the kinetic kinds and (N, d) for the overdamped one.
+
+An ensemble is its state array ``X``: the particle count N is its column
+count, and a stepper steps only a state of its own kind, (state_dim, N) with
+its d, and raises :class:`ShapeMismatch` for any other before it touches the
+work arrays.  Replacing ``X`` needs nothing further; an in-place edit of it
+still needs ``end_force = None``.
 """
 
 from __future__ import annotations
@@ -101,17 +107,19 @@ class ParticleEnsemble:
     """N particle states in extended phase space with its own RNG and clock.
 
     The state is one C-contiguous (state_dim, N) array ``X`` with rows
-    [q; p; z].  ``q``, ``p`` and ``z`` are (N, d) and (N, d*m) transposed
-    views of its row blocks (``None`` where the kind has no such block), so
-    writing into one writes into ``X``; assigning one copies the value into
-    ``X`` and clears ``end_force``.  An ``X`` that is not (k*d, N), or a value
-    that does not broadcast to its block, is a :class:`ShapeMismatch`.
+    [q; p; z], and the particle count ``N`` is its column count.  ``q``,
+    ``p`` and ``z`` are (N, d) and (N, d*m) transposed views of its row
+    blocks (``None`` where the kind has no such block), so writing into one
+    writes into ``X``; assigning one copies the value into ``X`` and clears
+    ``end_force``.  An ``X`` that is not (k*d, N), or a value that does not
+    broadcast to its block, is a :class:`ShapeMismatch`.
 
-    ``end_force`` holds ``(model, force)`` from the end of the last kinetic
-    step, so the next step of the same model can start from it.  Code that
+    ``end_force`` holds ``(model, X, force)`` from the end of the last
+    kinetic step, so the next step of the same model on the same ``X`` object
+    can start from it; a replaced ``X`` needs nothing further.  Code that
     edits ``X`` or a view of it in place between steps must set
-    ``end_force = None``.  It is the ensemble's one force work array (see
-    the module docstring), so the next step overwrites it: a caller that
+    ``end_force = None``.  The force is the ensemble's one force work array
+    (see the module docstring), so the next step overwrites it: a caller that
     keeps it must copy it.
 
     Steps draw their normals from ``rng`` (see the module docstring), so a
@@ -120,7 +128,6 @@ class ParticleEnsemble:
     are made again by the copy's next step.
     """
 
-    N: int
     d: int
     X: np.ndarray
     time: float
@@ -130,10 +137,12 @@ class ParticleEnsemble:
 
     def __post_init__(self):
         shape = np.shape(self.X)
-        if not (self.d >= 1 and len(shape) == 2 and shape[1] == self.N
-                and shape[0] >= self.d and shape[0] % self.d == 0):
-            raise ShapeMismatch(
-                f"X must be (k*d, N) = (k*{self.d}, {self.N}) for k >= 1, got {shape}")
+        if not (self.d >= 1 and len(shape) == 2 and shape[0] >= self.d and shape[0] % self.d == 0):
+            raise ShapeMismatch(f"X must be (k*d, N) = (k*{self.d}, N) for k >= 1, got {shape}")
+
+    @property
+    def N(self) -> int:
+        return self.X.shape[1]
 
     def __getstate__(self):
         return {**self.__dict__, "end_force": None, "_work": None}
@@ -197,7 +206,7 @@ def init_ensemble(model: ValidatedModel, N: int, seed, init: InitialLaw) -> Part
     else:
         raise ShapeMismatch(f"unknown initial law {type(init).__name__}")
 
-    return ParticleEnsemble(N=N, d=d, X=np.ascontiguousarray(X.T), time=0.0, rng=rng)
+    return ParticleEnsemble(d=d, X=np.ascontiguousarray(X.T), time=0.0, rng=rng)
 
 
 def _check_finite_init(what: str, value) -> None:
@@ -235,7 +244,8 @@ class _Stepper:
         self.kind = model.kind
         self.eta2 = model.eta2
         bi = model.beta_inv
-        d = model.d
+        d = self.d = model.d
+        self.rows = model.state_dim()
         if self.kind is Kind.OVERDAMPED:
             self.noise_std = math.sqrt(2.0 * bi * dt)
             return
@@ -257,7 +267,6 @@ class _Stepper:
         Q = bi * (np.eye(n) - self.T @ self.T.T)
         self.S = mk.psd_sqrt(0.5 * (Q + Q.T))
         self.TS = np.hstack([self.T, self.S])
-        self.d = d
 
     def force(self, q: np.ndarray, m1: np.ndarray, out=None, tmp=None) -> np.ndarray:
         """Confining force plus the O(N) Curie-Weiss force, -grad V(q) - eta2 (q - m1).
@@ -283,28 +292,29 @@ class _Stepper:
         np.einsum("ij,jk->ik", self.TS, W, out=pz)
 
     def step(self, ens: ParticleEnsemble) -> ParticleEnsemble:
+        """One step of ``ens``, in place; a state of another kind is a :class:`ShapeMismatch`."""
+        X = ens.X
+        if not (np.ndim(X) == 2 and len(X) == self.rows and ens.d == self.d):
+            raise ShapeMismatch(f"a {self.kind.value} step of d = {self.d} needs a ({self.rows}, N) "
+                                f"state, got {np.shape(X)} of d = {ens.d}")
         dt = self.dt
         q = ens.q
         w = ens._work_arrays()
         tmp = w.tmp
         if self.kind is Kind.OVERDAMPED:
             m1 = q.mean(axis=0)
-            # a kinetic state's W holds its O step's rows, so it draws into an array of its own
-            xi = w.W if w.W.shape == q.shape else np.empty(q.shape)
-            ens.rng.standard_normal(out=xi)
+            ens.rng.standard_normal(out=w.W)
             F = self.force(q, m1, w.force, tmp)
             F *= dt
-            F += np.multiply(xi, self.noise_std, out=tmp)
+            F += np.multiply(w.W, self.noise_std, out=tmp)
             q += F
-            ens.end_force = None  # a kept force was for the old q, and F overwrote it
             finite = np.isfinite(np.sum(q))
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
             h = 0.5 * dt
             p = ens.p
-            cached = ens.end_force
-            F = cached[1] if cached is not None and cached[0] is self.model else None
-            if F is None:
+            kept_model, kept_X, F = ens.end_force or (None, None, None)
+            if kept_model is not self.model or kept_X is not X:
                 F = self.force(q, q.mean(axis=0), w.force, tmp)
             p += np.multiply(F, h, out=tmp)
             q += np.multiply(p, h, out=tmp)
@@ -313,7 +323,7 @@ class _Stepper:
             # bitwise q.mean(axis=0); q is final, so its mean also checks the state
             m1 = np.add.reduce(q, axis=0) / ens.N
             F = self.force(q, m1, w.force, tmp)  # the start force is spent
-            ens.end_force = (self.model, F)
+            ens.end_force = (self.model, X, F)
             p += np.multiply(F, h, out=tmp)
             finite = np.isfinite(m1).all()
         ens.time += dt
@@ -344,29 +354,27 @@ def make_stepper(model: ValidatedModel, dt: float) -> _Stepper:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ObservableSeries:
     """Low-order empirical moments recorded along a run.
 
     All per-coordinate quantities are arrays over record times; standard
-    errors are sample standard deviations over sqrt(N).
+    errors are sample standard deviations over sqrt(N).  The fields are in
+    the column order of the simulate table.
     """
 
     times: np.ndarray
     mean_q: np.ndarray
-    var_q: np.ndarray
-    se_mean_q: np.ndarray
-    magnetization: np.ndarray
     mean_p: Optional[np.ndarray] = None
+    var_q: np.ndarray
     var_p: Optional[np.ndarray] = None
     cov_qp: Optional[np.ndarray] = None
+    magnetization: np.ndarray
+    se_mean_q: np.ndarray
     se_mean_p: Optional[np.ndarray] = None
     mean_z: Optional[np.ndarray] = None
     var_z: Optional[np.ndarray] = None
     se_mean_z: Optional[np.ndarray] = None
-
-    def n_records(self) -> int:
-        return len(self.times)
 
 
 def _record(ens: ParticleEnsemble) -> dict:

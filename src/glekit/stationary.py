@@ -66,6 +66,7 @@ _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _PANEL_LADDER = (8, 16, 32, 64, 128, 256)
 _SCAN_HALF = 40  # the m scan has 2 * 40 + 1 nodes on [-L, L]
 _ROOT_WIDTH = 1e-14  # bracket width or last step at which a fixed point is accepted
+_CRITICAL_WIDTH = 1e-12  # bracket width or last step at which a critical beta is accepted
 _FOLD_WIDTH = 1e-8  # an extremum of f only has to decide the sign of f there
 _CHUNK = 1 << 14  # (m, node) pairs per work array of a ladder pass: 128 KB
 
@@ -547,10 +548,8 @@ def _critical_gap(quad: _Quadrature, betas) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(out).T)
 
 
-def critical_beta(
-    prob: SelfConsistencyProblem, beta_lo: float, beta_hi: float, tol: float = 1e-12
-) -> Optional[float]:
-    """Root of g(beta) = R'(0; beta) - 1 to width ``tol``; None when g keeps its sign.
+def critical_beta(prob: SelfConsistencyProblem, beta_lo: float, beta_hi: float) -> Optional[float]:
+    """Root of g(beta) = R'(0; beta) - 1 to width 1e-12; None when g keeps its sign.
 
     One rule serves the whole bracket: the window of ``beta_lo``, the wider
     one, with the panel count of :func:`_ladder` checked on R(0) and R'(0)
@@ -566,9 +565,9 @@ def critical_beta(
         return beta_lo
     if g_lo * g_hi > 0:
         return None
-    return float(
-        _newton(lambda b, _: _critical_gap(quad, b), [beta_lo], [beta_hi], [np.sign(g_lo)], tol)[0]
-    )
+    root = _newton(lambda b, _: _critical_gap(quad, b), [beta_lo], [beta_hi], [np.sign(g_lo)],
+                   _CRITICAL_WIDTH)
+    return float(root[0])
 
 
 def bifurcation_diagram(

@@ -74,6 +74,50 @@ def test_memory_needs_A_or_diag():
         cfg.model_spec()
 
 
+GMV_HEAD = "[model]\nkind = generalized\n[memory]\n"
+
+# one case per ConfigError raise of glekit.config: (config text, text of the error line)
+CONFIG_ERRORS = {
+    "kind-missing": ("[model]\nd = 1\n", "model.kind missing or invalid"),
+    "kind-invalid": ("[model]\nkind = frictionless\n", "model.kind missing or invalid"),
+    "double-well-arity": ("[model]\nkind = overdamped\npotential.kind = double_well\n"
+                          "potential.params = [1.0]\n", "double_well needs potential.params"),
+    "potential-kind": ("[model]\nkind = overdamped\npotential.kind = quartic\n",
+                       "unknown potential.kind 'quartic'"),
+    "memory-without-m": (GMV_HEAD + "lambda = [1.0]\nA = [1.0]\n", "memory section needs m"),
+    "memory-without-lambda": (GMV_HEAD + "m = 1\nA = [1.0]\n", "memory section needs lambda"),
+    "lambda-size": (GMV_HEAD + "m = 1\nlambda = [1.0, 2.0]\nA = [1.0]\n",
+                    "lambda needs 1 entries"),
+    "diag-size": (GMV_HEAD + "m = 2\nlambda = [1.0, 2.0]\ndiag = [1.0]\n", "diag needs 2 entries"),
+    "A-size": (GMV_HEAD + "m = 2\nlambda = [1.0, 2.0]\nA = [1.0, 0.0]\n", "A needs 4 entries"),
+    "A-and-diag": (GMV_HEAD + "m = 1\nlambda = [1.0]\nA = [1.0]\ndiag = [1.0]\n",
+                   "give either A or diag, not both"),
+    "bare-word-for-a-list": (GMV_HEAD + "m = 1\nlambda = one\nA = [1.0]\n",
+                             "lambda must be a list of numbers, got 'one'"),
+    "unparseable-value": ("[model]\nkind = overdamped\nbeta = 1.0.0\n",
+                          "cannot parse value '1.0.0'"),
+    "unterminated-list": (GMV_HEAD + "m = 1\nlambda = [1.0\n", "unterminated list '[1.0'"),
+    "section-header": ("[model\nkind = overdamped\n", "line 1: malformed section header"),
+    "line-without-equals": ("[model]\nkind overdamped\n", "line 2: expected key = value"),
+    "key-before-a-section": ("kind = overdamped\n[model]\n", "line 1: key outside any section"),
+}
+
+
+@pytest.mark.parametrize("text, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_each_config_error_exits_two_with_its_message(tmp_path, capsys, text, message):
+    conf = tmp_path / "model.conf"
+    conf.write_text(text)
+    assert main(["validate", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("ConfigError: ") and message in first
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_whole_float_count_reads_as_an_int():
+    rp = parse_config("[model]\nkind = overdamped\n[run]\nN = 100.0\nseed = 7.0\n").run_params()
+    assert (rp.N, rp.seed) == (100, 7) and type(rp.N) is int and type(rp.seed) is int
+
+
 # ---------------------------------------------------------------------------
 # CLI dispatch
 # ---------------------------------------------------------------------------
@@ -81,6 +125,28 @@ def test_memory_needs_A_or_diag():
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+# command-line inputs no other test gives: (argv after the subcommand, exit code, error line)
+CLI_ERRORS = {
+    "greens-x0-length": (["greens", "--config", QUAD_GMV, "--x0", "1,0"], 2,
+                         "ConfigError: --x0 needs 3 comma-separated values"),
+    "config-missing": (["validate", "--config", "{tmp}/missing.conf"], 2,
+                       "ConfigError: [Errno 2] No such file or directory"),
+    "out-name-too-long": (["validate", "--config", QUAD_GMV, "--out", "{tmp}/" + "x" * 300], 2,
+                          "ConfigError: --out {tmp}/" + "x" * 300 + ": File name too long"),
+}
+
+
+@pytest.mark.parametrize("argv, code, line", CLI_ERRORS.values(), ids=CLI_ERRORS.keys())
+def test_each_command_line_error_exits_with_its_code_and_error_line(tmp_path, capsys, argv, code,
+                                                                    line):
+    argv = [str(a).format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert capsys.readouterr().err.splitlines()[0].startswith(line.format(tmp=tmp_path))
+    assert not any(tmp_path.iterdir())  # no output directory
 
 
 @pytest.fixture(scope="module")

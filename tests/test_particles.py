@@ -67,14 +67,19 @@ def test_init_is_deterministic_in_seed():
 
 
 @pytest.mark.parametrize(
-    "N, d, shape",
-    [(5, 1, (3, 7)), (5, 1, (5,)), (5, 2, (3, 5)), (5, 1, (1, 5, 1)), (5, 1, (0, 5))],
-    ids=["other-N", "1-D", "rows-not-a-multiple-of-d", "3-D", "no-rows"],
+    "d, shape",
+    [(1, (5,)), (2, (3, 5)), (1, (1, 5, 1)), (1, (0, 5))],
+    ids=["1-D", "rows-not-a-multiple-of-d", "3-D", "no-rows"],
 )
-def test_an_ensemble_state_of_the_wrong_shape_is_a_shape_mismatch(N, d, shape):
-    # X is (k*d, N); a state of another shape would step silently and record over the wrong N
+def test_an_ensemble_state_of_the_wrong_shape_is_a_shape_mismatch(d, shape):
+    # X is (k*d, N); a state of another shape would step silently or record nonsense, so it
+    # is refused when an ensemble is built on it and when it replaces X before a step
     with pytest.raises(ShapeMismatch):
-        ParticleEnsemble(N=N, d=d, X=np.zeros(shape), time=0.0, rng=sfc64(0))
+        ParticleEnsemble(d=d, X=np.zeros(shape), time=0.0, rng=sfc64(0))
+    ens = init_ensemble(quadratic_omv(d=d), 5, seed=0, init=INIT_PZ)
+    ens.X = np.zeros(shape)
+    with pytest.raises(ShapeMismatch):
+        make_stepper(quadratic_omv(d=d), 0.01).step(ens)
 
 
 def test_a_block_value_of_the_wrong_shape_is_a_shape_mismatch():
@@ -178,7 +183,7 @@ def test_record_every_full_span_gives_two_rows():
     series = simulate(
         model, N=16, T=0.2, dt=1e-2, seed=1, init=InitProduct(q=BlockLaw(var=1.0)), record_every=20
     )
-    assert series.n_records() == 2
+    assert len(series.times) == 2
     assert series.times[0] == 0.0
     assert series.times[-1] == pytest.approx(0.2)
 
@@ -232,17 +237,49 @@ def test_force_reuse_matches_recomputing_the_force_every_step(kind):
             assert np.array_equal(ens.z, ref.z)
 
 
-def test_a_step_of_another_kind_drops_the_kept_force():
-    # an overdamped step moves q, so the kinetic force kept from the step before no longer
-    # holds: the next kinetic step recomputes it, as a run that never keeps one does
-    kinetic, overdamped = make_stepper(quadratic_gmv(), 1e-2), make_stepper(quadratic_omv(), 1e-2)
-    ens = init_ensemble(quadratic_gmv(), 64, seed=5, init=INIT_PZ)
-    ref = copy.deepcopy(ens)
-    for st in (kinetic, kinetic, overdamped, kinetic, kinetic):
-        st.step(ens)
-        ref.end_force = None
-        st.step(ref)
-    assert np.array_equal(ens.X, ref.X)
+@pytest.mark.parametrize("kind", ["underdamped", "generalized"])
+@pytest.mark.parametrize("N", [64, 40], ids=["same-N", "other-N"])
+def test_a_replaced_state_steps_as_a_fresh_ensemble_on_it(kind, N):
+    # N is X's column count and the kept force belongs to the X it was computed on, so a
+    # replaced X steps as an ensemble built on it with the same generator state does
+    model = quadratic_umv() if kind == "underdamped" else quadratic_gmv()
+    stepper = make_stepper(model, 1e-2)
+    ens = init_ensemble(model, 64, seed=5, init=INIT_PZ)
+    for _ in range(3):
+        stepper.step(ens)
+    assert ens.end_force is not None
+    fresh = init_ensemble(model, N, seed=6, init=INIT_PZ)
+    fresh.time, fresh.rng = ens.time, copy.deepcopy(ens.rng)
+    ens.X = fresh.X.copy()
+    for _ in range(2):
+        stepper.step(ens)
+        stepper.step(fresh)
+    assert np.array_equal(ens.X, fresh.X) and ens.N == N
+
+
+MISMATCHED_KINDS = {
+    "underdamped-on-overdamped": (quadratic_umv(), quadratic_omv()),
+    "generalized-on-underdamped": (quadratic_gmv(), quadratic_umv()),
+    "underdamped-on-generalized": (quadratic_umv(), quadratic_gmv()),
+    "overdamped-on-generalized": (quadratic_omv(), quadratic_gmv()),
+    # the same four rows as a generalized d = 1, m = 2 state, but d = 2
+    "underdamped-d2-on-generalized-d1": (
+        validate(ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), interaction=CurieWeiss(1.0),
+                           gamma=1.0, kind=Kind.UNDERDAMPED)),
+        quadratic_gmv(lambdas=(1.0, 2.0), alphas=(1.0, 3.0))),
+}
+
+
+@pytest.mark.parametrize("model, state_model", MISMATCHED_KINDS.values(),
+                         ids=MISMATCHED_KINDS.keys())
+def test_a_step_of_another_kind_is_a_shape_mismatch(model, state_model):
+    # a stepper steps only a state of its own kind; the check comes before the work arrays
+    ens = init_ensemble(state_model, 16, seed=5, init=INIT_PZ)
+    X, rng = ens.X.copy(), copy.deepcopy(ens.rng)
+    with pytest.raises(ShapeMismatch):
+        make_stepper(model, 1e-2).step(ens)
+    assert ens._work is None and ens.time == 0.0 and np.array_equal(ens.X, X)
+    assert np.array_equal(ens.rng.standard_normal(4), rng.standard_normal(4))
 
 
 def test_empirical_moments_two_particles():
@@ -599,28 +636,31 @@ INIT_PZ = InitProduct(q=BlockLaw(mean=0.5, var=0.2), p=BlockLaw(var=0.5), z=Bloc
     ids=["underdamped-both-prefetched", "generalized-both-prefetched", "generalized-one-inline"],
 )
 def test_draws_of_two_shapes_keep_the_inline_stream(kind, N):
-    # one kinetic ensemble stepped in turn by its own stepper, xi of shape (n, N), and by an
-    # overdamped stepper of the same d, xi of shape (N, d): the kept buffers change nothing
-    # against buffers made afresh for every step, and the steps draw exactly those shapes,
-    # in that order, from the stream (in the ids, "prefetched" marks a draw of at least 8192
-    # normals and "inline" a smaller one)
+    # a kinetic ensemble, xi of shape (n, N), and an overdamped one of the same d, xi of shape
+    # (N, d), share one generator and are stepped in turn by their own steppers: the kept
+    # buffers change nothing against buffers made afresh for every step, and the steps draw
+    # exactly those shapes, in that order, from the stream (in the ids, "prefetched" marks a
+    # draw of at least 8192 normals and "inline" a smaller one)
     model = quadratic_umv() if kind == "underdamped" else quadratic_gmv()
     steppers = (make_stepper(model, 0.01), make_stepper(quadratic_omv(), 0.01))
 
     def run(fresh):
-        ens = init_ensemble(model, N, 4, INIT_PZ)
-        stream = copy.deepcopy(ens.rng)
+        kinetic = init_ensemble(model, N, 4, INIT_PZ)
+        overdamped = init_ensemble(quadratic_omv(), N, 3, INIT_PZ)
+        overdamped.rng = kinetic.rng
+        stream = copy.deepcopy(kinetic.rng)
         for k in range(12):
+            ens = (kinetic, overdamped)[k % 3 == 2]
+            stepper = steppers[k % 3 == 2]
             if fresh:
                 ens._work = None
-            stepper = steppers[k % 3 == 2]
             stepper.step(ens)
             stream.standard_normal(ens.q.shape if stepper.kind is Kind.OVERDAMPED
                                    else (len(ens.X) - ens.d, N))
-        return ens, stream
+        return kinetic, overdamped, stream
 
-    (kept, stream), (fresh, _) = run(False), run(True)
-    assert np.array_equal(kept.X, fresh.X)
+    (kept, kept_o, stream), (fresh, fresh_o, _) = run(False), run(True)
+    assert np.array_equal(kept.X, fresh.X) and np.array_equal(kept_o.X, fresh_o.X)
     assert np.array_equal(kept.rng.standard_normal(4), stream.standard_normal(4))
 
 

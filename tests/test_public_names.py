@@ -1,10 +1,14 @@
 """Every public module-level function and class of glekit has a caller, and
-every glekit name the README gives resolves.
+every glekit name the docstrings and the README give resolves.
 
 A public name that nothing in ``src/`` or ``tests/`` reads, calls or imports
 is code that serves only itself; this check keeps such names from coming
 back.  References are read from the syntax trees, so a name that appears only
 in a docstring or a comment does not count.
+
+Every ``:func:``, ``:meth:``, ``:class:`` and ``:mod:`` cross-reference in the
+glekit sources resolves: a module target imports, and any other target is an
+attribute of the referring module or of one of its classes.
 
 The README's backticked dotted names that start with ``glekit``, a glekit
 module or a glekit class, such as ``quadratic.ou_fundamental`` or
@@ -16,6 +20,7 @@ such as ``run.dt`` or ``manifest.json``, are not glekit's and are skipped.
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -80,4 +85,23 @@ def test_every_glekit_name_in_the_readme_resolves():
     unresolved = [
         name for name in checked if not _resolves(roots[name.split(".")[0]], name.split(".")[1:])
     ]
+    assert unresolved == []
+
+
+def test_every_docstring_cross_reference_resolves():
+    checked, unresolved = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module("glekit" if path.stem == "__init__" else f"glekit.{path.stem}")
+        classes = [obj for obj in vars(mod).values()
+                   if inspect.isclass(obj) and obj.__module__ == mod.__name__]
+        text = path.read_text(encoding="utf-8")
+        for role, target in re.findall(r":(func|meth|class|mod):`([\w.]+)`", text):
+            checked += 1
+            if role == "mod":
+                found = importlib.util.find_spec(target) is not None
+            else:
+                found = any(_resolves(root, target.split(".")) for root in (mod, *classes))
+            if not found:
+                unresolved.append(f"{path.stem}: :{role}:`{target}`")
+    assert checked, "the sources hold no cross-reference; the pattern has gone stale"
     assert unresolved == []

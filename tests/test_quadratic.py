@@ -204,6 +204,22 @@ def test_spectrum_report_and_gap():
     assert rep.parameters["omega2"] == 1.0
 
 
+# per kind, the parameters a spectrum report carries beyond beta, d, kind, omega2 and eta2
+REPORT_PARAMETERS = {
+    "overdamped": (quadratic_omv(), {}),
+    "underdamped": (quadratic_umv(gamma=1.5), {"gamma": 1.5}),
+    "generalized": (quadratic_gmv(), {"lambdas": [1.0], "alphas": [1.0]}),
+}
+
+
+@pytest.mark.parametrize("model, extra", REPORT_PARAMETERS.values(), ids=REPORT_PARAMETERS.keys())
+def test_spectrum_report_carries_the_parameters_of_its_kind(model, extra):
+    params = qa.spectrum_report(model, cap=2).parameters
+    common = {"beta": model.beta, "d": model.d, "kind": model.kind.value,
+              "omega2": model.omega2, "eta2": model.eta2}
+    assert {k: np.asarray(v).tolist() for k, v in params.items()} == {**common, **extra}
+
+
 # ---------------------------------------------------------------------------
 # fundamental solution
 # ---------------------------------------------------------------------------

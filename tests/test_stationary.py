@@ -716,15 +716,52 @@ def test_scan_moments_at_m_zero_equal_a_pass_at_zero_bitwise():
         assert quad.scan_mean[k] == mean[0] and quad.scan_var[k] == var[0]
 
 
-def test_critical_beta_bisection_accuracy():
-    prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
-    bc = critical_beta(prob, 1.0, 4.0, tol=1e-6)
-    assert bc == pytest.approx(BETA_CRITICAL_DW11_ETA1, abs=1e-4)
+# a fast ripple on a harmonic well: no rule of the panel ladder resolves it
+RIPPLED = CustomPotential(
+    energy=lambda q: np.sum(0.5 * q**2, axis=-1) + 0.5 * np.cos(300.0 * q[..., 0]),
+    gradient=lambda q: q - 150.0 * np.sin(300.0 * q),
+)
+DW11 = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
+
+# (call, error, text of the message) for the raises of the self-consistency solver
+STATIONARY_ERRORS = {
+    "ladder-does-not-stabilize": (
+        lambda: SelfConsistencyProblem(potential=RIPPLED, eta2=1.0, beta=1.0).window(),
+        QuadratureFailure, "quadrature did not stabilize on"),
+    "grid-decreasing": (lambda: bifurcation_diagram(DW11, [2.0, 1.0]), ShapeMismatch,
+                        "strictly increasing"),
+    "grid-repeated": (lambda: bifurcation_diagram(DW11, [1.0, 1.0]), ShapeMismatch,
+                      "strictly increasing"),
+    "grid-empty": (lambda: bifurcation_diagram(DW11, []), ShapeMismatch, "strictly increasing"),
+    "beta-zero": (lambda: bifurcation_diagram(DW11, [0.0, 1.0]), ShapeMismatch,
+                  "finite and positive, got 0.0"),
+    "beta-negative": (lambda: bifurcation_diagram(DW11, [-1.0, 1.0]), ShapeMismatch,
+                      "finite and positive, got -1.0"),
+    "beta-inf": (lambda: bifurcation_diagram(DW11, [1.0, math.inf]), ShapeMismatch,
+                 "finite and positive, got inf"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", STATIONARY_ERRORS.values(),
+                         ids=STATIONARY_ERRORS.keys())
+def test_each_solver_error_is_raised_with_its_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "potential, lo, hi", [(Quadratic(1.0), 0.5, 10.0), (DoubleWell(1.0, 1.0), 2.5, 4.0)],
+    ids=["quadratic", "double-well-past-beta-c"],
+)
+def test_critical_beta_is_none_where_the_gap_keeps_its_sign(potential, lo, hi):
+    # R'(0) = beta eta2 / (beta (omega2 + eta2)) = 1/2 at every beta for the quadratic well
+    prob = SelfConsistencyProblem(potential=potential, eta2=1.0, beta=1.0)
+    assert critical_beta(prob, lo, hi) is None
 
 
 def test_critical_beta_reaches_the_oracle_at_tight_tolerance():
     prob = SelfConsistencyProblem(potential=DoubleWell(1.0, 1.0), eta2=1.0, beta=1.0)
-    bc = critical_beta(prob, 1.0, 4.0, tol=1e-12)
+    bc = critical_beta(prob, 1.0, 4.0)
     assert abs(bc - BETA_CRITICAL_DW11_ETA1) <= 1e-9
 
 

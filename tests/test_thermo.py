@@ -11,7 +11,7 @@ from glekit.errors import ShapeMismatch, SingularCovariance
 from glekit.quadratic import GaussianLaw, propagate_gaussian, split_BK
 from glekit.stationary import GridDensity
 
-from conftest import quadratic_gmv
+from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
 
 QUAD_GMV = Path(__file__).resolve().parents[1] / "configs" / "quadratic_gmv.conf"
 
@@ -42,6 +42,21 @@ def gaussian_on_grid(law: GaussianLaw, ax, axes=None) -> GridDensity:
     quad = np.einsum("...i,ij,...j->...", dx, prec, dx)
     norm = (2 * np.pi) ** 1.5 * math.sqrt(np.linalg.det(law.cov))
     return GridDensity(q=axes[0], p=axes[1], z=axes[2], values=np.exp(-0.5 * quad) / norm)
+
+
+# (model, law dimension, text of the message): a law the diagnostics cannot take
+LAW_MISFITS = {
+    "underdamped-kind": (quadratic_umv(), 2, "use the generalized kind"),
+    "overdamped-kind": (quadratic_omv(), 1, "use the generalized kind"),
+    "dimension": (quadratic_gmv(), 2, "law dimension 2 != model state dimension 3"),
+}
+
+
+@pytest.mark.parametrize("model, dim, message", LAW_MISFITS.values(), ids=LAW_MISFITS.keys())
+def test_an_ensemble_law_that_does_not_fit_its_model_is_a_shape_mismatch(model, dim, message):
+    law = GaussianLaw(mean=np.zeros(dim), cov=np.eye(dim))
+    with pytest.raises(ShapeMismatch, match=message):
+        state_of(law, model)
 
 
 # ---------------------------------------------------------------------------
