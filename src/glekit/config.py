@@ -21,8 +21,8 @@ Grammar (exact):
 
     [run]
     N = <int>
-    T = <float>
-    dt = <float>
+    T = <float>                     # horizon: 0 < T < inf, a whole number k >= 1 of steps dt
+    dt = <float>                    # step: dt > 0
     seed = <int>
     record_every = <int>
 

@@ -39,7 +39,8 @@ def effective_gamma(lam, A):
     """Effective friction lam^T A^{-1} lam via a linear solve (no explicit inverse).
 
     ``lam`` is the (dm, d) coupling of a memory spec.  Returns a scalar for
-    d = 1, else the symmetric PSD d x d friction matrix.
+    d = 1, else the symmetric PSD d x d friction matrix; an entry beyond the
+    float range is inf, with no warning.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     A = mk.check_psd(np.atleast_2d(np.asarray(A, dtype=float)), "A")
@@ -47,8 +48,9 @@ def effective_gamma(lam, A):
         raise NonSPDMatrix("A must be positive definite")
     if A.shape[0] != lam.shape[0]:
         raise ShapeMismatch(f"lam rows {lam.shape[0]} != A size {A.shape[0]}")
-    G = lam.T @ np.linalg.solve(A, lam)
-    G = 0.5 * (G + G.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = lam.T @ np.linalg.solve(A, lam)
+        G = 0.5 * (G + G.T)
     if G.shape == (1, 1):
         return float(G[0, 0])
     return G
@@ -95,7 +97,9 @@ def slow_eigenvalues(model: ValidatedModel, epsilon: float) -> np.ndarray:
 class ScalingStudy:
     """A family of rescaled runs compared against the exact underdamped law.
 
-    ``base_dt`` is the step of every run, whatever its eps.
+    ``base_dt`` is the step of every run, whatever its eps.  The study checks
+    its model, epsilons and N; T, ``base_dt`` and the checkpoints are checked
+    by :func:`run_study`, through ``quadratic.whole_steps``.
     """
 
     base_model: ValidatedModel
@@ -119,10 +123,6 @@ class ScalingStudy:
         object.__setattr__(self, "epsilons", eps)
         if self.N < 2:
             raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={self.N}")
-        if not 0 < self.T < math.inf:
-            raise ShapeMismatch(f"T must be positive and finite, got {self.T}")
-        if not self.base_dt > 0:
-            raise ShapeMismatch(f"base_dt must be positive, got {self.base_dt}")
         if effective_gamma(self.base_model.memory.lam, self.base_model.memory.A) <= 0:
             raise DegenerateFriction("effective friction is zero; study refuses to run")
 
@@ -162,15 +162,13 @@ def run_study(study: ScalingStudy) -> StudyResult:
     Rows come in the input epsilon order; each run draws from its own
     sub-stream of ``study.seed`` and takes round(T/base_dt) steps.  Raises
     :class:`ShapeMismatch` before simulating unless T and every checkpoint are
-    whole numbers of steps (``quadratic.whole_steps``), there is a checkpoint,
-    and each falls on its own step in (0, T].
+    whole numbers k >= 1 of steps base_dt > 0 (``quadratic.whole_steps``), there
+    is a checkpoint, and each falls on its own step in (0, T].
     """
     dt = study.base_dt
     n_steps = whole_steps(study.T, dt)
     check_steps = {whole_steps(t, dt): t for t in study.checkpoints}
-    if not check_steps or len(check_steps) < len(set(study.checkpoints)) or not all(
-        1 <= k <= n_steps for k in check_steps
-    ):
+    if not 0 < len(check_steps) == len(set(study.checkpoints)) or max(check_steps) > n_steps:
         raise ShapeMismatch(
             f"checkpoints {study.checkpoints} do not fall on distinct steps of "
             f"(0, T={study.T}] at dt={dt}"

@@ -57,15 +57,10 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def is_symmetric(M: np.ndarray, tol: float = 1e-10) -> bool:
-    M = np.asarray(M, dtype=float)
-    return bool(np.max(np.abs(M - M.T)) <= tol * max(1.0, float(np.max(np.abs(M)))))
-
-
 def check_psd(D, name: str = "D", tol: float = 1e-10) -> np.ndarray:
     """Validate symmetric positive semidefiniteness; returns the symmetrized matrix."""
     D = _as_square(D, name)
-    if not is_symmetric(D, tol):
+    if np.max(np.abs(D - D.T)) > tol * max(1.0, float(np.max(np.abs(D)))):
         raise NonSPDMatrix(f"{name} is not symmetric")
     D = 0.5 * (D + D.T)
     w = np.linalg.eigvalsh(D)

@@ -237,8 +237,8 @@ class _Stepper:
     """Precomputed transition maps for one (model, dt) pair."""
 
     def __init__(self, model: ValidatedModel, dt: float):
-        if not dt > 0:
-            raise ShapeMismatch(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ShapeMismatch(f"dt must be positive and finite, got {dt}")
         self.model = model
         self.dt = dt
         self.kind = model.kind
@@ -345,7 +345,11 @@ class _Work:
 
 
 def make_stepper(model: ValidatedModel, dt: float) -> _Stepper:
-    """Build the stepper of one (model, dt) pair."""
+    """Build the stepper of one (model, dt) pair; dt must be positive and finite.
+
+    A stepper has no horizon, so it checks dt itself: any other dt is a
+    :class:`ShapeMismatch`, before any map is built.
+    """
     return _Stepper(model, dt)
 
 
@@ -404,17 +408,16 @@ def simulate(
 ) -> ObservableSeries:
     """Run the integrator to time T, recording observables every ``record_every`` steps.
 
-    T must be a whole number of steps dt (``quadratic.whole_steps``), else
-    :class:`ShapeMismatch`; the final state is always recorded.  Raises
-    :class:`NonFiniteState` with the failing time on blow-up.
+    T must be a whole number k >= 1 of steps dt > 0 (``quadratic.whole_steps``),
+    else :class:`ShapeMismatch` before any sampling; the final state, at T, is
+    always recorded.  Raises :class:`NonFiniteState` with the failing time on
+    blow-up.
     """
-    if not 0 < T < math.inf:
-        raise ShapeMismatch(f"T must be positive and finite, got {T}")
+    n_steps = whole_steps(T, dt)
     if record_every < 1:
         raise ShapeMismatch(f"record_every must be a positive step count, got {record_every}")
     ens = init_ensemble(model, N, seed, init)
     stepper = make_stepper(model, dt)
-    n_steps = whole_steps(T, dt)
     records = [_record(ens)]
     for k in range(1, n_steps + 1):
         stepper.step(ens)

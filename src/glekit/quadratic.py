@@ -189,28 +189,38 @@ def _sorted_complex(vals) -> np.ndarray:
 
 
 def _gle_branch_roots(c: float, lambdas, alphas) -> np.ndarray:
-    """Roots of nu^2 prod(nu+a_j) + nu sum_j l_j^2 prod_{k!=j}(nu+a_k) + c prod(nu+a_j)."""
-    poly = np.array([1.0, 0.0])  # nu^2 accumulates the alpha factors below
-    for a in alphas:
-        poly = np.polymul(poly, [1.0, a])
-    poly = np.polymul(poly, [1.0, 0.0])  # now nu^2 * prod(nu + a_j)
-    for j, lj in enumerate(lambdas):
-        term = np.array([lj**2, 0.0])  # l_j^2 * nu
-        for k, a in enumerate(alphas):
-            if k != j:
-                term = np.polymul(term, [1.0, a])
-        poly = np.polyadd(poly, term)
-    const = np.array([float(c)])
-    for a in alphas:
-        const = np.polymul(const, [1.0, a])
-    poly = np.polyadd(poly, const)
-    try:
-        roots = np.roots(poly)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingFailure(str(exc)) from exc
-    resid = np.abs(np.polyval(poly, roots))
+    """Roots of nu^2 prod(nu+a_j) + nu sum_j l_j^2 prod_{k!=j}(nu+a_k) + c prod(nu+a_j).
+
+    A coefficient that overflows, or a root whose residual is not small
+    (non-finite included), is a :class:`RootFindingFailure`, with no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = np.array([1.0, 0.0])  # nu^2 accumulates the alpha factors below
+        for a in alphas:
+            poly = np.polymul(poly, [1.0, a])
+        poly = np.polymul(poly, [1.0, 0.0])  # now nu^2 * prod(nu + a_j)
+        for j, lj in enumerate(lambdas):
+            try:
+                term = np.array([lj**2, 0.0])  # l_j^2 * nu
+            except OverflowError:  # lj**2 of a Python float raises rather than give inf
+                term = np.array([math.inf, 0.0])
+            for k, a in enumerate(alphas):
+                if k != j:
+                    term = np.polymul(term, [1.0, a])
+            poly = np.polyadd(poly, term)
+        const = np.array([float(c)])
+        for a in alphas:
+            const = np.polymul(const, [1.0, a])
+        poly = np.polyadd(poly, const)
+        if not np.all(np.isfinite(poly)):
+            raise RootFindingFailure("a coefficient of the characteristic polynomial overflows")
+        try:
+            roots = np.roots(poly)
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingFailure(str(exc)) from exc
+        resid = np.abs(np.polyval(poly, roots))
     scale = max(1.0, float(np.max(np.abs(poly))))
-    if np.any(resid > 1e-6 * scale):
+    if not np.all(resid <= 1e-6 * scale):
         raise RootFindingFailure(f"polynomial residual too large: {resid.max()}")
     return roots
 
@@ -360,12 +370,15 @@ def ou_fundamental(B, D, t: float, x, y) -> float:
 
 
 def whole_steps(t: float, dt: float) -> int:
-    """The number of steps dt in t; ShapeMismatch unless it is whole to 1e-9 max(1, t)."""
-    if not math.isfinite(t / dt):
-        raise ShapeMismatch(f"t={t} is not a finite number of steps dt={dt}")
-    k = int(round(t / dt))
-    if abs(k * dt - t) > 1e-9 * max(1.0, t):
-        raise ShapeMismatch(f"t={t} is not a whole number of steps dt={dt}")
+    """The number k >= 1 of steps dt in the horizon t: the one time-grid rule of glekit.
+
+    Raises :class:`ShapeMismatch`, naming t and dt, unless dt > 0, 0 < t < inf,
+    t/dt is finite and |k dt - t| <= 1e-9 max(1, t).  So a run that takes k
+    steps ends at t, never at t = 0 or short of it.
+    """
+    k = round(t / dt) if dt > 0 and math.isfinite(t / dt) else 0
+    if k < 1 or abs(k * dt - t) > 1e-9 * max(1.0, t):
+        raise ShapeMismatch(f"t={t} is not a positive whole number of steps dt={dt}")
     return k
 
 

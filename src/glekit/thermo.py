@@ -204,14 +204,13 @@ def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: flo
     maps of ``quadratic.flow_maps`` (matrix exponentials and the one-step
     Gram integral), which agrees with the step-by-step loop to rounding.  So
     E-drift measures only the second-order trapezoid error of e: halving dt
-    cuts the drift about fourfold.  T must be a whole number of steps, to
-    1e-9 max(1, T).  Every covariance passes the symmetric-PSD check of a
+    cuts the drift about fourfold.  T must be a whole number k >= 1 of steps
+    dt > 0 (``quadratic.whole_steps``), else :class:`ShapeMismatch`, so the last
+    row is at T.  Every covariance passes the symmetric-PSD check of a
     Gaussian law and must be nonsingular (:class:`SingularCovariance`
     otherwise); the stack is factored once by Cholesky, and a covariance
     on which Cholesky fails counts as singular for the entropy.
     """
-    if not (dt > 0 and dt <= T < math.inf):
-        raise ShapeMismatch(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
     n_steps = whole_steps(T, dt)
     law = state.rho.law
     mean, cov = affine_laws(*flow_maps(*split_BK(model), dt), law.mean, law.cov, n_steps)

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,6 +229,21 @@ def test_validate_exits_one_when_the_spectrum_root_finding_fails(tmp_path, capsy
     code = run_cli(["validate", "--config", QUAD_GMV, "--out", tmp_path])
     assert code == 1
     assert "RootFindingFailure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning may precede the error
+@pytest.mark.parametrize("cmd", ["validate", "spectrum"])
+@pytest.mark.parametrize(
+    "memory", [{"lambda": "[1e200]"}, {"lambda": "[1e160]"}, {"lambda": "[1e150]", "A": "[1e300]"}],
+    ids=["lambda-1e200", "lambda-1e160", "lambda-1e150-A-1e300"],
+)
+def test_a_characteristic_polynomial_beyond_the_float_range_is_a_root_finding_failure(
+        tmp_path, capsys, cmd, memory):
+    # lambda^2 of a Python float ended in an untyped OverflowError; with A = 1e300 the
+    # coefficients are finite but the residual overflowed in a leaked numpy warning
+    out = tmp_path / "out"
+    assert run_cli([cmd, "--config", _config_with(tmp_path, memory), "--out", out]) == 1
+    assert _one_error_line(capsys, out).startswith("RootFindingFailure: ")
 
 
 def test_out_naming_an_existing_file_is_a_usage_error(tmp_path, capsys):
@@ -826,6 +844,105 @@ def test_infinite_horizon_is_a_typed_error(tmp_path, capsys, cmd):
     assert code == 1
     assert "ShapeMismatch" in capsys.readouterr().err
     assert not (tmp_path / f"{cmd}.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the time grid: every horizon is a whole number k >= 1 of steps dt > 0
+# ---------------------------------------------------------------------------
+
+QUAD_OMV = REPO / "bench" / "quadratic_omv.conf"
+GRID_ERROR = "ShapeMismatch: t={} is not a positive whole number of steps dt={}"
+
+
+def _one_error_line(capsys, out) -> str:
+    """The one line on stderr of a run that left no output directory."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert not out.exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("config, T", [(QUAD_UMV, 2.0), (QUAD_OMV, 1.0)],
+                         ids=["underdamped", "overdamped"])
+def test_simulate_with_an_infinite_step_is_a_shape_mismatch(tmp_path, capsys, config, T):
+    # it took 0 steps: one record at t = 0 under a summary saying T = 2 (or 1)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", config, "--out", out, "--n", "8", "--dt", "inf"]) == 1
+    assert _one_error_line(capsys, out) == GRID_ERROR.format(T, "inf")
+
+
+@pytest.mark.parametrize("config", [QUAD_GMV, QUAD_UMV, QUAD_OMV, DOUBLEWELL_GMV],
+                         ids=["generalized", "underdamped", "overdamped", "double-well"])
+def test_simulate_with_a_horizon_below_half_a_step_is_a_shape_mismatch(tmp_path, capsys, config):
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", config, "--out", out, "--n", "8",
+                    "--t-final", "1e-12"]) == 1
+    assert _one_error_line(capsys, out) == GRID_ERROR.format(1e-12, 0.001)
+
+
+@pytest.mark.parametrize("flag, value, T, dt", [("--base-dt", "inf", 2.0, "inf"),
+                                                ("--t-final", "1e-12", 1e-12, 0.001)])
+def test_whitenoise_names_the_horizon_and_step_it_cannot_run(tmp_path, capsys, flag, value, T,
+                                                             dt):
+    # the error said the checkpoints "do not fall on distinct steps"
+    out = tmp_path / "out"
+    assert run_cli(["whitenoise", "--config", QUAD_GMV, "--out", out, "--n", "8",
+                    flag, value]) == 1
+    assert _one_error_line(capsys, out) == GRID_ERROR.format(T, dt)
+
+
+_BAD_STEPS = st.sampled_from([0.0, -1e-3, math.nan, math.inf, -math.inf])
+_BAD_HORIZONS = st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-12])
+
+
+@st.composite
+def _grids(draw):
+    """(dt, T): dt bad or in [1e-3, 0.5]; T bad or near k steps, 0 <= k <= 200.
+
+    Each is bad one time in four.  Near k steps means k h (1 + delta), with
+    delta in {0, +-1e-12, +-1e-6, +-0.3/k} and h = dt where dt is a step, else
+    drawn from [1e-3, 0.5], so that a bad dt meets a finite T.
+    """
+    dt = draw(_BAD_STEPS if draw(st.integers(0, 3)) == 0 else st.floats(1e-3, 0.5))
+    if draw(st.integers(0, 3)) == 0:
+        return dt, draw(_BAD_HORIZONS)
+    h = dt if 0 < dt < math.inf else draw(st.floats(1e-3, 0.5))
+    k = draw(st.integers(0, 200))
+    off = 0.3 / max(k, 1)
+    delta = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, off, -off]))
+    return dt, k * h * (1.0 + delta)
+
+
+def _last_time(cmd, out: Path, dt: float) -> float:
+    if cmd == "simulate":
+        return json.loads((out / "simulate_summary.json").read_text())["final_time"]
+    if cmd == "thermo":
+        return float((out / "thermo.csv").read_text().splitlines()[-1].split(",")[0])
+    rows = json.loads((out / "whitenoise_summary.json").read_text())["rows"]
+    assert len({r["steps"] for r in rows}) == 1
+    return rows[0]["steps"] * dt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cmd=st.sampled_from(["simulate", "thermo", "whitenoise"]), grid=_grids())
+def test_a_run_ends_at_its_horizon_or_is_one_shape_mismatch(cmd, grid):
+    dt, T = grid
+    argv = [cmd, "--config", str(QUAD_GMV), f"--t-final={T!r}"]
+    argv += {"simulate": ["--n", "4", f"--dt={dt!r}"], "thermo": [f"--dt={dt!r}"],
+             "whitenoise": ["--n", "4", f"--base-dt={dt!r}", "--epsilons", "0.5,0.25",
+                            f"--checkpoints={T!r}"]}[cmd]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 1)
+        if code == 0:
+            assert abs(_last_time(cmd, out, dt) - T) <= 1e-9 * max(1.0, T)
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("ShapeMismatch: ")
+            assert not out.exists()
 
 
 SMALL_GMV = """\

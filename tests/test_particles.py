@@ -316,6 +316,17 @@ def test_empirical_covariance_clt_bound():
     assert np.all(cse <= 2.0 * math.sqrt(2.0 / N) + 1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning may precede the error
+@pytest.mark.parametrize("model", [quadratic_omv(), quadratic_umv(), quadratic_gmv()],
+                         ids=["overdamped", "underdamped", "generalized"])
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
+def test_a_step_that_is_not_positive_and_finite_is_a_shape_mismatch(model, dt):
+    # an infinite dt built an underdamped stepper with T = 0, an overdamped one with
+    # infinite noise, and ended a generalized one in a warning on a non-finite e^{dt M}
+    with pytest.raises(ShapeMismatch, match=f"dt must be positive and finite, got {dt}"):
+        make_stepper(model, dt)
+
+
 def test_blow_up_raises_non_finite_state():
     model = quadratic_omv(omega2=1.0, eta2=0.0)
     ens = init_ensemble(model, 4, seed=0, init=InitProduct(q=BlockLaw(point=1.0)))

@@ -1,3 +1,5 @@
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +293,28 @@ def test_fundamental_kernel_convention_reported():
         kernel = qa.ou_fundamental(B, D, t, x, y)
         assert kernel == pytest.approx(np.exp(-0.5 * dx @ prec @ dx) / norm, rel=1e-12)
         assert kernel < top or np.array_equal(x, peak)
+
+
+# ---------------------------------------------------------------------------
+# the time grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "t, dt",
+    [(1, -0.1), (-1, 0.1), (0, 0.1), (1e-12, 1e-3), (1, math.inf), (math.inf, 1),
+     (math.nan, 0.1), (1, math.nan), (1, 0), (1.0, 0.3)],
+)
+def test_whole_steps_rejects_a_horizon_of_no_whole_number_of_steps(t, dt):
+    # (1, -0.1) gave -10 steps, and (1e-12, 1e-3) and (1, inf) gave 0: runs that end at t = 0
+    with pytest.raises(ShapeMismatch, match=re.escape(f"t={t} is not a positive whole number of "
+                                                      f"steps dt={dt}")):
+        qa.whole_steps(t, dt)
+
+
+@pytest.mark.parametrize("t, dt, k", [(1.0, 0.1, 10), (0.5, 0.5, 1), (1.0 + 1e-10, 0.1, 10)])
+def test_whole_steps_counts_the_steps_of_a_horizon(t, dt, k):
+    assert qa.whole_steps(t, dt) == k
 
 
 # ---------------------------------------------------------------------------
