@@ -235,15 +235,15 @@ def cmd_validate(args, model, rp):
         "eta2": model.eta2,
         "state_dim": model.state_dim(),
     }
-    if model.kind is Kind.GENERALIZED:
-        g = limits.effective_gamma(model.memory.lam, model.memory.A)
-        summary["effective_gamma"] = g if np.ndim(g) == 0 else np.asarray(g)
     try:
         rep = quadratic.spectrum_report(model, cap=4)
         summary["base_spectrum"] = [[v.real, v.imag] for v in rep.base_eigenvalues]
         summary["spectral_gap"] = quadratic.spectral_gap(rep)
     except UnsupportedPotential:
         pass  # non-quadratic models have no closed-form spectrum
+    if model.kind is Kind.GENERALIZED:
+        g = limits.effective_gamma(model.memory.lam, model.memory.A)
+        summary["effective_gamma"] = g if np.ndim(g) == 0 else np.asarray(g)
     print(json.dumps(summary, sort_keys=True, default=_numpy_to_json))
     return None, summary, None
 
@@ -254,10 +254,16 @@ def cmd_spectrum(args, model, rp):
         [pt.real, pt.imag, ";".join(str(k) for k in idx)]
         for pt, idx in zip(rep.lattice, rep.multi_indices)
     ]
+    parameters = {"beta": model.beta, "d": model.d, "kind": model.kind.value,
+                  "omega2": model.omega2, "eta2": model.eta2}
+    if model.kind is Kind.UNDERDAMPED:
+        parameters["gamma"] = model.gamma
+    if model.kind is Kind.GENERALIZED:
+        parameters["lambdas"], parameters["alphas"] = model.memory.diagonal_rates()
     summary = {
-        "kind": rep.kind,
-        "cap": rep.cap,
-        "parameters": rep.parameters,
+        "kind": model.kind.value,
+        "cap": args.cap,
+        "parameters": parameters,
         "base_eigenvalues": [[v.real, v.imag] for v in rep.base_eigenvalues],
         "spectral_gap": quadratic.spectral_gap(rep),
         "lattice_size": int(rep.lattice.size),
@@ -373,16 +379,10 @@ def cmd_thermo(args, model, rp):
     cov = law0.cov.copy()
     d = model.d
     cov[2 * d :, 2 * d :] *= args.z_var_factor
-    state = thermo.GenericState(
-        rho=thermo.GaussianEnsembleLaw(
-            law=quadratic.GaussianLaw(mean=law0.mean, cov=cov), model=model
-        ),
-        e=0.0,
-    )
     dt = rp.dt
     # thermo's horizon defaults to 5.0 rather than [run] T, the particle-run horizon
     T = args.t_final if args.t_final is not None else 5.0
-    series = thermo.evolve_coupled(state, model, dt, T)
+    series = thermo.evolve_coupled(quadratic.GaussianLaw(mean=law0.mean, cov=cov), model, dt, T)
     rows = np.column_stack(
         [series.times, series.energy, series.entropy, series.free_energy, series.dissipation]
     )
@@ -411,7 +411,7 @@ def cmd_whitenoise(args, model, rp):
     rows = [[r.epsilon, r.error, r.se, r.steps, r.wallclock_s] for r in result.rows]
     summary = {
         "gamma": result.gamma,
-        "checkpoints": result.checkpoints,
+        "checkpoints": study.checkpoints,
         "rows": [
             {"epsilon": r.epsilon, "error": r.error, "se": r.se, "steps": r.steps}
             for r in result.rows
@@ -426,16 +426,15 @@ def cmd_whitenoise(args, model, rp):
 # ---------------------------------------------------------------------------
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The glekit parser; with ``only``, just the subcommands named in it get their options.
+def build_parser(only=()) -> argparse.ArgumentParser:
+    """The glekit parser; when ``only`` names subcommands, it builds just their parsers.
 
-    Every subcommand keeps its name and help line either way, so the top-level
-    usage, help and errors do not change.  ``main`` passes its first argument:
-    building the options of all eight subcommands cost more than parsing.
+    ``main`` passes its first argument: building all eight subparsers cost
+    more than parsing.  The top-level usage names all eight either way, so
+    every usage line and error reads the same.
     """
     parser = argparse.ArgumentParser(prog="glekit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"glekit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
     common = [
         ("--config", dict(required=True, help="model config file")),
         ("--seed", dict(type=int, help="override run.seed")),
@@ -443,7 +442,7 @@ def build_parser(only=None) -> argparse.ArgumentParser:
         ("--format", dict(choices=("csv", "json"), default="csv")),
         ("--threads", dict(type=int, default=1, help="only recorded in the manifest")),
     ]
-    for name, handler, summary, options in [
+    commands = [
         ("validate", cmd_validate, "check a config and echo derived quantities", []),
         ("simulate", cmd_simulate, "run the particle integrator",
          [("--n", dict(type=int)), ("--t-final", dict(type=float)), ("--dt", dict(type=float)),
@@ -464,10 +463,12 @@ def build_parser(only=None) -> argparse.ArgumentParser:
          [("--epsilons", dict(default="0.5,0.25,0.125")),
           ("--checkpoints", dict(default="0.5,1,2")), ("--base-dt", dict(type=float)),
           ("--n", dict(type=int)), ("--t-final", dict(type=float))]),
-    ]:
+    ]
+    chosen = [c for c in commands if c[0] in only] or commands
+    metavar = None if chosen is commands else "{" + ",".join(c[0] for c in commands) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, summary, options in chosen:
         p = sub.add_parser(name, help=summary)
-        if only is not None and name not in only:
-            continue
         p.set_defaults(_run=handler)  # the leading _ keeps it out of argv_overrides
         for flag, kwargs in common + options:
             p.add_argument(flag, **kwargs)

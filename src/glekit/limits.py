@@ -39,8 +39,8 @@ def effective_gamma(lam, A):
     """Effective friction lam^T A^{-1} lam via a linear solve (no explicit inverse).
 
     ``lam`` is the (dm, d) coupling of a memory spec.  Returns a scalar for
-    d = 1, else the symmetric PSD d x d friction matrix; an entry beyond the
-    float range is inf, with no warning.
+    d = 1, else the symmetric PSD d x d friction matrix.  An entry beyond the
+    float range raises ShapeMismatch, with no warning.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     A = mk.check_psd(np.atleast_2d(np.asarray(A, dtype=float)), "A")
@@ -51,6 +51,8 @@ def effective_gamma(lam, A):
     with np.errstate(over="ignore", invalid="ignore"):
         G = lam.T @ np.linalg.solve(A, lam)
         G = 0.5 * (G + G.T)
+    if not np.all(np.isfinite(G)):
+        raise ShapeMismatch("effective friction lam^T A^-1 lam is not finite")
     if G.shape == (1, 1):
         return float(G[0, 0])
     return G
@@ -140,7 +142,6 @@ class StudyRow:
 class StudyResult:
     rows: tuple[StudyRow, ...]
     gamma: float
-    checkpoints: tuple[float, ...]
 
 
 def _moment_errors_vs_reference(model_ref, ens_moments):
@@ -204,4 +205,4 @@ def run_study(study: ScalingStudy) -> StudyResult:
                 wallclock_s=time.perf_counter() - t0,
             )
         )
-    return StudyResult(rows=tuple(rows), gamma=ref.gamma, checkpoints=study.checkpoints)
+    return StudyResult(rows=tuple(rows), gamma=ref.gamma)

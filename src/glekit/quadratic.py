@@ -34,7 +34,7 @@ and everything here is exact:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,14 +120,15 @@ class GaussianLaw:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Drift eigenvalues plus the generated lattice of generator eigenvalues."""
+    """Drift eigenvalues, the lattice of generator eigenvalues they generate, and its multi-indices.
+
+    ``multi_indices[i]`` is the k of ``lattice[i]``; the model and the cap that
+    produced the report stay with the caller.
+    """
 
     base_eigenvalues: np.ndarray
     lattice: np.ndarray
     multi_indices: tuple[tuple[int, ...], ...]
-    kind: str
-    parameters: dict = field(default_factory=dict)
-    cap: int = DEFAULT_LATTICE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +291,12 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
         base_eigenvalues=base,
         lattice=np.asarray(points, dtype=complex),
         multi_indices=tuple(indices),
-        kind="",
-        cap=int(cap),
     )
 
 
 def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> SpectrumReport:
-    """Base spectrum plus lattice, tagged with the model's kind and parameters."""
-    rep = spectrum_lattice(base_spectrum(model), cap)
-    params = {"beta": model.beta, "d": model.d, "kind": model.kind.value,
-              "omega2": model.omega2, "eta2": model.eta2}
-    if model.kind is Kind.UNDERDAMPED:
-        params["gamma"] = model.gamma
-    if model.kind is Kind.GENERALIZED:
-        lambdas, alphas = model.memory.diagonal_rates()
-        params["lambdas"] = lambdas
-        params["alphas"] = alphas
-    return replace(rep, kind=model.kind.value, parameters=params)
+    """The model's drift eigenvalues (``base_spectrum``) and their lattice up to ``cap``."""
+    return spectrum_lattice(base_spectrum(model), cap)
 
 
 def spectral_gap(report: SpectrumReport) -> float:

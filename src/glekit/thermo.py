@@ -27,6 +27,12 @@ reversible-irreversible decomposition,
 with the auxiliary energy variable e absorbing the heat exchanged through
 the z-block, de/dt = int A z . z rho - Tr(A)/beta.  Along the coupled flow E
 is conserved, S is nondecreasing, and F = E - S is the Lyapunov function.
+The march starts e at 0, so E(0) = H(rho_0) and S(0) is the entropy/beta.
+
+Each public function takes its data first and the model second:
+``(law, model)`` for a Gaussian law, ``(density, model)`` for a grid.  A
+Gaussian law must belong to a model of the generalized kind and have the
+model's ``state_dim()``; otherwise the function raises ShapeMismatch.
 
 On a d = m = 1 grid density, ``degeneracy_residual`` discretizes the
 reversible and irreversible blocks with central differences; both residuals
@@ -49,32 +55,16 @@ LOG_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
-# states
+# laws
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianEnsembleLaw:
-    """A Gaussian phase-space law tied to a (quadratic) model."""
-
-    law: GaussianLaw
-    model: ValidatedModel
-
-    def __post_init__(self):
-        if self.model.kind is not Kind.GENERALIZED:
-            raise ShapeMismatch("thermodynamic diagnostics use the generalized kind")
-        if self.law.dim != self.model.state_dim():
-            raise ShapeMismatch(
-                f"law dimension {self.law.dim} != model state dimension {self.model.state_dim()}"
-            )
-
-
-@dataclass(frozen=True)
-class GenericState:
-    """A phase-space law paired with the auxiliary energy variable e."""
-
-    rho: GaussianEnsembleLaw
-    e: float
+def _check_law(law: GaussianLaw, model: ValidatedModel) -> None:
+    """ShapeMismatch unless the model is of the generalized kind and the law spans its state."""
+    if model.kind is not Kind.GENERALIZED:
+        raise ShapeMismatch("thermodynamic diagnostics use the generalized kind")
+    if law.dim != model.state_dim():
+        raise ShapeMismatch(f"law dimension {law.dim} != model state dimension {model.state_dim()}")
 
 
 def stationary_law(model: ValidatedModel) -> GaussianLaw:
@@ -154,19 +144,24 @@ def _heat_flux_of(model: ValidatedModel, mu, cov) -> np.ndarray:
     return flux - model.beta_inv * float(np.trace(model.memory.A))
 
 
-def hamiltonian(state: GaussianEnsembleLaw) -> float:
-    """H(rho) as Gaussian moments."""
-    return float(_hamiltonian_of(state.model, state.law.mean, state.law.cov))
+def hamiltonian(law: GaussianLaw, model: ValidatedModel) -> float:
+    """H(rho) of the Gaussian law rho under the model, as Gaussian moments.
+
+    Like every function here that takes ``(law, model)``, it raises
+    ShapeMismatch unless the law fits the model (see the module docstring).
+    """
+    _check_law(law, model)
+    return float(_hamiltonian_of(model, law.mean, law.cov))
 
 
-def free_energy(state: GaussianEnsembleLaw) -> float:
-    """F(rho) = H(rho) - entropy(rho)/beta, exactly, for the Gaussian law."""
-    ent = _entropy(_factor(state.law.cov))
-    return hamiltonian(state) - state.model.beta_inv * float(ent)
+def free_energy(law: GaussianLaw, model: ValidatedModel) -> float:
+    """F(rho) = H(rho) - entropy(rho)/beta, exactly, for the Gaussian law rho."""
+    H = hamiltonian(law, model)
+    return H - model.beta_inv * float(_entropy(_factor(law.cov)))
 
 
-def dissipation(state: GaussianEnsembleLaw) -> float:
-    """-dF/dt >= 0 for the Gaussian law.
+def dissipation(law: GaussianLaw, model: ValidatedModel) -> float:
+    """-dF/dt >= 0 for the Gaussian law rho under the model.
 
     The flux vector z + grad_z log(rho)/beta is affine in the state, so the
     quadratic integrand reduces to
@@ -178,8 +173,9 @@ def dissipation(state: GaussianEnsembleLaw) -> float:
     W = L^-1 (S - I/beta) on the z columns and S = L L^T, so it is formed
     as a PSD product that needs no clamp at zero.
     """
-    L = _factor(state.law.cov)
-    return float(_dissipation_of(state.model, state.law.mean, state.law.cov, L))
+    _check_law(law, model)
+    L = _factor(law.cov)
+    return float(_dissipation_of(model, law.mean, law.cov, L))
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +193,29 @@ class CoupledSeries:
     e: np.ndarray
 
 
-def evolve_coupled(state: GenericState, model: ValidatedModel, dt: float, T: float) -> CoupledSeries:
-    """March the Gaussian law exactly and the auxiliary energy by trapezoid.
+def evolve_coupled(law: GaussianLaw, model: ValidatedModel, dt: float, T: float) -> CoupledSeries:
+    """March the Gaussian law exactly from ``law``, and the auxiliary energy e from 0 by trapezoid.
 
     The law propagates by ``quadratic.affine_laws`` with the exact one-step
     maps of ``quadratic.flow_maps`` (matrix exponentials and the one-step
     Gram integral), which agrees with the step-by-step loop to rounding.  So
     E-drift measures only the second-order trapezoid error of e: halving dt
-    cuts the drift about fourfold.  T must be a whole number k >= 1 of steps
-    dt > 0 (``quadratic.whole_steps``), else :class:`ShapeMismatch`, so the last
-    row is at T.  Every covariance passes the symmetric-PSD check of a
+    cuts the drift about fourfold.  The law must fit the model, and T must be
+    a whole number k >= 1 of steps dt > 0 (``quadratic.whole_steps``), else
+    :class:`ShapeMismatch`, so the last row is at T.  Every covariance passes the symmetric-PSD check of a
     Gaussian law and must be nonsingular (:class:`SingularCovariance`
     otherwise); the stack is factored once by Cholesky, and a covariance
     on which Cholesky fails counts as singular for the entropy.
     """
+    _check_law(law, model)
     n_steps = whole_steps(T, dt)
-    law = state.rho.law
     mean, cov = affine_laws(*flow_maps(*split_BK(model), dt), law.mean, law.cov, n_steps)
     L = _factor(cov)
 
     H = _hamiltonian_of(model, mean, cov)
     ent = model.beta_inv * _entropy(L)
     g = _heat_flux_of(model, mean, cov)
-    e = np.cumsum(np.concatenate([[float(state.e)], 0.5 * dt * (g[:-1] + g[1:])]))
+    e = np.cumsum(np.concatenate([[0.0], 0.5 * dt * (g[:-1] + g[1:])]))
     return CoupledSeries(
         times=np.arange(n_steps + 1) * dt,
         energy=H + e,

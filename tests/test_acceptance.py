@@ -310,8 +310,8 @@ def test_criterion_08_thermodynamic_laws():
     law0 = thermo.stationary_law(model)
     cov = law0.cov.copy()
     cov[2:, 2:] *= 2.0
-    rho0 = thermo.GaussianEnsembleLaw(law=GaussianLaw(mean=law0.mean, cov=cov), model=model)
-    series = thermo.evolve_coupled(thermo.GenericState(rho=rho0, e=0.0), model, dt=1e-3, T=5.0)
+    rho0 = GaussianLaw(mean=law0.mean, cov=cov)
+    series = thermo.evolve_coupled(rho0, model, dt=1e-3, T=5.0)
     scale = max(1.0, abs(series.energy[0]))
     e_drift = float(np.max(np.abs(series.energy - series.energy[0]))) / scale
     f_mono = bool(np.all(np.diff(series.free_energy) <= 1e-8))
@@ -320,20 +320,16 @@ def test_criterion_08_thermodynamic_laws():
     B, K, D = split_BK(model)
     delta, worst_rel = 1e-4, 0.0
     for t in np.linspace(0.4, 4.5, 10):
-        f = lambda s: thermo.free_energy(
-            thermo.GaussianEnsembleLaw(law=propagate_gaussian(B, K, D, s, rho0.law), model=model)
-        )
+        f = lambda s: thermo.free_energy(propagate_gaussian(B, K, D, s, rho0), model)
         dF = (f(t + delta) - f(t - delta)) / (2 * delta)
-        w = thermo.dissipation(
-            thermo.GaussianEnsembleLaw(law=propagate_gaussian(B, K, D, t, rho0.law), model=model)
-        )
+        w = thermo.dissipation(propagate_gaussian(B, K, D, t, rho0), model)
         worst_rel = max(worst_rel, abs(dF + w) / max(abs(w), 1e-12))
 
     r1s, r2s = [], []
     for h in (0.2, 0.1):
         n = int(round(10.0 / h)) + 1
         ax = np.linspace(-5.0, 5.0, n)
-        grid = _gaussian_grid(rho0.law, ax)
+        grid = _gaussian_grid(rho0, ax)
         r1, r2 = thermo.degeneracy_residual(grid, model)
         r1s.append(r1)
         r2s.append(r2)

@@ -246,6 +246,45 @@ def test_a_characteristic_polynomial_beyond_the_float_range_is_a_root_finding_fa
     assert _one_error_line(capsys, out).startswith("RootFindingFailure: ")
 
 
+FRICTION_OVERFLOW = "ShapeMismatch: effective friction lam^T A^-1 lam is not finite"
+DOUBLE_WELL = {"potential.kind": "double_well", "potential.params": "[1.0, 1.0]"}
+WHITENOISE_FLAGS = ["--n", "4", "--t-final", "0.01", "--checkpoints", "0.01", "--base-dt", "0.005"]
+# (potential, subcommand, flags, error line) with lambda = 1e200
+FRICTION_OVERFLOWS = {
+    "double-well-validate": (DOUBLE_WELL, "validate", [], FRICTION_OVERFLOW),
+    "double-well-whitenoise": (DOUBLE_WELL, "whitenoise", WHITENOISE_FLAGS, FRICTION_OVERFLOW),
+    # validate runs the closed-form spectrum, which fails first, before the friction
+    "quadratic-validate": ({}, "validate", [], "RootFindingFailure: "),
+    "quadratic-whitenoise": ({}, "whitenoise", WHITENOISE_FLAGS, FRICTION_OVERFLOW),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning may precede the error
+@pytest.mark.parametrize("potential, cmd, flags, line", FRICTION_OVERFLOWS.values(),
+                         ids=FRICTION_OVERFLOWS.keys())
+def test_an_effective_friction_beyond_the_float_range_is_one_typed_error(
+        tmp_path, capsys, potential, cmd, flags, line):
+    # validate printed "effective_gamma": Infinity for the double well and exited 0;
+    # whitenoise leaked a RuntimeWarning from the underdamped reference
+    out = tmp_path / "out"
+    cfg = _config_with(tmp_path, {**potential, "lambda": "[1e200]"})
+    assert run_cli([cmd, "--config", cfg, "--out", out, *flags]) == 1
+    assert _one_error_line(capsys, out).startswith(line)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("potential", [DOUBLE_WELL, {}], ids=["double-well", "quadratic"])
+def test_a_run_that_needs_no_effective_friction_is_not_stopped_by_an_overflowing_one(
+        tmp_path, capsys, potential):
+    # the model with lambda = 1e200 is valid: stationary runs, and simulate stops at
+    # its own step map
+    cfg = _config_with(tmp_path, {**potential, "lambda": "[1e200]"})
+    assert run_cli(["stationary", "--config", cfg, "--out", tmp_path / "stationary"]) == 0
+    out = tmp_path / "simulate"
+    assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
+    assert _one_error_line(capsys, out).startswith("MatrixOverflow: ")
+
+
 def test_out_naming_an_existing_file_is_a_usage_error(tmp_path, capsys):
     # checked before the run: validate used to print its summary first
     taken = tmp_path / "taken"
@@ -377,7 +416,8 @@ def test_unknown_subcommand_exits_two(tmp_path):
 COMMANDS = ("validate", "simulate", "spectrum", "greens", "stationary", "bifurcation", "thermo",
             "whitenoise")
 USAGE_RUNS = [["-h"], *([cmd, "-h"] for cmd in COMMANDS), ["frobnicate", "--config", "x"],
-              ["--version"], [], ["bifurcation", "--config", "x"]]
+              ["--version"], [], ["bifurcation", "--config", "x"],
+              ["bifurcation", "--config", "x", "extra"], ["thermo", "--config", "x", "--bogus"]]
 
 
 def _exit_and_text(capsys, run):
@@ -388,8 +428,8 @@ def _exit_and_text(capsys, run):
 
 @pytest.mark.parametrize("argv", USAGE_RUNS, ids=" ".join)
 def test_usage_text_equals_that_of_the_parser_with_every_option(capsys, monkeypatch, argv):
-    # main builds the options of the subcommand it runs alone; help, version and usage
-    # errors print what the parser with every subcommand's options prints
+    # main builds the parser of the subcommand it runs alone; help, version and usage
+    # errors print what the parser with every subcommand prints
     monkeypatch.setenv("COLUMNS", "80")
     full = _exit_and_text(capsys, lambda: cli.build_parser().parse_args(argv))
     assert _exit_and_text(capsys, lambda: main(argv)) == full
@@ -403,7 +443,7 @@ def test_threads_error_text_equals_that_of_the_parser_with_every_option(capsys, 
     assert _exit_and_text(capsys, lambda: main(argv)) == full
 
 
-def test_parser_adds_options_only_to_the_subcommands_named():
+def test_parser_builds_only_the_subcommands_named():
     parser = cli.build_parser(["simulate"])
     assert parser.parse_args(["simulate", "--config", "x", "--n", "3"]).n == 3
     with pytest.raises(SystemExit):
@@ -420,6 +460,30 @@ def test_spectrum_outputs(tmp_path):
     assert summary["spectral_gap"] > 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert any(o["path"] == "spectrum.csv" for o in manifest["outputs"])
+
+
+# per kind, the [model] lines beyond the common ones, and the parameters the spectrum
+# summary carries beyond beta, d, kind, omega2 and eta2
+SPECTRUM_PARAMETERS = {
+    "overdamped": ("", {}),
+    "underdamped": ("gamma = 1.5\n", {"gamma": 1.5}),
+    "generalized": ("[memory]\nm = 2\nlambda = [1.0, 0.5]\ndiag = [1.0, 3.0]\n",
+                    {"lambdas": [1.0, 0.5], "alphas": [1.0, 3.0]}),
+}
+
+
+@pytest.mark.parametrize("kind, lines, extra",
+                         [(k, *v) for k, v in SPECTRUM_PARAMETERS.items()], ids=SPECTRUM_PARAMETERS)
+def test_spectrum_summary_carries_the_kind_cap_and_parameters_of_its_model(tmp_path, kind, lines,
+                                                                           extra):
+    cfg = tmp_path / "model.conf"
+    cfg.write_text(f"[model]\nkind = {kind}\nd = 1\nbeta = 2.0\npotential.kind = quadratic\n"
+                   f"potential.params = [1.3]\ninteraction.eta2 = 0.7\n{lines}")
+    assert run_cli(["spectrum", "--config", cfg, "--out", tmp_path / "out", "--cap", "2"]) == 0
+    summary = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
+    assert (summary["kind"], summary["cap"]) == (kind, 2)
+    common = {"beta": 2.0, "d": 1, "kind": kind, "omega2": 1.3, "eta2": 0.7}
+    assert summary["parameters"] == {**common, **extra}
 
 
 def test_greens_outputs(tmp_path):

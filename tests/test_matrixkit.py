@@ -137,9 +137,9 @@ def test_expm_matches_scipy_on_the_matrices_glekit_builds(monkeypatch):
         for t in (0.5, 1.0, 2.0, 50.0):
             mk.gram_integral(B + K, 2.0 * D, t)
     for model in (m for m in quadratic if m.kind is Kind.GENERALIZED):
-        rho = thermo.GaussianEnsembleLaw(law=thermo.stationary_law(model), model=model)
+        law = thermo.stationary_law(model)
         for dt in (1e-3, 1e-2, 0.1):
-            thermo.evolve_coupled(thermo.GenericState(rho=rho, e=0.0), model, dt, dt)
+            thermo.evolve_coupled(law, model, dt, dt)
     monkeypatch.undo()
     assert seen
     assert max(_rel_err_vs_scipy(M) for M in seen) <= 1e-13

@@ -16,21 +16,17 @@ from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
 QUAD_GMV = Path(__file__).resolve().parents[1] / "configs" / "quadratic_gmv.conf"
 
 
-def state_of(law, model):
-    return thermo.GaussianEnsembleLaw(law=law, model=model)
-
-
-def displaced_state(model, z_var_factor=2.0):
+def displaced_law(model, z_var_factor=2.0):
     law = thermo.stationary_law(model)
     cov = law.cov.copy()
     d = model.d
     cov[2 * d :, 2 * d :] *= z_var_factor
-    return state_of(GaussianLaw(mean=law.mean, cov=cov), model)
+    return GaussianLaw(mean=law.mean, cov=cov)
 
 
-def generic_pair(state, e):
-    """(E, S) of a law and its auxiliary energy e: row 0 of the coupled series."""
-    series = thermo.evolve_coupled(thermo.GenericState(rho=state, e=e), state.model, 0.01, 0.01)
+def generic_pair(law, model):
+    """(E, S) of a law, with the auxiliary energy e = 0: row 0 of the coupled series."""
+    series = thermo.evolve_coupled(law, model, 0.01, 0.01)
     return series.energy[0], series.entropy[0]
 
 
@@ -50,13 +46,21 @@ LAW_MISFITS = {
     "overdamped-kind": (quadratic_omv(), 1, "use the generalized kind"),
     "dimension": (quadratic_gmv(), 2, "law dimension 2 != model state dimension 3"),
 }
+LAW_FUNCTIONS = {
+    "hamiltonian": thermo.hamiltonian,
+    "free_energy": thermo.free_energy,
+    "dissipation": thermo.dissipation,
+    "evolve_coupled": lambda law, model: thermo.evolve_coupled(law, model, 0.01, 0.01),
+}
 
 
+@pytest.mark.parametrize("function", LAW_FUNCTIONS.values(), ids=LAW_FUNCTIONS.keys())
 @pytest.mark.parametrize("model, dim, message", LAW_MISFITS.values(), ids=LAW_MISFITS.keys())
-def test_an_ensemble_law_that_does_not_fit_its_model_is_a_shape_mismatch(model, dim, message):
+def test_an_ensemble_law_that_does_not_fit_its_model_is_a_shape_mismatch(model, dim, message,
+                                                                         function):
     law = GaussianLaw(mean=np.zeros(dim), cov=np.eye(dim))
     with pytest.raises(ShapeMismatch, match=message):
-        state_of(law, model)
+        function(law, model)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +71,7 @@ def test_an_ensemble_law_that_does_not_fit_its_model_is_a_shape_mismatch(model, 
 def test_free_energy_of_noninteracting_stationary_state():
     model = quadratic_gmv(omega2=1.3, eta2=0.0, beta=2.0)
     law = thermo.stationary_law(model)
-    F = thermo.free_energy(state_of(law, model))
+    F = thermo.free_energy(law, model)
     beta, omega2 = 2.0, 1.3
     log_zbar = 0.5 * (
         math.log(2 * math.pi / (beta * omega2)) + 2 * math.log(2 * math.pi / beta)
@@ -86,21 +90,20 @@ def test_free_energy_of_noninteracting_stationary_state():
 
 def test_free_energy_bounded_below_along_trajectory():
     model = quadratic_gmv(beta=2.0)
-    state = thermo.GenericState(rho=displaced_state(model, 3.0), e=0.0)
-    series = thermo.evolve_coupled(state, model, dt=1e-2, T=6.0)
+    series = thermo.evolve_coupled(displaced_law(model, 3.0), model, dt=1e-2, T=6.0)
     law_inf = thermo.stationary_law(model)
-    f_min = thermo.free_energy(state_of(law_inf, model))
+    f_min = thermo.free_energy(law_inf, model)
     assert np.all(series.free_energy >= f_min - 1e-10)
 
 
 def test_free_energy_minimized_at_stationary_state(rng):
     model = quadratic_gmv(beta=1.5)
     law = thermo.stationary_law(model)
-    f_star = thermo.free_energy(state_of(law, model))
+    f_star = thermo.free_energy(law, model)
     for _ in range(20):
         bump = rng.uniform(-0.3, 0.3, (3, 3))
         cov = law.cov + bump @ bump.T
-        f = thermo.free_energy(state_of(GaussianLaw(mean=law.mean, cov=cov), model))
+        f = thermo.free_energy(GaussianLaw(mean=law.mean, cov=cov), model)
         assert f >= f_star - 1e-12
 
 
@@ -112,15 +115,14 @@ def test_free_energy_minimized_at_stationary_state(rng):
 def test_dissipation_vanishes_at_stationarity():
     model = quadratic_gmv(beta=2.0)
     law = thermo.stationary_law(model)
-    assert thermo.dissipation(state_of(law, model)) <= 1e-10
+    assert thermo.dissipation(law, model) <= 1e-10
 
 
 def test_dissipation_matches_quadrature_for_hot_memory():
     # independent z with variance 2/beta: flux vector reduces to z/2
     beta, alpha = 2.0, 1.0
     model = quadratic_gmv(beta=beta, alphas=(alpha,))
-    state = displaced_state(model, z_var_factor=2.0)
-    val = thermo.dissipation(state)
+    val = thermo.dissipation(displaced_law(model, z_var_factor=2.0), model)
     zs = np.linspace(-12, 12, 200_001)
     g = np.exp(-(zs**2) / (2 * (2 / beta))) / math.sqrt(2 * math.pi * 2 / beta)
     root = np.sqrt(g)
@@ -135,7 +137,7 @@ def test_dissipation_matches_grid_quadrature_for_correlated_law():
     model = quadratic_gmv(beta=1.0)
     B, K, D = split_BK(model)
     law = qa.meanfield_green(B, K, D, 0.6, [1.0, 0.0, 0.5])
-    val = thermo.dissipation(state_of(law, model))
+    val = thermo.dissipation(law, model)
     sig = np.sqrt(np.diag(law.cov))
     axes = tuple(
         np.linspace(law.mean[i] - 8 * sig[i], law.mean[i] + 8 * sig[i], 201) for i in range(3)
@@ -158,17 +160,14 @@ def test_dissipation_matches_grid_quadrature_for_correlated_law():
 def test_dissipation_consistent_with_free_energy_decay():
     model = quadratic_gmv(beta=1.0)
     B, K, D = split_BK(model)
-    state0 = displaced_state(model, 2.0)
+    law0 = displaced_law(model, 2.0)
     delta = 1e-4
     for t in np.linspace(0.4, 4.0, 10):
-        law_m = propagate_gaussian(B, K, D, t - delta, state0.law)
-        law_p = propagate_gaussian(B, K, D, t + delta, state0.law)
-        dF = (
-            thermo.free_energy(state_of(law_p, model))
-            - thermo.free_energy(state_of(law_m, model))
-        ) / (2 * delta)
-        law_t = propagate_gaussian(B, K, D, t, state0.law)
-        w = thermo.dissipation(state_of(law_t, model))
+        law_m = propagate_gaussian(B, K, D, t - delta, law0)
+        law_p = propagate_gaussian(B, K, D, t + delta, law0)
+        dF = (thermo.free_energy(law_p, model) - thermo.free_energy(law_m, model)) / (2 * delta)
+        law_t = propagate_gaussian(B, K, D, t, law0)
+        w = thermo.dissipation(law_t, model)
         assert dF == pytest.approx(-w, rel=1e-4)
 
 
@@ -180,36 +179,24 @@ def test_dissipation_consistent_with_free_energy_decay():
 def test_generic_functionals_at_stationarity():
     model = quadratic_gmv(beta=2.0)
     law = thermo.stationary_law(model)
-    E, S = generic_pair(state_of(law, model), 0.0)
-    assert E == pytest.approx(thermo.hamiltonian(state_of(law, model)))
+    E, S = generic_pair(law, model)
+    assert E == pytest.approx(thermo.hamiltonian(law, model))
     sign, logdet = np.linalg.slogdet(law.cov)
     ent = 0.5 * (3 * math.log(2 * math.pi * math.e) + logdet)
     assert S == pytest.approx(ent / 2.0, rel=1e-12)
 
 
-def test_generic_functionals_shift_with_e():
-    model = quadratic_gmv()
-    rho = displaced_state(model)
-    E0, S0 = generic_pair(rho, 0.0)
-    E1, S1 = generic_pair(rho, 1.7)
-    assert E1 - E0 == pytest.approx(1.7)
-    assert S1 - S0 == pytest.approx(1.7)
-
-
 def test_evolve_coupled_stationary_start_is_constant():
     model = quadratic_gmv(beta=2.0)
     law = thermo.stationary_law(model)
-    series = thermo.evolve_coupled(
-        thermo.GenericState(rho=state_of(law, model), e=0.0), model, dt=1e-2, T=2.0
-    )
+    series = thermo.evolve_coupled(law, model, dt=1e-2, T=2.0)
     assert np.max(np.abs(series.energy - series.energy[0])) <= 1e-10
     assert np.max(np.abs(series.entropy - series.entropy[0])) <= 1e-10
 
 
 def test_evolve_coupled_laws_of_thermodynamics():
     model = quadratic_gmv(beta=1.0)
-    state = thermo.GenericState(rho=displaced_state(model, 2.0), e=0.0)
-    series = thermo.evolve_coupled(state, model, dt=1e-3, T=5.0)
+    series = thermo.evolve_coupled(displaced_law(model, 2.0), model, dt=1e-3, T=5.0)
     scale = max(1.0, abs(series.energy[0]))
     assert np.max(np.abs(series.energy - series.energy[0])) <= 1e-6 * scale
     assert np.all(np.diff(series.entropy) >= -1e-8)
@@ -219,10 +206,10 @@ def test_evolve_coupled_laws_of_thermodynamics():
 
 def test_evolve_coupled_energy_drift_is_second_order():
     model = quadratic_gmv(beta=1.0)
-    state = thermo.GenericState(rho=displaced_state(model, 2.0), e=0.0)
+    law = displaced_law(model, 2.0)
     drifts = []
     for dt in (2e-2, 1e-2):
-        series = thermo.evolve_coupled(state, model, dt=dt, T=2.0)
+        series = thermo.evolve_coupled(law, model, dt=dt, T=2.0)
         drifts.append(np.max(np.abs(series.energy - series.energy[0])))
     ratio = drifts[0] / drifts[1]
     assert 3.0 <= ratio <= 5.0, f"drift ratio {ratio}"
@@ -231,9 +218,8 @@ def test_evolve_coupled_energy_drift_is_second_order():
 def test_evolve_coupled_rejects_singular_start():
     model = quadratic_gmv()
     law = GaussianLaw(mean=[1.0, 0.0, 0.0], cov=np.diag([0.0, 1.0, 1.0]))
-    state = thermo.GenericState(rho=state_of(law, model), e=0.0)
     with pytest.raises(SingularCovariance):
-        thermo.evolve_coupled(state, model, dt=1e-2, T=0.1)
+        thermo.evolve_coupled(law, model, dt=1e-2, T=0.1)
 
 
 def _rotated(eigenvalues, seed=3):
@@ -267,12 +253,11 @@ def test_covariance_check_covers_every_matrix_of_a_stack():
 def test_a_law_on_which_cholesky_fails_is_singular_for_the_entropy():
     model = quadratic_gmv()
     law = GaussianLaw(mean=[0.0, 0.0, 0.0], cov=_rotated([1.0, -0.5e-12, 1.0]))
-    state = state_of(law, model)
     for functional in (thermo.free_energy, thermo.dissipation):
         with pytest.raises(SingularCovariance):
-            functional(state)
+            functional(law, model)
     with pytest.raises(SingularCovariance):
-        generic_pair(state, 0.0)
+        generic_pair(law, model)
 
 
 def _dissipation_in_long_double(model, mean, cov):
@@ -294,9 +279,8 @@ def test_dissipation_keeps_its_relative_accuracy_near_equilibrium():
     # glekit thermo's defaults on this config: T = 5, z variance doubled
     cfg = load_config(QUAD_GMV)
     model, dt = cfg.model(), cfg.run_params().dt
-    state = displaced_state(model, 2.0)
-    series = thermo.evolve_coupled(thermo.GenericState(rho=state, e=0.0), model, dt, 5.0)
-    law = state.law
+    law = displaced_law(model, 2.0)
+    series = thermo.evolve_coupled(law, model, dt, 5.0)
     mean, cov = qa.affine_laws(*qa.flow_maps(*split_BK(model), dt), law.mean, law.cov, 5000)
     ref = _dissipation_in_long_double(model, mean, cov)
     assert float(ref[4315]) == pytest.approx(6.17e-10, rel=1e-3)
@@ -320,7 +304,7 @@ def _degeneracy_on_spacings(model, law, spacings):
 
 def test_degeneracy_residuals_vanish_with_grid():
     model = quadratic_gmv(beta=1.0)
-    law = displaced_state(model, 2.0).law
+    law = displaced_law(model, 2.0)
     (r1c, r2c), (r1f, r2f) = _degeneracy_on_spacings(model, law, (0.2, 0.1))
     order = math.log(r1c / r1f) / math.log(2.0)
     assert order >= 1.8, f"reversible-block order {order}"
@@ -331,7 +315,7 @@ def test_degeneracy_residuals_vanish_with_grid():
 def test_degeneracy_r2_cancellation_is_structural():
     # the cancellation does not use positivity of the relaxation coefficient
     model = quadratic_gmv(beta=1.0)
-    law = displaced_state(model, 2.0).law
+    law = displaced_law(model, 2.0)
     ax = np.linspace(-5.0, 5.0, 41)
     g = gaussian_on_grid(law, ax)
     h = ax[1] - ax[0]
@@ -355,8 +339,8 @@ def test_stationary_law_maximizes_entropy_at_its_energy(rng):
     omega2, eta2 = 1.3, 0.7
     model = quadratic_gmv(omega2=omega2, eta2=eta2, beta=2.0)
     law = thermo.stationary_law(model)
-    H_star = thermo.hamiltonian(state_of(law, model))
-    S_star = H_star - thermo.free_energy(state_of(law, model))
+    H_star = thermo.hamiltonian(law, model)
+    S_star = H_star - thermo.free_energy(law, model)
     W = np.diag([omega2 + eta2, 1.0, 1.0])
     trace_w = np.trace(W @ law.cov)
     sd = np.sqrt(np.diag(law.cov))
@@ -371,9 +355,9 @@ def test_stationary_law_maximizes_entropy_at_its_energy(rng):
         shrink = 1.0 - (omega2 * mu[0] ** 2 + mu[1] ** 2 + mu[2] ** 2) / trace_w
         laws.append(GaussianLaw(mean=mu, cov=shrink * law.cov))
     for other in laws:
-        H = thermo.hamiltonian(state_of(other, model))
+        H = thermo.hamiltonian(other, model)
         assert H == pytest.approx(H_star, rel=0, abs=1e-12)
-        assert H - thermo.free_energy(state_of(other, model)) < S_star
+        assert H - thermo.free_energy(other, model) < S_star
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +391,8 @@ def test_grid_functionals_match_gaussian_closed_forms():
     sig = np.sqrt(np.diag(law.cov))
     axes = tuple(np.linspace(-9 * s, 9 * s, 161) for s in sig)
     grid = gaussian_on_grid(law, None, axes=axes)
-    st = state_of(law, model)
-    assert hamiltonian_grid(grid, model) == pytest.approx(thermo.hamiltonian(st), abs=1e-6)
-    E, S = generic_pair(st, 0.3)
-    assert hamiltonian_grid(grid, model) + 0.3 == pytest.approx(E, abs=1e-6)
-    S_grid = model.beta_inv * entropy_grid(grid) + 0.3
+    assert hamiltonian_grid(grid, model) == pytest.approx(thermo.hamiltonian(law, model), abs=1e-6)
+    E, S = generic_pair(law, model)
+    assert hamiltonian_grid(grid, model) == pytest.approx(E, abs=1e-6)
+    S_grid = model.beta_inv * entropy_grid(grid)
     assert S_grid == pytest.approx(S, abs=1e-6)
