@@ -236,9 +236,9 @@ def cmd_validate(args, model, rp):
         "state_dim": model.state_dim(),
     }
     try:
-        rep = quadratic.spectrum_report(model, cap=4)
-        summary["base_spectrum"] = [[v.real, v.imag] for v in rep.base_eigenvalues]
-        summary["spectral_gap"] = quadratic.spectral_gap(rep)
+        base = quadratic.base_spectrum(model)
+        summary["base_spectrum"] = [[v.real, v.imag] for v in base]
+        summary["spectral_gap"] = quadratic.spectral_gap(base)
     except UnsupportedPotential:
         pass  # non-quadratic models have no closed-form spectrum
     if model.kind is Kind.GENERALIZED:
@@ -265,7 +265,7 @@ def cmd_spectrum(args, model, rp):
         "cap": args.cap,
         "parameters": parameters,
         "base_eigenvalues": [[v.real, v.imag] for v in rep.base_eigenvalues],
-        "spectral_gap": quadratic.spectral_gap(rep),
+        "spectral_gap": quadratic.spectral_gap(rep.base_eigenvalues),
         "lattice_size": int(rep.lattice.size),
     }
     return (["re", "im", "k_multiindex"], rows), summary, None
@@ -398,20 +398,14 @@ def cmd_thermo(args, model, rp):
 
 
 def cmd_whitenoise(args, model, rp):
-    study = limits.ScalingStudy(
-        base_model=model,
-        epsilons=tuple(_parse_floats(args.epsilons)),
-        N=rp.N,
-        T=rp.T,
-        base_dt=args.base_dt if args.base_dt is not None else rp.dt,
-        seed=rp.seed,
-        checkpoints=tuple(_parse_floats(args.checkpoints)),
-    )
-    result = limits.run_study(study)
+    checkpoints = tuple(_parse_floats(args.checkpoints))
+    dt = args.base_dt if args.base_dt is not None else rp.dt
+    result = limits.run_study(
+        model, _parse_floats(args.epsilons), rp.N, rp.T, dt, rp.seed, checkpoints)
     rows = [[r.epsilon, r.error, r.se, r.steps, r.wallclock_s] for r in result.rows]
     summary = {
         "gamma": result.gamma,
-        "checkpoints": study.checkpoints,
+        "checkpoints": checkpoints,
         "rows": [
             {"epsilon": r.epsilon, "error": r.error, "se": r.se, "steps": r.steps}
             for r in result.rows

@@ -28,6 +28,10 @@ Grammar (exact):
 
 Values are integers, floats, bare words, or bracketed lists of numbers.
 Unknown sections or keys are errors, and so are keys for another kind.
+
+``interaction.eta2`` is ``ModelSpec.eta2``.  ``[memory] m`` is required and
+sizes the ``lambda`` and ``A`` (or ``diag``) lists; the model itself stores
+no m, and reads it back as ``lambda``'s row count over d.
 """
 
 from __future__ import annotations
@@ -38,16 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
-from .model import (
-    CurieWeiss,
-    DoubleWell,
-    Kind,
-    MemorySpec,
-    ModelSpec,
-    Quadratic,
-    ValidatedModel,
-    validate,
-)
+from .model import DoubleWell, Kind, MemorySpec, ModelSpec, Quadratic, ValidatedModel, validate
 
 _KNOWN_KEYS = {
     "model": {
@@ -108,7 +103,7 @@ class Config:
         else:
             raise ConfigError(f"unknown potential.kind {pkind!r}")
 
-        interaction = CurieWeiss(eta2=_number(model, "interaction.eta2", 0.0))
+        eta2 = _number(model, "interaction.eta2", 0.0)
         gamma = _number(model, "gamma", None) if "gamma" in model else None
 
         memory = None
@@ -139,13 +134,13 @@ class Config:
                 A = A.reshape(dm, dm)
             else:
                 raise ConfigError("memory section needs A or diag")
-            memory = MemorySpec(m=m, lam=lam, A=A)
+            memory = MemorySpec(lam=lam, A=A)
 
         return ModelSpec(
             d=d,
             beta=beta,
             potential=potential,
-            interaction=interaction,
+            eta2=eta2,
             memory=memory,
             gamma=gamma,
             kind=kind,

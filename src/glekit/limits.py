@@ -13,8 +13,10 @@ covariance at checkpoints against the exact underdamped Gaussian law, and
 reports the worst moment error with its Monte Carlo standard error.
 
 The integrator steps the whole (p, z) block exactly, so neither the lam/eps
-coupling nor the A/eps^2 relaxation constrains dt: every eps runs
-round(T/base_dt) steps of size base_dt.
+coupling nor the A/eps^2 relaxation constrains dt: every eps runs the same
+``quadratic.whole_steps(T, dt)`` steps of one size dt (the ``--base-dt`` flag
+of ``glekit whitenoise``).  The reference law at each checkpoint is built
+once, before the first step, so a model without one fails at once.
 """
 
 from __future__ import annotations
@@ -96,40 +98,6 @@ def slow_eigenvalues(model: ValidatedModel, epsilon: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalingStudy:
-    """A family of rescaled runs compared against the exact underdamped law.
-
-    ``base_dt`` is the step of every run, whatever its eps.  The study checks
-    its model, epsilons and N; T, ``base_dt`` and the checkpoints are checked
-    by :func:`run_study`, through ``quadratic.whole_steps``.
-    """
-
-    base_model: ValidatedModel
-    epsilons: tuple[float, ...]
-    N: int
-    T: float
-    base_dt: float = 1e-3
-    seed: int = 0
-    checkpoints: tuple[float, ...] = (0.5, 1.0, 2.0)
-
-    def __post_init__(self):
-        if self.base_model.kind is not Kind.GENERALIZED:
-            raise ShapeMismatch("scaling study needs a generalized base model")
-        if self.base_model.d != 1:
-            raise ShapeMismatch(f"scaling study needs d = 1, got d = {self.base_model.d}")
-        eps = tuple(float(e) for e in self.epsilons)
-        if not all(0 < e < math.inf for e in eps):
-            raise ShapeMismatch(f"epsilons must be finite and positive, got {eps}")
-        if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ShapeMismatch("epsilons must be strictly decreasing, length >= 2")
-        object.__setattr__(self, "epsilons", eps)
-        if self.N < 2:
-            raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={self.N}")
-        if effective_gamma(self.base_model.memory.lam, self.base_model.memory.A) <= 0:
-            raise DegenerateFriction("effective friction is zero; study refuses to run")
-
-
-@dataclass(frozen=True)
 class StudyRow:
     epsilon: float
     error: float
@@ -144,12 +112,16 @@ class StudyResult:
     gamma: float
 
 
-def _moment_errors_vs_reference(model_ref, ens_moments):
-    """Max abs (q,p) moment error across checkpoints, with the matching SE."""
-    B, K, D = split_BK(model_ref)
+def _moment_errors(laws, moments):
+    """Max abs (q,p) moment error across checkpoints, with the matching SE.
+
+    ``laws`` maps each checkpoint t to the reference law at t, and ``moments``
+    maps it to the ensemble's (mean, cov, N); the maximum is the first one in
+    the order of ``moments``.
+    """
     errs, ses = [], []
-    for t, (mean_qp, cov_qp, N) in ens_moments.items():
-        law = meanfield_green(B, K, D, t, np.array([Q0, P0]))
+    for t, (mean_qp, cov_qp, N) in moments.items():
+        law = laws[t]
         errs += [np.abs(mean_qp - law.mean), np.abs(cov_qp - law.cov).ravel()]
         ses += [np.sqrt(np.diag(cov_qp) / N), covariance_se(cov_qp, N).ravel()]
     errs, ses = np.concatenate(errs), np.concatenate(ses)
@@ -157,35 +129,54 @@ def _moment_errors_vs_reference(model_ref, ens_moments):
     return float(errs[i]), float(ses[i])
 
 
-def run_study(study: ScalingStudy) -> StudyResult:
+def run_study(model: ValidatedModel, epsilons, N: int, T: float, dt: float, seed: int,
+              checkpoints) -> StudyResult:
     """Simulate each rescaled system and tabulate moment errors vs the limit law.
 
-    Rows come in the input epsilon order; each run draws from its own
-    sub-stream of ``study.seed`` and takes round(T/base_dt) steps.  Raises
-    :class:`ShapeMismatch` before simulating unless T and every checkpoint are
-    whole numbers k >= 1 of steps base_dt > 0 (``quadratic.whole_steps``), there
-    is a checkpoint, and each falls on its own step in (0, T].
+    ``model`` is the generalized d = 1 model at eps = 1; every eps runs
+    ``quadratic.whole_steps(T, dt)`` steps of size dt.  Rows come in the input
+    epsilon order, and each run draws from its own sub-stream of ``seed``.
+    Before any step, in this order: ShapeMismatch unless the model is of the
+    generalized kind with d = 1 and the epsilons are finite, positive and
+    strictly decreasing (at least two); InsufficientParticles for N < 2;
+    whatever ``underdamped_reference`` raises for the effective friction
+    (DegenerateFriction when it is zero); ShapeMismatch unless T and every
+    checkpoint are whole numbers k >= 1 of steps dt > 0, there is a
+    checkpoint, and each falls on its own step in (0, T]; and whatever the
+    reference law at each checkpoint raises (UnsupportedPotential for a
+    potential that is not quadratic).
     """
-    dt = study.base_dt
-    n_steps = whole_steps(study.T, dt)
-    check_steps = {whole_steps(t, dt): t for t in study.checkpoints}
-    if not 0 < len(check_steps) == len(set(study.checkpoints)) or max(check_steps) > n_steps:
+    if model.kind is not Kind.GENERALIZED:
+        raise ShapeMismatch("scaling study needs a generalized base model")
+    if model.d != 1:
+        raise ShapeMismatch(f"scaling study needs d = 1, got d = {model.d}")
+    epsilons = tuple(float(e) for e in epsilons)
+    if not all(0 < e < math.inf for e in epsilons):
+        raise ShapeMismatch(f"epsilons must be finite and positive, got {epsilons}")
+    if len(epsilons) < 2 or any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ShapeMismatch("epsilons must be strictly decreasing, length >= 2")
+    if N < 2:
+        raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={N}")
+    ref = underdamped_reference(model)
+    n_steps = whole_steps(T, dt)
+    check_steps = {whole_steps(t, dt): t for t in checkpoints}
+    if not 0 < len(check_steps) == len(set(checkpoints)) or max(check_steps) > n_steps:
         raise ShapeMismatch(
-            f"checkpoints {study.checkpoints} do not fall on distinct steps of "
-            f"(0, T={study.T}] at dt={dt}"
+            f"checkpoints {checkpoints} do not fall on distinct steps of (0, T={T}] at dt={dt}"
         )
-    ref = underdamped_reference(study.base_model)
+    B, K, D = split_BK(ref)
+    laws = {t: meanfield_green(B, K, D, t, np.array([Q0, P0])) for t in check_steps.values()}
     rows = []
-    for idx, eps in enumerate(study.epsilons):
+    for idx, eps in enumerate(epsilons):
         t0 = time.perf_counter()
-        scaled = scaled_spec(study.base_model, eps)
-        seed_seq = np.random.SeedSequence(entropy=study.seed, spawn_key=(idx,))
+        scaled = scaled_spec(model, eps)
+        seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
         init = InitProduct(
             q=BlockLaw(point=Q0),
             p=BlockLaw(point=P0),
             z=BlockLaw(mean=0.0, var=scaled.beta_inv),
         )
-        ens = init_ensemble(scaled, study.N, seed_seq, init)
+        ens = init_ensemble(scaled, N, seed_seq, init)
         stepper = make_stepper(scaled, dt)
         moments = {}
         for k in range(1, n_steps + 1):
@@ -194,8 +185,8 @@ def run_study(study: ScalingStudy) -> StudyResult:
                 qp = np.hstack([ens.q, ens.p])
                 mean = qp.mean(axis=0)
                 cov = np.cov(qp.T, ddof=1).reshape(2 * scaled.d, 2 * scaled.d)
-                moments[check_steps[k]] = (mean, cov, study.N)
-        err, se = _moment_errors_vs_reference(ref, moments)
+                moments[check_steps[k]] = (mean, cov, N)
+        err, se = _moment_errors(laws, moments)
         rows.append(
             StudyRow(
                 epsilon=eps,

@@ -1,7 +1,8 @@
 """Model specification shared by every other module.
 
-A model is a confining potential, an optional Curie-Weiss interaction, an
-inverse temperature, and one of three dynamics kinds:
+A model is a confining potential, a Curie-Weiss interaction of strength
+eta2 >= 0 (0 for free particles), an inverse temperature, and one of three
+dynamics kinds:
 
 * ``overdamped``   -- dq = -grad V dt - grad U * rho dt + sqrt(2/beta) dW
 * ``underdamped``  -- kinetic (q, p) dynamics with friction gamma
@@ -22,7 +23,7 @@ State layout everywhere in the package is ``[q (d), p (d), z (dm)]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -110,23 +111,6 @@ Potential = Quadratic | DoubleWell | CustomPotential
 
 
 # ---------------------------------------------------------------------------
-# interaction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurieWeiss:
-    """Quadratic pair interaction U(xi) = eta2 |xi|^2 / 2, eta2 >= 0.
-
-    Its mean-field force on a particle depends only on the empirical mean,
-    which is what makes the stationary problem scalar.  Free particles are
-    ``CurieWeiss(0.0)``, the default.
-    """
-
-    eta2: float = 0.0
-
-
-# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
@@ -135,12 +119,13 @@ class CurieWeiss:
 class MemorySpec:
     """Auxiliary-variable memory: coupling ``lam`` (dm x d) and SPD ``A`` (dm x dm).
 
-    ``diagonal`` builds the common block form with scalar couplings
-    lambda_j and relaxation rates alpha_j, j = 1..m, for which the spectrum
-    of the full drift reduces to scalar polynomial equations.
+    The number m of auxiliary processes per coordinate is not stored: it is
+    the row count of ``lam`` over d (``ValidatedModel.m``).  ``diagonal``
+    builds the common block form with scalar couplings lambda_j and
+    relaxation rates alpha_j, j = 1..m, for which the spectrum of the full
+    drift reduces to scalar polynomial equations.
     """
 
-    m: int
     lam: np.ndarray
     A: np.ndarray
 
@@ -152,7 +137,7 @@ class MemorySpec:
             )
         eye = np.eye(d)
         lam = np.kron(np.asarray(lambdas, dtype=float)[:, None], eye)
-        return MemorySpec(m=len(lambdas), lam=lam, A=np.kron(np.diag(alphas), eye))
+        return MemorySpec(lam=lam, A=np.kron(np.diag(alphas), eye))
 
     def diagonal_rates(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Scalar (lambda_j, alpha_j) when lam = [lambda_j I_d]_j and A = diag(alpha) (x) I_d exactly."""
@@ -180,14 +165,18 @@ class ModelSpec:
     """Single source of truth for the dynamics.
 
     ``beta`` is the inverse temperature (``math.inf`` switches the noise
-    off, which some deterministic tests use).  ``gamma`` belongs to the
-    underdamped kind and ``memory`` to the generalized kind alone.
+    off, which some deterministic tests use).  ``eta2`` >= 0 is the strength
+    of the one interaction, the Curie-Weiss pair potential
+    U(xi) = eta2 |xi|^2 / 2, whose mean-field force depends only on the
+    empirical mean; free particles have eta2 = 0, the default.  ``gamma``
+    belongs to the underdamped kind and ``memory`` to the generalized kind
+    alone.
     """
 
     d: int
     beta: float
     potential: Potential
-    interaction: CurieWeiss = field(default_factory=CurieWeiss)
+    eta2: float = 0.0
     memory: Optional[MemorySpec] = None
     gamma: Optional[float] = None
     kind: Kind = Kind.GENERALIZED
@@ -207,9 +196,9 @@ class ValidatedModel(ModelSpec):
         if self.d < 1:
             raise ShapeMismatch(f"spatial dimension must be >= 1, got {self.d}")
         _check_potential(self.potential)
-        _check_finite(eta2=self.interaction.eta2)
-        if self.interaction.eta2 < 0:
-            raise NonSPDMatrix(f"interaction needs eta2 >= 0, got {self.interaction.eta2}")
+        _check_finite(eta2=self.eta2)
+        if self.eta2 < 0:
+            raise NonSPDMatrix(f"interaction needs eta2 >= 0, got {self.eta2}")
         for name, kind in (("gamma", Kind.UNDERDAMPED), ("memory", Kind.GENERALIZED)):
             if getattr(self, name) is not None and self.kind is not kind:
                 raise ShapeMismatch(
@@ -223,14 +212,12 @@ class ValidatedModel(ModelSpec):
         if self.kind is Kind.GENERALIZED:
             if self.memory is None:
                 raise MissingField("generalized kind requires a memory spec")
-            mem = self.memory
-            if mem.m < 1:
-                raise ShapeMismatch(f"memory needs m >= 1 auxiliary variables, got {mem.m}")
-            dm = self.d * mem.m
-            lam = np.asarray(mem.lam, dtype=float)
-            A = np.asarray(mem.A, dtype=float)
-            if lam.shape != (dm, self.d):
-                raise ShapeMismatch(f"lam must have shape {(dm, self.d)}, got {lam.shape}")
+            lam = np.asarray(self.memory.lam, dtype=float)
+            A = np.asarray(self.memory.A, dtype=float)
+            if lam.ndim != 2 or lam.shape[1] != self.d or lam.shape[0] % self.d or not len(lam):
+                raise ShapeMismatch(
+                    f"lam must have shape (d*m, {self.d}) with m >= 1, got {lam.shape}")
+            dm = lam.shape[0]
             if A.shape != (dm, dm):
                 raise ShapeMismatch(f"A must have shape {(dm, dm)}, got {A.shape}")
             if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(A)):
@@ -246,14 +233,11 @@ class ValidatedModel(ModelSpec):
         return 0.0 if math.isinf(self.beta) else 1.0 / self.beta
 
     @property
-    def eta2(self) -> float:
-        return self.interaction.eta2
-
-    @property
     def m(self) -> int:
+        """The number of auxiliary processes per coordinate: ``lam``'s row count over d."""
         if self.memory is None:
             raise MissingField("memory not set")
-        return self.memory.m
+        return np.shape(self.memory.lam)[0] // self.d
 
     @property
     def omega2(self) -> float:
@@ -321,9 +305,10 @@ def validate(spec: ModelSpec) -> ValidatedModel:
         ``A`` is not symmetric positive definite (or a potential coefficient
         has the wrong sign).
     ShapeMismatch
-        d < 1, m < 1, ``lam`` / ``A`` shapes inconsistent with (d, m), a coefficient
-        (omega2, a, b, eta2, gamma, lam, A) that is not finite, a ``beta`` that is
-        nan or not positive (``math.inf`` is allowed), or a field of another kind.
+        d < 1, a ``lam`` that is not (d*m, d) with m >= 1, an ``A`` that is
+        not (d*m, d*m), a coefficient (omega2, a, b, eta2, gamma, lam, A) that
+        is not finite, a ``beta`` that is nan or not positive (``math.inf`` is
+        allowed), or a field of another kind.
     MissingField
         Generalized kind without memory, underdamped without gamma.
     """

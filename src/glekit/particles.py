@@ -254,7 +254,7 @@ class _Stepper:
             self.T = math.exp(-model.gamma * dt) * np.eye(d)
         else:
             mem = model.memory
-            dm = d * mem.m
+            dm = d * model.m
             lam = np.asarray(mem.lam, dtype=float)
             M = np.zeros((d + dm, d + dm))
             M[:d, d:] = lam.T

@@ -12,7 +12,8 @@ and everything here is exact:
   equations (for the generalized kind, the 2m+4 roots of the two polynomials
   nu (nu + sum_j lambda_j^2/(nu+alpha_j)) = -omega2 and = -(omega2+eta2))
 * ``spectrum_lattice``  -- the generator spectrum, all nonnegative-integer
-  combinations of the drift eigenvalues
+  combinations of the drift eigenvalues, at most MAX_LATTICE_ENTRIES
+  multi-indices; ``spectral_gap`` reads its gap from the drift eigenvalues
 * ``ou_fundamental``    -- transition kernel of a hypoelliptic linear diffusion
 * ``affine_laws``       -- the one Gaussian-law recursion mu -> Phi mu,
   Sigma -> Phi~ Sigma Phi~^T + Q, stacked over k steps in blocks of steps
@@ -45,6 +46,9 @@ from .model import Kind, ValidatedModel
 
 DEDUP_TOL = 1e-12
 DEFAULT_LATTICE_CAP = 4
+# most multi-indices spectrum_lattice enumerates; C(20 + 6, 6) = 230230 (cap 20,
+# one memory mode) is within it
+MAX_LATTICE_ENTRIES = 250_000
 # block size of affine_laws (see its docstring); a power of two, sized by
 # speed and by error against the exact law
 _LAW_BLOCK = 64
@@ -165,7 +169,7 @@ def assemble(model: ValidatedModel, N: int) -> DriftDiffusion:
         return DriftDiffusion(B=B, D=D)
 
     mem = model.memory
-    nz = N * d * mem.m
+    nz = N * d * model.m
     lam = np.kron(np.eye(N), np.asarray(mem.lam, dtype=float))
     A = np.kron(np.eye(N), np.asarray(mem.A, dtype=float))
     B = np.zeros((2 * n + nz, 2 * n + nz))
@@ -257,7 +261,10 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
 
     Points are deduplicated to 1e-12; each retained point carries the
     multi-index of lowest total degree that produced it.  Zero (all k = 0)
-    is always present.
+    is always present.  The C(cap + r, r) multi-indices of the r values of
+    ``base`` are enumerated one by one, so more than MAX_LATTICE_ENTRIES
+    (250000) of them is a ShapeMismatch before any is: with one memory mode
+    (r = 6) cap 20 is the largest cap allowed.
     """
     base = np.asarray(base, dtype=complex)
     if base.size == 0:
@@ -265,6 +272,10 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
     if cap < 0:
         raise ShapeMismatch(f"lattice cap must be nonnegative, got {cap}")
     r = base.size
+    n_entries = math.comb(int(cap) + r, r)
+    if n_entries > MAX_LATTICE_ENTRIES:
+        raise ShapeMismatch(f"lattice cap {cap} over {r} drift eigenvalues needs {n_entries} "
+                            f"multi-indices, more than {MAX_LATTICE_ENTRIES}")
     entries: list[tuple[int, tuple[int, ...], complex]] = []
 
     def rec(idx: int, remaining: int, k: list[int], acc: complex):
@@ -299,18 +310,23 @@ def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> Sp
     return spectrum_lattice(base_spectrum(model), cap)
 
 
-def spectral_gap(report: SpectrumReport) -> float:
-    """Distance from zero to the rest of the lattice: -max Re over nonzero points.
+def spectral_gap(base: Sequence[complex]) -> float:
+    """Distance from zero to the rest of the generator spectrum: -max Re over nonzero ``base``.
 
-    The lattice is built on the drift eigenvalues for both restoring
-    constants, omega2 (B, which moves the mean of the mean-field law) and
-    omega2 + eta2 (B + K: the relative modes of the particles, and the
-    covariance of the law).  So for a stable drift this is the slowest
-    of all those mode rates, not the rate of any one quantity: for
-    ``quadratic_gmv(beta=1)`` it is 0.1424, the slowest pair of B + K,
-    while the mean relaxes at 0.2151, the slowest rate of B.
+    ``base`` is the drift eigenvalue multiset (``base_spectrum``).  For a
+    stable drift every nonzero lattice point sum_j k_j nu_j has a real part
+    at most the largest Re nu_j, which is itself a lattice point of degree
+    1, so this is the gap of the lattice at any cap >= 1 (and the cap-0
+    lattice, which holds only 0, does not shrink it to 0).  The eigenvalues
+    are those of both restoring constants, omega2 (B, which moves the mean
+    of the mean-field law) and omega2 + eta2 (B + K: the relative modes of
+    the particles, and the covariance of the law).  So for a stable drift
+    this is the slowest of all those mode rates, not the rate of any one
+    quantity: for ``quadratic_gmv(beta=1)`` it is 0.1424, the slowest pair
+    of B + K, while the mean relaxes at 0.2151, the slowest rate of B.
     """
-    nz = report.lattice[np.abs(report.lattice) > 1e-12]
+    base = np.asarray(base, dtype=complex)
+    nz = base[np.abs(base) > 1e-12]
     if nz.size == 0:
         return 0.0
     return float(-np.max(nz.real))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from glekit.model import (
-    CurieWeiss,
     DoubleWell,
     Kind,
     MemorySpec,
@@ -18,7 +17,7 @@ def quadratic_gmv(omega2=1.0, eta2=1.0, beta=1.0, lambdas=(1.0,), alphas=(1.0,),
             d=d,
             beta=beta,
             potential=Quadratic(omega2),
-            interaction=CurieWeiss(eta2),
+            eta2=eta2,
             memory=MemorySpec.diagonal(lambdas, alphas, d),
             kind=Kind.GENERALIZED,
         )
@@ -31,7 +30,7 @@ def quadratic_umv(omega2=1.0, eta2=1.0, beta=1.0, gamma=1.0, d=1):
             d=d,
             beta=beta,
             potential=Quadratic(omega2),
-            interaction=CurieWeiss(eta2),
+            eta2=eta2,
             gamma=gamma,
             kind=Kind.UNDERDAMPED,
         )
@@ -44,7 +43,7 @@ def quadratic_omv(omega2=1.0, eta2=1.0, beta=1.0, d=1):
             d=d,
             beta=beta,
             potential=Quadratic(omega2),
-            interaction=CurieWeiss(eta2),
+            eta2=eta2,
             kind=Kind.OVERDAMPED,
         )
     )
@@ -56,7 +55,7 @@ def doublewell_gmv(a=1.0, b=1.0, eta2=1.0, beta=3.0, lambdas=(1.0,), alphas=(1.0
             d=1,
             beta=beta,
             potential=DoubleWell(a, b),
-            interaction=CurieWeiss(eta2),
+            eta2=eta2,
             memory=MemorySpec.diagonal(lambdas, alphas),
             kind=Kind.GENERALIZED,
         )

@@ -368,16 +368,15 @@ def _gaussian_grid(law, ax):
 def test_criterion_09_white_noise_limit():
     t0 = time.perf_counter()
     model = quadratic_gmv(omega2=1.0, eta2=1.0, beta=1.0, lambdas=(1.0,), alphas=(1.0,))
-    study = limits.ScalingStudy(
-        base_model=model,
+    res = limits.run_study(
+        model,
         epsilons=(0.5, 0.25, 0.125),
         N=10_000,
         T=2.0,
-        base_dt=1e-3,
+        dt=1e-3,
         seed=2024,
         checkpoints=(0.5, 1.0, 2.0),
     )
-    res = limits.run_study(study)
     errs = [r.error for r in res.rows]
     ses = [r.se for r in res.rows]
     monotone = all(

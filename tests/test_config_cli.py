@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glekit import cli, quadratic
+from glekit import cli, particles, quadratic
 from glekit.cli import _fmt, main
 from glekit.config import parse_config
 from glekit.errors import ConfigError, RootFindingFailure, ShapeMismatch
@@ -37,8 +38,8 @@ def test_parse_quadratic_config():
     spec = cfg.model_spec()
     assert spec.kind is Kind.GENERALIZED
     assert isinstance(spec.potential, Quadratic)
-    assert spec.interaction.eta2 == 1.0
-    assert spec.memory.m == 1
+    assert spec.eta2 == 1.0
+    assert cfg.model().m == 1
     rp = cfg.run_params()
     assert (rp.N, rp.T, rp.dt, rp.seed, rp.record_every) == (10000, 2.0, 0.001, 42, 100)
 
@@ -222,10 +223,10 @@ def test_validate_domain_error_exit_code(tmp_path, capsys):
 
 def test_validate_exits_one_when_the_spectrum_root_finding_fails(tmp_path, capsys, monkeypatch):
     # only a non-quadratic model may leave the closed-form spectrum out of the summary
-    def fail(model, cap):
+    def fail(model):
         raise RootFindingFailure("polynomial residual too large")
 
-    monkeypatch.setattr(quadratic, "spectrum_report", fail)
+    monkeypatch.setattr(quadratic, "base_spectrum", fail)
     code = run_cli(["validate", "--config", QUAD_GMV, "--out", tmp_path])
     assert code == 1
     assert "RootFindingFailure" in capsys.readouterr().err
@@ -842,6 +843,21 @@ def test_whitenoise_rejects_a_nonpositive_step(tmp_path, capsys, base_dt):
     assert "ShapeMismatch" in capsys.readouterr().err
 
 
+def test_whitenoise_without_a_closed_form_reference_fails_before_its_first_step(
+        tmp_path, capsys, monkeypatch):
+    # the double well has no closed-form underdamped law; the study used to step its
+    # whole first eps before the reference law raised
+    steps = []
+    step = particles._Stepper.step
+    monkeypatch.setattr(particles._Stepper, "step",
+                        lambda self, ens: steps.append(1) or step(self, ens))
+    out = tmp_path / "out"
+    assert run_cli(["whitenoise", "--config", DOUBLEWELL_GMV, "--out", out, "--n", "20",
+                    "--t-final", "0.02", "--checkpoints", "0.01,0.02", "--base-dt", "0.01"]) == 1
+    assert _one_error_line(capsys, out).startswith("UnsupportedPotential: ")
+    assert steps == []
+
+
 def test_thermo_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
     # 1 / 0.3 steps: the rows would stop at t = 0.9 under a summary saying T = 1
     code = run_cli(
@@ -857,6 +873,26 @@ def test_spectrum_rejects_a_negative_cap(tmp_path, capsys):
     assert code == 1
     assert "ShapeMismatch" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_refuses_a_lattice_beyond_the_ceiling_before_enumerating_it(tmp_path, capsys):
+    # cap 100 over the six drift eigenvalues of one memory mode is C(106, 6) = 1.7e9
+    # multi-indices, which were enumerated as Python tuples
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert run_cli(["spectrum", "--config", QUAD_GMV, "--out", out, "--cap", "100"]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    assert _one_error_line(capsys, out).startswith("ShapeMismatch: lattice cap 100 over 6 ")
+
+
+def test_the_spectral_gap_does_not_depend_on_the_cap(tmp_path):
+    # the cap-0 lattice holds only 0, and the gap read from it was 0.0
+    gaps = []
+    for cap in ("0", "3"):
+        out = tmp_path / cap
+        assert run_cli(["spectrum", "--config", QUAD_GMV, "--out", out, "--cap", cap]) == 0
+        gaps.append(json.loads((out / "spectrum_summary.json").read_text())["spectral_gap"])
+    assert gaps[0] == gaps[1] > 0
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])

@@ -8,10 +8,18 @@ from scipy.optimize import linear_sum_assignment
 
 from glekit import limits
 from glekit.errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
-from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
+from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, validate
 from glekit.quadratic import base_spectrum
 
 from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
+
+
+# a study that each check test changes in one argument; every check runs before a step
+STUDY = dict(epsilons=(0.5, 0.25), N=10, T=0.5, dt=0.005, seed=0, checkpoints=(0.5,))
+
+
+def run_study(model, **changes):
+    return limits.run_study(model, **{**STUDY, **changes})
 
 
 def matched_distance(a, b):
@@ -34,7 +42,7 @@ def test_effective_gamma_zero_coupling_is_degenerate():
     assert limits.effective_gamma([[0.0]], [[1.0]]) == 0.0
     model = quadratic_gmv(lambdas=(0.0,), alphas=(1.0,))
     with pytest.raises(DegenerateFriction):
-        limits.ScalingStudy(base_model=model, epsilons=(0.5, 0.25), N=10, T=0.5)
+        run_study(model)
 
 
 def test_effective_gamma_rejects_non_spd():
@@ -68,16 +76,16 @@ def test_effective_gamma_is_scaling_invariant(lam, alpha, eps):
     "epsilons", [(0.5, 0.0), (0.5, math.nan), (math.inf, 0.5)], ids=["zero", "nan", "inf"]
 )
 def test_scaling_study_rejects_an_epsilon_that_is_not_finite_and_positive(epsilons):
-    # checked at construction, so no eps is simulated before the bad one is reached;
+    # checked before any step, so no eps is simulated before the bad one is reached;
     # a nan would pass the strictly-decreasing check, as every comparison with it is false
     with pytest.raises(ShapeMismatch, match="finite and positive"):
-        limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=epsilons, N=10, T=0.5)
+        run_study(quadratic_gmv(), epsilons=epsilons)
 
 
 def test_scaling_study_needs_two_particles():
     # one particle has no sample covariance: the study refuses before simulating
     with pytest.raises(InsufficientParticles):
-        limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=(0.5, 0.25), N=1, T=0.5)
+        run_study(quadratic_gmv(), N=1)
 
 
 def test_slow_eigenvalues_approach_underdamped_spectrum():
@@ -120,7 +128,7 @@ def test_underdamped_reference_needs_a_generalized_model(model):
 
 def _gmv_2d(memory):
     return validate(
-        ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), interaction=CurieWeiss(1.0),
+        ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), eta2=1.0,
                   memory=memory, kind=Kind.GENERALIZED)
     )
 
@@ -128,47 +136,35 @@ def _gmv_2d(memory):
 def test_scaling_study_rejects_two_dimensions():
     # the moment errors compare (q, p) against a d = 1 reference law
     with pytest.raises(ShapeMismatch):
-        limits.ScalingStudy(base_model=_gmv_2d(MemorySpec.diagonal([1.0], [1.0], d=2)),
-                            epsilons=(0.5, 0.25), N=10, T=0.5)
+        run_study(_gmv_2d(MemorySpec.diagonal([1.0], [1.0], d=2)))
 
 
 def test_underdamped_reference_needs_an_isotropic_friction():
     iso = limits.underdamped_reference(_gmv_2d(MemorySpec.diagonal([1.0], [1.0], d=2)))
     assert iso.gamma == pytest.approx(1.0)
     # gamma = diag(1, 4) has no scalar underdamped counterpart
-    aniso = _gmv_2d(MemorySpec(m=1, lam=np.diag([1.0, 2.0]), A=np.eye(2)))
+    aniso = _gmv_2d(MemorySpec(lam=np.diag([1.0, 2.0]), A=np.eye(2)))
     with pytest.raises(ShapeMismatch):
         limits.underdamped_reference(aniso)
 
 
 def test_run_study_smoke_and_determinism():
-    model = quadratic_gmv()
-    study = limits.ScalingStudy(
-        base_model=model,
-        epsilons=(0.5, 0.25),
-        N=400,
-        T=1.0,
-        base_dt=2e-3,
-        seed=3,
-        checkpoints=(0.5, 1.0),
-    )
-    res1 = limits.run_study(study)
-    res2 = limits.run_study(study)
+    study = dict(epsilons=(0.5, 0.25), N=400, T=1.0, dt=2e-3, seed=3, checkpoints=(0.5, 1.0))
+    res1 = limits.run_study(quadratic_gmv(), **study)
+    res2 = limits.run_study(quadratic_gmv(), **study)
     assert res1.gamma == pytest.approx(1.0)
     assert [r.epsilon for r in res1.rows] == [0.5, 0.25]
     for a, b in zip(res1.rows, res2.rows):
         assert a.error == b.error and a.se == b.se and a.steps == b.steps
-    # every eps runs at base_dt
+    # every eps runs at the one dt
     assert [r.steps for r in res1.rows] == [500, 500]
     assert all(np.isfinite(r.error) and r.se > 0 for r in res1.rows)
 
 
 def test_run_study_rejects_an_empty_checkpoint_list():
     # no checkpoint means no moment error: no row reporting an error of -1
-    study = limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=(0.5, 0.25), N=10, T=0.01,
-                                base_dt=0.005, checkpoints=())
     with pytest.raises(ShapeMismatch, match="checkpoints"):
-        limits.run_study(study)
+        run_study(quadratic_gmv(), T=0.01, checkpoints=())
 
 
 @pytest.mark.parametrize(
@@ -178,10 +174,8 @@ def test_run_study_rejects_an_empty_checkpoint_list():
 def test_run_study_rejects_times_off_the_step_grid(T, checkpoints):
     # at dt = 0.2, step 1 is t = 0.2: its state is not the law at t = 0.25, and
     # T = 1.1 would run 6 steps, to t = 1.2
-    study = limits.ScalingStudy(base_model=quadratic_gmv(), epsilons=(0.5, 0.25), N=10, T=T,
-                                base_dt=0.2, checkpoints=checkpoints)
     with pytest.raises(ShapeMismatch, match="whole number of steps"):
-        limits.run_study(study)
+        run_study(quadratic_gmv(), T=T, dt=0.2, checkpoints=checkpoints)
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.01], ids=["all-tied", "perturbed"])
@@ -191,17 +185,17 @@ def test_moment_error_is_the_first_maximum_across_checkpoints(scale):
     B, K, D = limits.split_BK(model_ref)
     x0 = np.array([limits.Q0, limits.P0])
     rng = np.random.default_rng(0)
+    laws = {t: limits.meanfield_green(B, K, D, t, x0) for t in (0.5, 1.0)}
     moments = {}
-    for t in (0.5, 1.0):
-        law = limits.meanfield_green(B, K, D, t, x0)
+    for t, law in laws.items():
         bump = scale * rng.standard_normal(2)
         moments[t] = (law.mean + bump, law.cov + np.diag(bump**2), 50)
     worst_err, worst_se = -1.0, 0.0
     for t, (mean, cov, N) in moments.items():
-        law = limits.meanfield_green(B, K, D, t, x0)
+        law = laws[t]
         errs = np.concatenate([np.abs(mean - law.mean), np.abs(cov - law.cov).ravel()])
         ses = np.concatenate([np.sqrt(np.diag(cov) / N), limits.covariance_se(cov, N).ravel()])
         for e, s in zip(errs, ses):
             if e > worst_err:
                 worst_err, worst_se = float(e), float(s)
-    assert limits._moment_errors_vs_reference(model_ref, moments) == (worst_err, worst_se)
+    assert limits._moment_errors(laws, moments) == (worst_err, worst_se)

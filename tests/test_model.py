@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from glekit.errors import MissingField, NonSPDMatrix, ShapeMismatch
 from glekit.model import (
-    CurieWeiss,
     CustomPotential,
     DoubleWell,
     Kind,
@@ -30,7 +29,7 @@ def test_validate_accepts_basic_generalized_model():
 
 
 def test_validate_returns_the_spec_as_a_model_spec_with_no_field_of_its_own():
-    spec = ModelSpec(d=1, beta=2.0, potential=Quadratic(1.0), interaction=CurieWeiss(0.5),
+    spec = ModelSpec(d=1, beta=2.0, potential=Quadratic(1.0), eta2=0.5,
                      memory=MemorySpec.diagonal([1.0], [1.0]), kind=Kind.GENERALIZED)
     model = validate(spec)
     assert isinstance(model, ModelSpec)
@@ -46,7 +45,7 @@ def test_m_without_memory_is_a_missing_field():
 
 
 def test_validate_rejects_asymmetric_A():
-    mem = MemorySpec(m=2, lam=np.ones((2, 1)), A=np.array([[1.0, 2.0], [0.0, 1.0]]))
+    mem = MemorySpec(lam=np.ones((2, 1)), A=np.array([[1.0, 2.0], [0.0, 1.0]]))
     spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), memory=mem, kind=Kind.GENERALIZED)
     with pytest.raises(NonSPDMatrix):
         validate(spec)
@@ -60,8 +59,8 @@ def test_validate_rejects_asymmetric_A():
         ("a", dict(potential=DoubleWell(math.inf, 1.0))),
         ("b", dict(potential=DoubleWell(1.0, math.nan))),
         ("b", dict(potential=DoubleWell(1.0, -math.inf))),
-        ("eta2", dict(interaction=CurieWeiss(math.nan))),
-        ("eta2", dict(interaction=CurieWeiss(math.inf))),
+        ("eta2", dict(eta2=math.nan)),
+        ("eta2", dict(eta2=math.inf)),
         ("gamma", dict(kind=Kind.UNDERDAMPED, memory=None, gamma=math.inf)),
         ("gamma", dict(kind=Kind.UNDERDAMPED, memory=None, gamma=math.nan)),
     ],
@@ -69,17 +68,29 @@ def test_validate_rejects_asymmetric_A():
          "gamma=inf", "gamma=nan"],
 )
 def test_validate_rejects_a_nonfinite_coefficient_by_name(field, changes):
-    base = dict(d=1, beta=1.0, potential=Quadratic(1.0), interaction=CurieWeiss(1.0),
+    base = dict(d=1, beta=1.0, potential=Quadratic(1.0), eta2=1.0,
                 memory=MemorySpec.diagonal([1.0], [1.0]), kind=Kind.GENERALIZED)
     with pytest.raises(ShapeMismatch, match=f"^{field} must be finite"):
         validate(ModelSpec(**{**base, **changes}))
 
 
-def test_validate_rejects_memory_without_auxiliary_variables():
-    mem = MemorySpec(m=0, lam=np.zeros((0, 1)), A=np.zeros((0, 0)))
-    spec = ModelSpec(d=1, beta=1.0, potential=Quadratic(1.0), memory=mem, kind=Kind.GENERALIZED)
-    with pytest.raises(ShapeMismatch, match="m >= 1"):
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (0, 2), (4, 1), (4, 3), (4,), (2, 2, 1)],
+    ids=["rows-not-a-multiple", "no-rows", "one-column", "three-columns", "flat", "three-axes"],
+)
+def test_validate_needs_lam_of_shape_dm_by_d(shape):
+    # d = 2: lam is (2m, 2) with m >= 1, and m is read from it; lam is checked before A
+    mem = MemorySpec(lam=np.ones(shape), A=np.eye(2))
+    spec = ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), memory=mem, kind=Kind.GENERALIZED)
+    with pytest.raises(ShapeMismatch, match=r"^lam must have shape \(d\*m, 2\) with m >= 1"):
         validate(spec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_m_is_the_number_of_memory_modes(d):
+    model = quadratic_gmv(lambdas=(1.0, 0.5, 2.0), alphas=(1.0, 3.0, 0.5), d=d)
+    assert model.m == 3
+    assert model.state_dim() == 2 * d + 3 * d
 
 
 @pytest.mark.parametrize("beta", [math.nan, 0.0, -1.0])
@@ -127,8 +138,10 @@ def test_validate_rejects_a_field_of_another_kind(field, kind, extra):
         (dict(gamma=1.0), ShapeMismatch),
         (dict(memory=None), MissingField),
         (dict(potential=DoubleWell(-1.0, 1.0)), NonSPDMatrix),
+        (dict(eta2=math.nan), ShapeMismatch),
+        (dict(eta2=-1.0), NonSPDMatrix),
     ],
-    ids=["beta", "gamma-generalized", "no-memory", "double-well-a"],
+    ids=["beta", "gamma-generalized", "no-memory", "double-well-a", "eta2-nan", "eta2-negative"],
 )
 def test_a_replaced_validated_model_is_checked_again(changes, error):
     # dataclasses.replace builds a new ValidatedModel; it used to skip every check

@@ -12,7 +12,7 @@ import pytest
 from glekit import quadratic as qa
 from glekit.errors import InsufficientParticles, NonFiniteState, ShapeMismatch
 from glekit.model import (
-    CurieWeiss, DoubleWell, Kind, MemorySpec, ModelSpec, Quadratic, ValidatedModel, validate,
+    DoubleWell, Kind, MemorySpec, ModelSpec, Quadratic, ValidatedModel, validate,
 )
 from glekit.particles import (
     BlockLaw,
@@ -110,7 +110,7 @@ def test_harmonic_oscillator_period_with_noise_off():
             d=1,
             beta=math.inf,
             potential=Quadratic(1.0),
-            interaction=CurieWeiss(0.0),
+            eta2=0.0,
             memory=MemorySpec.diagonal([0.0], [1.0]),
             kind=Kind.GENERALIZED,
         )
@@ -264,7 +264,7 @@ MISMATCHED_KINDS = {
     "overdamped-on-generalized": (quadratic_omv(), quadratic_gmv()),
     # the same four rows as a generalized d = 1, m = 2 state, but d = 2
     "underdamped-d2-on-generalized-d1": (
-        validate(ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), interaction=CurieWeiss(1.0),
+        validate(ModelSpec(d=2, beta=1.0, potential=Quadratic(1.0), eta2=1.0,
                            gamma=1.0, kind=Kind.UNDERDAMPED)),
         quadratic_gmv(lambdas=(1.0, 2.0), alphas=(1.0, 3.0))),
 }
@@ -350,7 +350,7 @@ def test_a_diverging_double_well_raises_at_a_pinned_step(kind, d, N, steps):
     extra = {"generalized": {"memory": MemorySpec.diagonal([1.0], [1.0], d)},
              "underdamped": {"gamma": 1.0}, "overdamped": {}}[kind]
     model = validate(ModelSpec(d=d, beta=3.0, potential=DoubleWell(1.0, 1.0),
-                               interaction=CurieWeiss(1.0), kind=Kind(kind), **extra))
+                               eta2=1.0, kind=Kind(kind), **extra))
     dt = 0.9
     ens = init_ensemble(model, N, 7, INIT_PZ)
     stepper = make_stepper(model, dt)
@@ -382,7 +382,7 @@ def test_underdamped_relaxes_to_momentum_temperature():
 
 def test_two_dimensional_states_are_supported():
     # the analytics are one-dimensional, but the integrator is not
-    from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
+    from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, validate
     from glekit import quadratic as qa2
 
     model = validate(
@@ -390,7 +390,7 @@ def test_two_dimensional_states_are_supported():
             d=2,
             beta=1.0,
             potential=Quadratic(1.0),
-            interaction=CurieWeiss(0.5),
+            eta2=0.5,
             memory=MemorySpec.diagonal([1.0], [1.0], d=2),
             kind=Kind.GENERALIZED,
         )
@@ -531,7 +531,7 @@ def general_memory_d3():
     # d = 3, m = 2: a full 6 x 3 coupling and a non-diagonal SPD A
     lam = np.arange(18.0).reshape(6, 3) / 10.0 - 0.8
     B = np.tril(np.arange(1.0, 37.0).reshape(6, 6)) / 40.0
-    return MemorySpec(m=2, lam=lam, A=B @ B.T + 0.5 * np.eye(6))
+    return MemorySpec(lam=lam, A=B @ B.T + 0.5 * np.eye(6))
 
 
 def baoab_by_hand(q, pz, force, T, S, dt, rng):
@@ -562,7 +562,7 @@ def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind
     omega2, eta2, dt, seed, d = 1.3, 0.7, 0.01, 11, 3
     extra = ({"memory": general_memory_d3()} if kind == "generalized" else {"gamma": 0.8})
     model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(omega2),
-                               interaction=CurieWeiss(eta2), kind=Kind(kind), **extra))
+                               eta2=eta2, kind=Kind(kind), **extra))
     n = model.state_dim() - d
     N = 8192 // n + 1
     ens = init_ensemble(model, N, seed, INIT_PZ)
@@ -621,7 +621,7 @@ def test_overdamped_double_well_at_d3_on_the_sfc64_stream_bitwise():
     # Euler-Maruyama q + (F dt + sqrt(2 dt / beta) xi), xi of shape (N, d), at N = 8192
     a, b, eta2, beta, dt, seed, d, N = 0.8, 1.3, 0.7, 2.0, 0.01, 11, 3, 8192
     model = validate(ModelSpec(d=d, beta=beta, potential=DoubleWell(a, b),
-                               interaction=CurieWeiss(eta2), kind=Kind.OVERDAMPED))
+                               eta2=eta2, kind=Kind.OVERDAMPED))
     ens = init_ensemble(model, N, seed, INIT_PZ)
     stepper = make_stepper(model, dt)
     rng = sfc64(seed)
@@ -799,7 +799,7 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N)
     extra = {Kind.GENERALIZED: {"memory": MemorySpec.diagonal([1.0], [1.0], d)},
              Kind.UNDERDAMPED: {"gamma": 0.8}, Kind.OVERDAMPED: {}}[kind]
     model = validate(ModelSpec(d=d, beta=2.0, potential=Quadratic(1.3),
-                               interaction=CurieWeiss(0.7), kind=kind, **extra))
+                               eta2=0.7, kind=kind, **extra))
     ens = init_ensemble(model, N, 3, INIT_PZ)
     stepper = make_stepper(model, 0.01)
     for _ in range(2):

@@ -15,6 +15,7 @@ module or a glekit class, such as ``quadratic.ou_fundamental`` or
 ``MemorySpec.diagonal_rates``, must name an attribute or dataclass field that
 exists, so deleting a name also means mending the docs.  Other dotted names,
 such as ``run.dt`` or ``manifest.json``, are not glekit's and are skipped.
+The README's library example runs as it stands.
 """
 
 import ast
@@ -105,3 +106,10 @@ def test_every_docstring_cross_reference_resolves():
                 unresolved.append(f"{path.stem}: :{role}:`{target}`")
     assert checked, "the sources hold no cross-reference; the pattern has gone stale"
     assert unresolved == []
+
+
+def test_the_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = re.match(r"\s*```python\n(.*?)\n```", section, re.S).group(1)
+    exec(compile(code, "README.md: Library example", "exec"), {})

@@ -13,7 +13,7 @@ from glekit import quadratic as qa
 from glekit import limits, thermo
 from glekit.config import load_config
 from glekit.errors import ShapeMismatch, SingularCovariance, UnsupportedPotential
-from glekit.model import CurieWeiss, Kind, MemorySpec, ModelSpec, Quadratic, validate
+from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, validate
 from glekit.particles import InitPoint, init_ensemble, make_stepper, empirical_moments
 
 from conftest import quadratic_gmv, quadratic_omv, quadratic_umv, random_quadratic
@@ -120,7 +120,7 @@ def test_single_particle_drift_equals_noninteracting_branch(rng):
 
 
 def _gmv(d, memory):
-    spec = ModelSpec(d=d, beta=1.0, potential=Quadratic(1.3), interaction=CurieWeiss(0.6),
+    spec = ModelSpec(d=d, beta=1.0, potential=Quadratic(1.3), eta2=0.6,
                      memory=memory, kind=Kind.GENERALIZED)
     return validate(spec)
 
@@ -135,7 +135,7 @@ def _gmv(d, memory):
 )
 def test_base_spectrum_reads_the_rates_from_lam_and_A(d, lam, A):
     # a memory built without the diagonal constructor: the rates come from lam and A
-    model = _gmv(d, MemorySpec(m=len(lam) // d, lam=np.asarray(lam), A=np.asarray(A)))
+    model = _gmv(d, MemorySpec(lam=np.asarray(lam), A=np.asarray(A)))
     B, K, _ = qa.split_BK(model)
     drift = np.concatenate([mk.eig(B), mk.eig(B + K)])
     assert multisets_match(np.repeat(qa.base_spectrum(model), d), drift)
@@ -151,7 +151,7 @@ def test_base_spectrum_reads_the_rates_from_lam_and_A(d, lam, A):
 )
 def test_base_spectrum_rejects_a_memory_off_the_diagonal_form(lam, A):
     d = lam.shape[1]
-    model = _gmv(d, MemorySpec(m=lam.shape[0] // d, lam=lam, A=np.asarray(A)))
+    model = _gmv(d, MemorySpec(lam=lam, A=np.asarray(A)))
     with pytest.raises(UnsupportedPotential):
         qa.base_spectrum(model)
 
@@ -195,13 +195,26 @@ def test_lattice_contains_zero_and_is_closed(re, cap):
             for lam in base:
                 shifted = pt + lam
                 assert np.min(np.abs(rep.lattice - shifted)) <= 1e-9
-    gap = qa.spectral_gap(rep)
-    assert gap >= 0.1 - 1e-9
+    # the gap read from the drift eigenvalues is the lattice's, to the bit
+    nonzero = rep.lattice[np.abs(rep.lattice) > 1e-12]
+    assert qa.spectral_gap(base) == -np.max(nonzero.real) >= 0.1 - 1e-9
 
 
 def test_spectrum_report_and_gap():
     rep = qa.spectrum_report(quadratic_omv(1.0, 1.0), cap=4)
-    assert qa.spectral_gap(rep) == pytest.approx(1.0)
+    assert qa.spectral_gap(rep.base_eigenvalues) == pytest.approx(1.0)
+
+
+def test_lattice_ceiling_admits_cap_20_of_one_memory_mode_and_no_more():
+    assert math.comb(20 + 6, 6) <= qa.MAX_LATTICE_ENTRIES < math.comb(21 + 6, 6)
+
+
+def test_a_lattice_of_exactly_the_ceiling_is_built_and_one_more_entry_is_refused(monkeypatch):
+    base = [-1.0, -2.5 + 1j, -2.5 - 1j]
+    monkeypatch.setattr(qa, "MAX_LATTICE_ENTRIES", math.comb(4 + 3, 3))
+    assert len(qa.spectrum_lattice(base, cap=4).lattice) > 1
+    with pytest.raises(ShapeMismatch, match="lattice cap 5 over 3 drift eigenvalues needs 56"):
+        qa.spectrum_lattice(base, cap=5)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +405,7 @@ def _hand_built_split(model):
 
 def _spec(kind, d, **kw):
     return validate(
-        ModelSpec(d=d, potential=Quadratic(1.5), interaction=CurieWeiss(0.7), kind=kind, **kw)
+        ModelSpec(d=d, potential=Quadratic(1.5), eta2=0.7, kind=kind, **kw)
     )
 
 
@@ -419,7 +432,6 @@ def test_split_bk_examples():
         _spec(
             Kind.GENERALIZED, 2, beta=2.0,
             memory=MemorySpec(
-                m=2,
                 lam=np.array([[1.0, -0.5], [0.25, 2.0], [-1.5, 0.0], [0.75, -1.0]]),
                 A=np.array([[3.0, 0.5, -0.25, 0.0], [0.5, 2.0, 0.5, -0.5],
                             [-0.25, 0.5, 2.5, 0.25], [0.0, -0.5, 0.25, 1.5]]),

@@ -862,14 +862,7 @@ def test_kfp_residual_rejects_tiny_grids():
 
 def test_custom_potential_goes_through_solver_and_simulator():
     import glekit.particles as particles
-    from glekit.model import (
-        CurieWeiss,
-        CustomPotential,
-        Kind,
-        MemorySpec,
-        ModelSpec,
-        validate,
-    )
+    from glekit.model import CustomPotential, Kind, MemorySpec, ModelSpec, validate
 
     custom = CustomPotential(
         energy=lambda q: np.sum(0.25 * q**4 - 0.5 * q**2, axis=-1),
@@ -884,7 +877,7 @@ def test_custom_potential_goes_through_solver_and_simulator():
             d=1,
             beta=3.0,
             potential=custom,
-            interaction=CurieWeiss(1.0),
+            eta2=1.0,
             memory=MemorySpec.diagonal([1.0], [1.0]),
             kind=Kind.GENERALIZED,
         )
