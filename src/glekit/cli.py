@@ -90,13 +90,16 @@ def _table_blocks(header: list[str], rows, fmt: str):
         yield _json_text([dict(zip(header, row)) for row in rows]).encode()
         return
     yield (",".join(header) + "\n").encode()
+    floats = isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start : start + _ROW_BLOCK]
         block = block.tolist() if isinstance(block, np.ndarray) else block
-        # one formatter per column: repr where every value is a plain float, else _fmt;
-        # choosing per block changes no byte, since _fmt of a float is repr(float(v))
+        # one formatter per column: repr for a float array (its tolist() holds plain floats)
+        # or where every value is a plain float, else _fmt; choosing per block changes no
+        # byte, since _fmt of a float is repr(float(v))
         cols = [
-            map(repr if all(type(v) is float for v in col) else _fmt, col) for col in zip(*block)
+            map(repr if floats or all(type(v) is float for v in col) else _fmt, col)
+            for col in zip(*block)
         ]
         yield "".join(",".join(vals) + "\n" for vals in zip(*cols)).encode()
 
@@ -250,10 +253,8 @@ def cmd_validate(args, model, rp):
 
 def cmd_spectrum(args, model, rp):
     rep = quadratic.spectrum_report(model, cap=args.cap)
-    rows = [
-        [pt.real, pt.imag, ";".join(str(k) for k in idx)]
-        for pt, idx in zip(rep.lattice, rep.multi_indices)
-    ]
+    rows = list(zip(rep.lattice.real.tolist(), rep.lattice.imag.tolist(),
+                    [";".join(map(str, k)) for k in rep.multi_indices.tolist()]))
     parameters = {"beta": model.beta, "d": model.d, "kind": model.kind.value,
                   "omega2": model.omega2, "eta2": model.eta2}
     if model.kind is Kind.UNDERDAMPED:

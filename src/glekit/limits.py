@@ -93,8 +93,7 @@ def slow_eigenvalues(model: ValidatedModel, epsilon: float) -> np.ndarray:
     """
     spec = base_spectrum(scaled_spec(model, epsilon))
     order = np.argsort(np.abs(spec))
-    slow = spec[order[:4]]
-    return slow[np.lexsort((slow.imag, slow.real))]
+    return mk.sort_complex(spec[order[:4]])
 
 
 @dataclass(frozen=True)

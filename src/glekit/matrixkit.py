@@ -156,6 +156,11 @@ def eig(M) -> np.ndarray:
         w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:  # QR iteration hit its cap
         raise ConvergenceFailure(str(exc)) from exc
+    return sort_complex(w)
+
+
+def sort_complex(w: np.ndarray) -> np.ndarray:
+    """``w`` sorted by real part, ties by imaginary part; equal values keep their order."""
     return w[np.lexsort((w.imag, w.real))]
 
 

@@ -126,13 +126,15 @@ class GaussianLaw:
 class SpectrumReport:
     """Drift eigenvalues, the lattice of generator eigenvalues they generate, and its multi-indices.
 
-    ``multi_indices[i]`` is the k of ``lattice[i]``; the model and the cap that
-    produced the report stay with the caller.
+    ``lattice`` is a complex array of n points; ``multi_indices`` is an (n, r)
+    integer array over the r ``base_eigenvalues``, whose row i is the k of
+    ``lattice[i]``.  The model and the cap that produced the report stay with
+    the caller.
     """
 
     base_eigenvalues: np.ndarray
     lattice: np.ndarray
-    multi_indices: tuple[tuple[int, ...], ...]
+    multi_indices: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +190,6 @@ def assemble(model: ValidatedModel, N: int) -> DriftDiffusion:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_complex(vals) -> np.ndarray:
-    w = np.asarray(vals, dtype=complex)
-    return w[np.lexsort((w.imag, w.real))]
-
-
 def _gle_branch_roots(c: float, lambdas, alphas) -> np.ndarray:
     """Roots of nu^2 prod(nu+a_j) + nu sum_j l_j^2 prod_{k!=j}(nu+a_k) + c prod(nu+a_j).
 
@@ -241,30 +238,31 @@ def base_spectrum(model: ValidatedModel) -> np.ndarray:
     """
     cs = (model.omega2, model.omega2 + model.eta2)
     if model.kind is Kind.OVERDAMPED:
-        return _sorted_complex([-c for c in cs])
-    if model.kind is Kind.UNDERDAMPED:
+        vals = [-c for c in cs]
+    elif model.kind is Kind.UNDERDAMPED:
         g = model.gamma
         vals = []
         for c in cs:
             disc = np.sqrt(complex(g * g - 4.0 * c))
             vals += [(-g + disc) / 2.0, (-g - disc) / 2.0]
-        return _sorted_complex(vals)
-    lambdas, alphas = model.memory.diagonal_rates()
-    vals = []
-    for c in cs:
-        vals.extend(_gle_branch_roots(c, lambdas, alphas))
-    return _sorted_complex(vals)
+    else:
+        lambdas, alphas = model.memory.diagonal_rates()
+        vals = np.concatenate([_gle_branch_roots(c, lambdas, alphas) for c in cs])
+    return mk.sort_complex(np.asarray(vals, dtype=complex))
 
 
 def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) -> SpectrumReport:
     """All sums sum_j k_j nu_j with k_j >= 0 integers and sum k_j <= cap.
 
-    Points are deduplicated to 1e-12; each retained point carries the
+    All C(cap + r, r) multi-indices of the r values of ``base`` are built as
+    one integer array, ordered by total degree and then lexicographically,
+    and each point is summed over the columns in order from complex zero.
+    Points are deduplicated to 1e-12 (``DEDUP_TOL``): a point is kept, with
+    its multi-index, where it first appears in that order, so it carries the
     multi-index of lowest total degree that produced it.  Zero (all k = 0)
-    is always present.  The C(cap + r, r) multi-indices of the r values of
-    ``base`` are enumerated one by one, so more than MAX_LATTICE_ENTRIES
-    (250000) of them is a ShapeMismatch before any is: with one memory mode
-    (r = 6) cap 20 is the largest cap allowed.
+    is always present and first.  More than MAX_LATTICE_ENTRIES (250000)
+    multi-indices is a ShapeMismatch before any array is built: with one
+    memory mode (r = 6) cap 20 is the largest cap allowed.
     """
     base = np.asarray(base, dtype=complex)
     if base.size == 0:
@@ -276,33 +274,24 @@ def spectrum_lattice(base: Sequence[complex], cap: int = DEFAULT_LATTICE_CAP) ->
     if n_entries > MAX_LATTICE_ENTRIES:
         raise ShapeMismatch(f"lattice cap {cap} over {r} drift eigenvalues needs {n_entries} "
                             f"multi-indices, more than {MAX_LATTICE_ENTRIES}")
-    entries: list[tuple[int, tuple[int, ...], complex]] = []
-
-    def rec(idx: int, remaining: int, k: list[int], acc: complex):
-        if idx == r:
-            entries.append((sum(k), tuple(k), acc))
-            return
-        for kj in range(remaining + 1):
-            k.append(kj)
-            rec(idx + 1, remaining - kj, k, acc + kj * base[idx])
-            k.pop()
-
-    rec(0, int(cap), [], 0.0 + 0.0j)
-    entries.sort(key=lambda e: (e[0], e[1]))
-    seen: dict[tuple[float, float], None] = {}
-    points, indices = [], []
-    for _, k, val in entries:
-        key = (round(val.real / DEDUP_TOL), round(val.imag / DEDUP_TOL))
-        if key in seen:
-            continue
-        seen[key] = None
-        points.append(val)
-        indices.append(k)
-    return SpectrumReport(
-        base_eigenvalues=base,
-        lattice=np.asarray(points, dtype=complex),
-        multi_indices=tuple(indices),
-    )
+    # the multi-indices in lexicographic order, one column at a time: a row with
+    # `room` degree left gets children k_j = 0..room; then stably by total degree
+    k = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([int(cap)])
+    for _ in range(r):
+        counts = room + 1
+        kj = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        k = np.column_stack([np.repeat(k, counts, axis=0), kj])
+        room = np.repeat(room, counts) - kj
+    k = k[np.argsort(cap - room, kind="stable")]
+    # each point is 0 + k_0 base[0] + k_1 base[1] + ..., added in that order
+    points = np.zeros(len(k), dtype=complex)
+    for j in range(r):
+        points += k[:, j] * base[j]
+    # the first point of each 1e-12 key (a complex number: it sorts faster than key rows)
+    keys = np.rint(points.real / DEDUP_TOL) + 1j * np.rint(points.imag / DEDUP_TOL)
+    keep = np.sort(np.unique(keys, return_index=True)[1])
+    return SpectrumReport(base_eigenvalues=base, lattice=points[keep], multi_indices=k[keep])
 
 
 def spectrum_report(model: ValidatedModel, cap: int = DEFAULT_LATTICE_CAP) -> SpectrumReport:

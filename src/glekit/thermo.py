@@ -33,6 +33,8 @@ Each public function takes its data first and the model second:
 ``(law, model)`` for a Gaussian law, ``(density, model)`` for a grid.  A
 Gaussian law must belong to a model of the generalized kind and have the
 model's ``state_dim()``; otherwise the function raises ShapeMismatch.
+``stationary_law`` takes only a model, which must be of the generalized kind
+too.
 
 On a d = m = 1 grid density, ``degeneracy_residual`` discretizes the
 reversible and irreversible blocks with central differences; both residuals
@@ -59,16 +61,22 @@ LOG_FLOOR = 1e-300
 # ---------------------------------------------------------------------------
 
 
-def _check_law(law: GaussianLaw, model: ValidatedModel) -> None:
-    """ShapeMismatch unless the model is of the generalized kind and the law spans its state."""
+def _check_kind(model: ValidatedModel) -> None:
+    """ShapeMismatch unless the model is of the generalized kind."""
     if model.kind is not Kind.GENERALIZED:
         raise ShapeMismatch("thermodynamic diagnostics use the generalized kind")
+
+
+def _check_law(law: GaussianLaw, model: ValidatedModel) -> None:
+    """ShapeMismatch unless the model is of the generalized kind and the law spans its state."""
+    _check_kind(model)
     if law.dim != model.state_dim():
         raise ShapeMismatch(f"law dimension {law.dim} != model state dimension {model.state_dim()}")
 
 
 def stationary_law(model: ValidatedModel) -> GaussianLaw:
     """Stationary Gaussian (zero-magnetization branch) of the quadratic model."""
+    _check_kind(model)
     omega2 = model.omega2
     d = model.d
     dm = d * model.m

@@ -26,6 +26,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 QUAD_GMV = REPO / "configs" / "quadratic_gmv.conf"
 QUAD_UMV = REPO / "configs" / "quadratic_umv.conf"
+QUAD_OMV = REPO / "bench" / "quadratic_omv.conf"
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +804,9 @@ def test_whitenoise_rejects_unrecorded_checkpoints(tmp_path, capsys, checkpoints
 
 
 @pytest.mark.parametrize(
-    "config, error", [(QUAD_UMV, "MissingField"), (DOUBLEWELL_GMV, "UnsupportedPotential")]
+    "config, error",
+    [(QUAD_UMV, "ShapeMismatch"), (QUAD_OMV, "ShapeMismatch"),
+     (DOUBLEWELL_GMV, "UnsupportedPotential")],
 )
 def test_thermo_rejects_models_without_gaussian_flow(tmp_path, capsys, config, error):
     code = run_cli(["thermo", "--config", config, "--out", tmp_path, "--t-final", "0.01"])
@@ -950,7 +953,6 @@ def test_infinite_horizon_is_a_typed_error(tmp_path, capsys, cmd):
 # the time grid: every horizon is a whole number k >= 1 of steps dt > 0
 # ---------------------------------------------------------------------------
 
-QUAD_OMV = REPO / "bench" / "quadratic_omv.conf"
 GRID_ERROR = "ShapeMismatch: t={} is not a positive whole number of steps dt={}"
 
 

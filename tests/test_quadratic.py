@@ -161,6 +161,74 @@ def test_base_spectrum_rejects_a_memory_off_the_diagonal_form(lam, A):
 # ---------------------------------------------------------------------------
 
 
+def _recursive_lattice(base, cap):
+    """The lattice enumerated one multi-index at a time, by recursion: the oracle.
+
+    Every multi-index is a tuple with its point acc + k_j * base[j], added in
+    order from complex zero; all are sorted by (total degree, multi-index) and
+    the first of each 1e-12 key is kept.
+    """
+    base = np.asarray(base, dtype=complex)
+    entries = []
+
+    def rec(j, remaining, k, acc):
+        if j == base.size:
+            entries.append((sum(k), tuple(k), acc))
+            return
+        for kj in range(remaining + 1):
+            rec(j + 1, remaining - kj, k + [kj], acc + kj * base[j])
+
+    rec(0, cap, [], 0.0 + 0.0j)
+    entries.sort(key=lambda e: (e[0], e[1]))
+    seen, points, indices = set(), [], []
+    for _, k, val in entries:
+        key = (round(val.real / qa.DEDUP_TOL), round(val.imag / qa.DEDUP_TOL))
+        if key not in seen:
+            seen.add(key)
+            points.append(val)
+            indices.append(k)
+    return np.asarray(points, dtype=complex), np.asarray(indices, dtype=int).reshape(-1, base.size)
+
+
+def _lattice_cases():
+    """(id, base, caps): model spectra with r = 2, 4, 6 and 8, and made-up bases with r = 1..8."""
+    rng = np.random.default_rng(34)
+    cases = [
+        ("overdamped", qa.base_spectrum(quadratic_omv(1.3, 0.7)), range(13)),
+        ("underdamped", qa.base_spectrum(quadratic_umv(1.0, 1.0, gamma=0.5)), range(13)),
+        ("memory-1", qa.base_spectrum(quadratic_gmv(lambdas=(1.5,), alphas=(0.5,))), [0, 1, 4, 7, 12]),
+        ("memory-2", qa.base_spectrum(quadratic_gmv(lambdas=(1.0, 0.6), alphas=(0.5, 2.0))),
+         [0, 1, 3, 6]),
+    ]
+    for r in range(1, 9):
+        caps = [c for c in range(13) if math.comb(c + r, r) <= 3000]
+        reals = -np.round(rng.uniform(0.1, 3.0, r), 1)  # one decimal: many coinciding sums
+        reals[r // 2 :] = reals[: r - r // 2]  # and repeated values
+        cases.append((f"coinciding-r{r}", reals.astype(complex), caps))
+        pairs = -rng.uniform(0.1, 2.0, r) + 1j * rng.uniform(0.1, 2.0, r)
+        pairs[1::2] = pairs[0::2][: r // 2].conj()
+        cases.append((f"pairs-r{r}", pairs, caps))
+    return cases
+
+
+@pytest.mark.parametrize("base, caps", [c[1:] for c in _lattice_cases()],
+                         ids=[c[0] for c in _lattice_cases()])
+def test_lattice_equals_the_recursive_enumeration_to_the_bit(base, caps):
+    for cap in caps:
+        points, indices = _recursive_lattice(base, cap)
+        rep = qa.spectrum_lattice(base, cap)
+        assert rep.lattice.tobytes() == points.tobytes()
+        assert rep.multi_indices.dtype.kind == "i"
+        assert np.array_equal(rep.multi_indices, indices)
+
+
+def test_lattice_order_and_kept_multi_indices_by_hand():
+    # (2, 0) gives -2 again, after (0, 1) in degree order, and is dropped
+    rep = qa.spectrum_lattice([-1.0, -2.0], cap=2)
+    assert rep.lattice.tolist() == [0.0, -2.0, -1.0, -4.0, -3.0]
+    assert rep.multi_indices.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1]]
+
+
 def test_lattice_two_reals():
     rep = qa.spectrum_lattice([-1.0, -2.0], cap=2)
     assert multisets_match(rep.lattice, [0.0, -1.0, -2.0, -3.0, -4.0])
@@ -207,6 +275,14 @@ def test_spectrum_report_and_gap():
 
 def test_lattice_ceiling_admits_cap_20_of_one_memory_mode_and_no_more():
     assert math.comb(20 + 6, 6) <= qa.MAX_LATTICE_ENTRIES < math.comb(21 + 6, 6)
+    base = qa.base_spectrum(load_config(CONFIGS / "quadratic_gmv.conf").model())
+    rep = qa.spectrum_lattice(base, cap=20)
+    k = rep.multi_indices
+    assert k.shape == (rep.lattice.size, 6)
+    assert k.min() >= 0 and np.all(np.diff(k.sum(axis=1)) >= 0) and k.sum(axis=1)[-1] <= 20
+    assert np.allclose(rep.lattice, k @ base, rtol=0.0, atol=1e-12 * 20 * np.abs(base).max())
+    keys = np.round(np.column_stack([rep.lattice.real, rep.lattice.imag]) / qa.DEDUP_TOL)
+    assert len(np.unique(keys, axis=0)) == rep.lattice.size
 
 
 def test_a_lattice_of_exactly_the_ceiling_is_built_and_one_more_entry_is_refused(monkeypatch):

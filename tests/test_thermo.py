@@ -63,6 +63,15 @@ def test_an_ensemble_law_that_does_not_fit_its_model_is_a_shape_mismatch(model, 
         function(law, model)
 
 
+KIND_MISFITS = {name: case for name, case in LAW_MISFITS.items() if name.endswith("-kind")}
+
+
+@pytest.mark.parametrize("model, dim, message", KIND_MISFITS.values(), ids=KIND_MISFITS.keys())
+def test_the_stationary_law_of_another_kind_is_a_shape_mismatch(model, dim, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        thermo.stationary_law(model)
+
+
 # ---------------------------------------------------------------------------
 # free energy
 # ---------------------------------------------------------------------------
