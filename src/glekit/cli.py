@@ -60,7 +60,10 @@ from .model import Kind
 
 
 def _fmt(v) -> str:
-    # floats first, the bulk of every table; bool is no float and np.bool_ no np.floating
+    # strings as they are, then floats, the bulk of every other table; bool is no float
+    # and np.bool_ no np.floating
+    if isinstance(v, str):
+        return v
     if isinstance(v, (float, np.floating)):
         return repr(float(v))  # shortest representation that round-trips
     if isinstance(v, (bool, np.bool_)):

@@ -177,9 +177,9 @@ def run_study(model: ValidatedModel, epsilons, N: int, T: float, dt: float, seed
         )
         ens = init_ensemble(scaled, N, seed_seq, init)
         stepper = make_stepper(scaled, dt)
-        moments = {}
+        moments, F = {}, None
         for k in range(1, n_steps + 1):
-            stepper.step(ens)
+            F = stepper.step(ens, F)
             if k in check_steps:
                 qp = np.hstack([ens.q, ens.p])
                 mean = qp.mean(axis=0)

@@ -14,12 +14,13 @@ Schemes, per dynamics kind:
   any size of lam and A, so the rescaled white-noise models (lam/eps,
   A/eps^2) run at the same dt for every eps.
 
-The kinetic scheme evaluates one force per step: the force at the end of a
-step is kept on the ensemble and starts the next one.  The Curie-Weiss force
-is computed in O(N) from the empirical mean: each force first reduces
-m1 = mean(q), then updates all particles -- the one reduction barrier that
-makes the mean-field coupling order-independent.  A kinetic step reduces the
-mean once: the end force's m1 also checks the final q for non-finite values.
+The kinetic scheme evaluates one force per step: a step returns the force at
+its end, and the caller passes it to the next step, which starts from it; no
+force is kept on the ensemble.  The Curie-Weiss force is computed in O(N) from
+the empirical mean: each force first reduces m1 = mean(q), then updates all
+particles -- the one reduction barrier that makes the mean-field coupling
+order-independent.  A kinetic step reduces the mean once: the end force's m1
+also checks the final q for non-finite values.
 Randomness comes from one SFC64 generator per run, seeded through a
 ``SeedSequence`` (the fastest of numpy's bit generators per normal; substreams
 come from the seed sequence), so identical (model, N, seed, dt, T) reproduce
@@ -37,18 +38,19 @@ made on first use and again when a shape changes, and left out of copies,
 which hold only state.  They belong to the ensemble rather than to the stepper
 because one stepper may step several ensembles from several threads.  Each
 update keeps the operations and the order of the plain expressions, so no
-number changes.  The kept end-of-step force is the force array, so the next
-step overwrites it.
+number changes.  The returned end-of-step force is the force array, so the
+next step overwrites it.
 
 The normals are drawn through the ensemble's ``rng`` on the stepping thread,
 into the step's own buffer: one ``standard_normal(out=)`` per step, of shape
 (n, N) for the kinetic kinds and (N, d) for the overdamped one.
 
 An ensemble is its state array ``X``: the particle count N is its column
-count, and a stepper steps only a state of its own kind, (state_dim, N) with
-its d, and raises :class:`ShapeMismatch` for any other before it touches the
-work arrays.  Replacing ``X`` needs nothing further; an in-place edit of it
-still needs ``end_force = None``.
+count, and a stepper steps only a float64 state of its own kind, (state_dim, N)
+with its d, and raises :class:`ShapeMismatch` for any other before it touches
+the work arrays.  Replacing ``X`` or editing it in place needs nothing further
+of the ensemble; a force returned before the change no longer holds, so the
+next step is passed ``None``.
 """
 
 from __future__ import annotations
@@ -109,30 +111,21 @@ class ParticleEnsemble:
     The state is one C-contiguous (state_dim, N) array ``X`` with rows
     [q; p; z], and the particle count ``N`` is its column count.  ``q``,
     ``p`` and ``z`` are (N, d) and (N, d*m) transposed views of its row
-    blocks (``None`` where the kind has no such block), so writing into one
-    writes into ``X``; assigning one copies the value into ``X`` and clears
-    ``end_force``.  An ``X`` that is not (k*d, N), or a value that does not
-    broadcast to its block, is a :class:`ShapeMismatch`.
-
-    ``end_force`` holds ``(model, X, force)`` from the end of the last
-    kinetic step, so the next step of the same model on the same ``X`` object
-    can start from it; a replaced ``X`` needs nothing further.  Code that
-    edits ``X`` or a view of it in place between steps must set
-    ``end_force = None``.  The force is the ensemble's one force work array
-    (see the module docstring), so the next step overwrites it: a caller that
-    keeps it must copy it.
+    blocks (``None`` where the kind has no such block): writing into one
+    writes into ``X``, and none can be assigned, so assigning ``X`` is the
+    one way to replace a state.  An ``X`` that is not (k*d, N) is a
+    :class:`ShapeMismatch`.
 
     Steps draw their normals from ``rng`` (see the module docstring), so a
     caller that draws from ``rng`` between steps moves the steps' numbers.  A
-    copy, deep or pickled, holds only state: ``end_force`` and the work arrays
-    are made again by the copy's next step.
+    copy, deep or pickled, holds only state: the work arrays are made again
+    by the copy's next step.
     """
 
     d: int
     X: np.ndarray
     time: float
     rng: np.random.Generator
-    end_force: Optional[tuple] = field(default=None, repr=False, compare=False)
     _work: Optional["_Work"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,7 +138,7 @@ class ParticleEnsemble:
         return self.X.shape[1]
 
     def __getstate__(self):
-        return {**self.__dict__, "end_force": None, "_work": None}
+        return {**self.__dict__, "_work": None}
 
     def _work_arrays(self) -> "_Work":
         """The step's work arrays, made on first use and again when ``X`` changes shape."""
@@ -153,30 +146,14 @@ class ParticleEnsemble:
             self._work = _Work(self.X.shape, self.d)
         return self._work
 
-    def _rows(self, a: int, b: Optional[int]) -> slice:
-        return slice(a * self.d, None if b is None else b * self.d)
-
-    def _get(self, a: int, b: Optional[int]) -> Optional[np.ndarray]:
-        block = self.X[self._rows(a, b)]
+    def _block(self, a: int, b: Optional[int]) -> Optional[np.ndarray]:
+        block = self.X[a * self.d : None if b is None else b * self.d]
         return block.T if len(block) else None
 
-    def _set(self, a: int, b: Optional[int], value) -> None:
-        block = self.X[self._rows(a, b)].T
-        value = np.asarray(value)
-        try:
-            fits = block.size > 0 and np.broadcast_shapes(value.shape, block.shape) == block.shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ShapeMismatch(
-                f"block of shape {block.shape} cannot take a value of shape {value.shape}")
-        block[...] = value
-        self.end_force = None
-
     # the row blocks [q; p; z] of X, in units of d rows
-    q = property(lambda self: self._get(0, 1), lambda self, v: self._set(0, 1, v))
-    p = property(lambda self: self._get(1, 2), lambda self, v: self._set(1, 2, v))
-    z = property(lambda self: self._get(2, None), lambda self, v: self._set(2, None, v))
+    q = property(lambda self: self._block(0, 1))
+    p = property(lambda self: self._block(1, 2))
+    z = property(lambda self: self._block(2, None))
 
 
 def _make_rng(seed) -> np.random.Generator:
@@ -291,12 +268,23 @@ class _Stepper:
         ens.rng.standard_normal(out=W[n:])
         np.einsum("ij,jk->ik", self.TS, W, out=pz)
 
-    def step(self, ens: ParticleEnsemble) -> ParticleEnsemble:
-        """One step of ``ens``, in place; a state of another kind is a :class:`ShapeMismatch`."""
+    def step(self, ens: ParticleEnsemble, force=None) -> Optional[np.ndarray]:
+        """One step of ``ens``, in place; returns the force at the new state, ``None`` for the
+        overdamped kind.
+
+        ``force`` is what the previous step on ``ens``, of a stepper of the same model,
+        returned: it starts a kinetic step in place of a second force evaluation, and
+        ``None`` computes it.  The returned force is valid only for the same ensemble with
+        ``X`` neither replaced nor edited since, and it is the ensemble's force work array,
+        so the next step overwrites it.  A state of another kind, or one that is not
+        float64, is a :class:`ShapeMismatch` before anything is touched.
+        """
         X = ens.X
-        if not (np.ndim(X) == 2 and len(X) == self.rows and ens.d == self.d):
-            raise ShapeMismatch(f"a {self.kind.value} step of d = {self.d} needs a ({self.rows}, N) "
-                                f"state, got {np.shape(X)} of d = {ens.d}")
+        dtype = getattr(X, "dtype", None)
+        if not (np.ndim(X) == 2 and len(X) == self.rows and ens.d == self.d
+                and dtype == np.float64):
+            raise ShapeMismatch(f"a {self.kind.value} step of d = {self.d} needs a float64 "
+                                f"({self.rows}, N) state, got {np.shape(X)} {dtype} of d = {ens.d}")
         dt = self.dt
         q = ens.q
         w = ens._work_arrays()
@@ -308,14 +296,13 @@ class _Stepper:
             F *= dt
             F += np.multiply(w.W, self.noise_std, out=tmp)
             q += F
+            F = None  # an Euler-Maruyama step carries no force over
             finite = np.isfinite(np.sum(q))
         else:
             # B-A-O-A-B: half kick, half drift, exact O step, half drift, half kick
             h = 0.5 * dt
             p = ens.p
-            kept_model, kept_X, F = ens.end_force or (None, None, None)
-            if kept_model is not self.model or kept_X is not X:
-                F = self.force(q, q.mean(axis=0), w.force, tmp)
+            F = self.force(q, q.mean(axis=0), w.force, tmp) if force is None else force
             p += np.multiply(F, h, out=tmp)
             q += np.multiply(p, h, out=tmp)
             self._ou(ens, w.W)
@@ -323,19 +310,19 @@ class _Stepper:
             # bitwise q.mean(axis=0); q is final, so its mean also checks the state
             m1 = np.add.reduce(q, axis=0) / ens.N
             F = self.force(q, m1, w.force, tmp)  # the start force is spent
-            ens.end_force = (self.model, X, F)
             p += np.multiply(F, h, out=tmp)
             finite = np.isfinite(m1).all()
         ens.time += dt
         if not finite:
             raise NonFiniteState(f"state became non-finite at t={ens.time}")
-        return ens
+        return F
 
 
 class _Work:
     """One ensemble's step work arrays (see the module docstring): ``force`` and ``tmp`` are
-    transposed (d, N) arrays, laid out like ``ens.q``; ``W`` is the O step's stacked (2n, N)
-    rows of a kinetic state, or the (N, d) normals of an overdamped one."""
+    transposed (d, N) arrays, laid out like ``ens.q``, and ``force`` is what a kinetic step
+    returns; ``W`` is the O step's stacked (2n, N) rows of a kinetic state, or the (N, d)
+    normals of an overdamped one."""
 
     def __init__(self, shape: tuple, d: int):
         rows, N = self.shape = shape
@@ -419,8 +406,9 @@ def simulate(
     ens = init_ensemble(model, N, seed, init)
     stepper = make_stepper(model, dt)
     records = [_record(ens)]
+    F = None
     for k in range(1, n_steps + 1):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
         if k % record_every == 0 or k == n_steps:
             records.append(_record(ens))
     return ObservableSeries(**{key: np.asarray([r[key] for r in records]) for key in records[0]})

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from glekit import limits
 from glekit.errors import DegenerateFriction, InsufficientParticles, NonSPDMatrix, ShapeMismatch
-from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, validate
+from glekit.model import Kind, MemorySpec, ModelSpec, Quadratic, ValidatedModel, validate
 from glekit.quadratic import base_spectrum
 
 from conftest import quadratic_gmv, quadratic_omv, quadratic_umv
@@ -146,6 +147,22 @@ def test_underdamped_reference_needs_an_isotropic_friction():
     aniso = _gmv_2d(MemorySpec(lam=np.diag([1.0, 2.0]), A=np.eye(2)))
     with pytest.raises(ShapeMismatch):
         limits.underdamped_reference(aniso)
+
+
+def test_each_eps_of_a_study_evaluates_one_force_per_step(monkeypatch):
+    # each eps steps a fresh ensemble: one start force, then one end force per step
+    calls = []
+    grad = ValidatedModel.grad_potential
+
+    def counted(self, q):
+        calls.append(self)
+        return grad(self, q)
+
+    monkeypatch.setattr(ValidatedModel, "grad_potential", counted)
+    res = run_study(quadratic_gmv())
+    steps = res.rows[0].steps
+    assert steps == 100
+    assert sorted(Counter(map(id, calls)).values()) == [steps + 1] * len(STUDY["epsilons"])
 
 
 def test_run_study_smoke_and_determinism():

@@ -82,18 +82,6 @@ def test_an_ensemble_state_of_the_wrong_shape_is_a_shape_mismatch(d, shape):
         make_stepper(quadratic_omv(d=d), 0.01).step(ens)
 
 
-def test_a_block_value_of_the_wrong_shape_is_a_shape_mismatch():
-    ens = init_ensemble(quadratic_umv(), 10, seed=0, init=InitPoint([1.0, 0.0]))
-    wrong = {"q": np.zeros((11, 1)), "p": np.zeros((10, 2)), "z": np.zeros((10, 1))}
-    for name, value in wrong.items():
-        with pytest.raises(ShapeMismatch):
-            setattr(ens, name, value)
-    assert np.all(ens.q == 1.0) and np.all(ens.p == 0.0)
-    ens.p = 2.0  # a value that broadcasts to the block still fills it
-    ens.q = np.arange(10.0)[:, None]
-    assert np.all(ens.p == 2.0) and np.array_equal(ens.X[0], np.arange(10.0))
-
-
 def test_series_is_deterministic_in_seed():
     model = quadratic_gmv()
     kw = dict(N=128, T=0.5, dt=1e-2, seed=11, init=InitPoint([1.0, 0.0, 0.0]), record_every=5)
@@ -118,8 +106,9 @@ def test_harmonic_oscillator_period_with_noise_off():
     ens = init_ensemble(model, 1, seed=0, init=InitPoint([1.0, 0.0, 0.0]))
     dt = 1e-4
     stepper = make_stepper(model, dt)
+    F = None
     for _ in range(int(round(2 * math.pi / dt))):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
     assert abs(ens.q[0, 0] - 1.0) <= 1e-3
 
 
@@ -130,8 +119,9 @@ def test_deterministic_self_convergence_is_at_least_first_order():
     def final_q(dt, T=1.0):
         ens = init_ensemble(model, 1, seed=0, init=InitPoint(x0))
         stepper = make_stepper(model, dt)
+        F = None
         for _ in range(int(round(T / dt))):
-            stepper.step(ens)
+            F = stepper.step(ens, F)
         return ens.q[0, 0]
 
     ref = final_q(1.0 / 4096)
@@ -194,9 +184,7 @@ def test_exchangeability_of_observables():
     ens = init_ensemble(model, 64, seed=5, init=init)
     perm = np.random.default_rng(0).permutation(64)
     ens_perm = copy.deepcopy(ens)
-    ens_perm.q = ens_perm.q[perm]
-    ens_perm.p = ens_perm.p[perm]
-    ens_perm.z = ens_perm.z[perm]
+    ens_perm.X = ens_perm.X[:, perm]
     stepper = make_stepper(model, 1e-2)
     for _ in range(100):
         stepper.step(ens)
@@ -209,8 +197,8 @@ def test_exchangeability_of_observables():
 
 @pytest.mark.parametrize("kind", ["underdamped", "generalized"])
 def test_force_reuse_matches_recomputing_the_force_every_step(kind):
-    # the end-of-step force starts the next step only while it still belongs
-    # to that ensemble, that q array and that model
+    # a step started from the force the last step returned is the step that computes it
+    # afresh, across a switch of model and in-place edits of q, where the caller passes None
     if kind == "underdamped":
         model, other = quadratic_umv(gamma=1.5), quadratic_umv(eta2=3.0, gamma=1.5)
         init = InitProduct(q=BlockLaw(var=1.0), p=BlockLaw(var=1.0))
@@ -222,15 +210,18 @@ def test_force_reuse_matches_recomputing_the_force_every_step(kind):
     a = init_ensemble(model, 64, seed=5, init=init)
     b = init_ensemble(model, 64, seed=6, init=init)
     ref_a, ref_b = copy.deepcopy(a), copy.deepcopy(b)
+    forces = [None, None]
     for k in range(60):
         st = other_stepper if k == 20 else stepper
-        for ens, ref in ((a, ref_a), (b, ref_b)):
-            st.step(ens)
-            ref.end_force = None  # the reference recomputes the start force
-            st.step(ref)
+        if k in (20, 21):
+            forces = [None, None]  # the last force is of the other model
+        for i, (ens, ref) in enumerate(((a, ref_a), (b, ref_b))):
+            forces[i] = st.step(ens, forces[i])
+            st.step(ref)  # the reference recomputes the start force
         if k % 7 == 3:
-            b.q = 0.5 * b.q
-            ref_b.q = 0.5 * ref_b.q
+            b.q[:] *= 0.5
+            ref_b.q[:] *= 0.5
+            forces[1] = None  # the last force is of the state before the edit
     for ens, ref in ((a, ref_a), (b, ref_b)):
         assert np.array_equal(ens.q, ref.q) and np.array_equal(ens.p, ref.p)
         if kind == "generalized":
@@ -240,21 +231,70 @@ def test_force_reuse_matches_recomputing_the_force_every_step(kind):
 @pytest.mark.parametrize("kind", ["underdamped", "generalized"])
 @pytest.mark.parametrize("N", [64, 40], ids=["same-N", "other-N"])
 def test_a_replaced_state_steps_as_a_fresh_ensemble_on_it(kind, N):
-    # N is X's column count and the kept force belongs to the X it was computed on, so a
-    # replaced X steps as an ensemble built on it with the same generator state does
+    # N is X's column count and the work arrays follow X's shape, so a replaced X, started
+    # from its own force, steps as an ensemble built on it with the same generator state does
     model = quadratic_umv() if kind == "underdamped" else quadratic_gmv()
     stepper = make_stepper(model, 1e-2)
     ens = init_ensemble(model, 64, seed=5, init=INIT_PZ)
+    F = None
     for _ in range(3):
-        stepper.step(ens)
-    assert ens.end_force is not None
+        F = stepper.step(ens, F)
     fresh = init_ensemble(model, N, seed=6, init=INIT_PZ)
     fresh.time, fresh.rng = ens.time, copy.deepcopy(ens.rng)
     ens.X = fresh.X.copy()
+    F = G = None
     for _ in range(2):
-        stepper.step(ens)
-        stepper.step(fresh)
+        F = stepper.step(ens, F)
+        G = stepper.step(fresh, G)
     assert np.array_equal(ens.X, fresh.X) and ens.N == N
+
+
+@pytest.mark.parametrize("kind", ["underdamped", "generalized"])
+def test_a_step_after_an_in_place_edit_through_a_view_steps_the_edited_state(kind):
+    # a view writes into X without the ensemble seeing it, so the next step must start from
+    # the force of the edited state, as a fresh ensemble on that state does
+    model = quadratic_umv() if kind == "underdamped" else quadratic_gmv()
+    stepper = make_stepper(model, 1e-2)
+    ens = init_ensemble(model, 64, seed=5, init=INIT_PZ)
+    stepper.step(ens)
+    ens.q[:] += 1.0
+    fresh = ParticleEnsemble(d=ens.d, X=ens.X.copy(), time=ens.time, rng=copy.deepcopy(ens.rng))
+    stepper.step(ens)
+    stepper.step(fresh)
+    assert np.array_equal(ens.X, fresh.X) and ens.time == fresh.time
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+@pytest.mark.parametrize("model", [quadratic_omv(), quadratic_umv(), quadratic_gmv()],
+                         ids=["overdamped", "underdamped", "generalized"])
+def test_a_state_that_is_not_float64_is_a_shape_mismatch(model, dtype):
+    # a float32 state stepped in single precision or failed half-way with an untyped error,
+    # and an int one failed in a cast; both are refused before anything is touched
+    ens = init_ensemble(model, 16, seed=5, init=INIT_PZ)
+    ens.X = ens.X.astype(dtype)
+    X, rng = ens.X.copy(), copy.deepcopy(ens.rng)
+    with pytest.raises(ShapeMismatch, match="float64"):
+        make_stepper(model, 1e-2).step(ens)
+    assert ens._work is None and ens.time == 0.0 and ens.X.dtype == dtype
+    assert np.array_equal(ens.X, X)
+    assert np.array_equal(ens.rng.standard_normal(4), rng.standard_normal(4))
+
+
+@pytest.mark.parametrize("model", [quadratic_omv(), quadratic_umv(), quadratic_gmv()],
+                         ids=["overdamped", "underdamped", "generalized"])
+def test_a_run_evaluates_one_force_per_step(monkeypatch, model):
+    # a kinetic step's end force starts the next step, so a kinetic run of k steps pays one
+    # start force and k end forces; an overdamped run pays one force per step
+    calls = []
+    grad = ValidatedModel.grad_potential
+
+    def counted(self, q):
+        calls.append(self)
+        return grad(self, q)
+
+    monkeypatch.setattr(ValidatedModel, "grad_potential", counted)
+    simulate(model, N=16, T=0.25, dt=0.01, seed=1, init=INIT_PZ, record_every=5)
+    assert len(calls) == 25 + (model.kind is not Kind.OVERDAMPED)
 
 
 MISMATCHED_KINDS = {
@@ -285,7 +325,7 @@ def test_a_step_of_another_kind_is_a_shape_mismatch(model, state_model):
 def test_empirical_moments_two_particles():
     model = quadratic_omv()
     ens = init_ensemble(model, 2, seed=0, init=InitProduct(q=BlockLaw(point=0.0)))
-    ens.q = np.array([[1.0], [-1.0]])
+    ens.X = np.array([[1.0, -1.0]])
     mean, cov, se = empirical_moments(ens)
     assert mean[0] == 0.0
     assert cov[0, 0] == 2.0
@@ -475,8 +515,9 @@ def generalized_bitwise(N):
     def force(q):
         return -omega2 * q - eta2 * (q - q.mean(axis=0))
 
+    F = None
     for _ in range(20):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
         p = p + 0.5 * dt * force(q)
         q = q + 0.5 * dt * p
         xi = rng.standard_normal((2, N))
@@ -504,8 +545,9 @@ def underdamped_bitwise(N):
     def force(q):
         return -omega2 * q - eta2 * (q - q.mean(axis=0))
 
+    F = None
     for _ in range(20):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
         p = p + 0.5 * dt * force(q)
         q = q + 0.5 * dt * p
         p = p * decay + sigma * rng.standard_normal((N, 1))
@@ -577,17 +619,17 @@ def test_o_step_at_d3_is_the_column_ordered_sum_on_the_sfc64_stream_bitwise(kind
     def force(q):
         return -omega2 * q - eta2 * (q - q.mean(axis=1)[:, None])
 
+    F = None
     for _ in range(20):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
         q, pz = baoab_by_hand(q, pz, force, T, S, dt, rng)
     assert np.array_equal(ens.X, np.vstack([q, pz]))
-    # the blocks are views of X, and assigning one drops the force kept from the last step
+    # the blocks are views of X, which no block can be assigned over
     for name in ("q", "p", "z")[: 2 + (kind == "generalized")]:
         assert np.shares_memory(getattr(ens, name), ens.X)
-        assert ens.end_force is not None
-        setattr(ens, name, getattr(ens, name) * 1.0)
-        assert ens.end_force is None
-        stepper.step(ens)
+        with pytest.raises(AttributeError):
+            setattr(ens, name, getattr(ens, name) * 1.0)
+    assert np.array_equal(ens.X, np.vstack([q, pz]))
 
 
 def double_well_force(a, b, eta2):
@@ -611,8 +653,9 @@ def test_generalized_double_well_on_the_sfc64_stream_bitwise():
     q = 0.5 + math.sqrt(0.2) * rng.standard_normal((1, N))
     pz = math.sqrt(0.5) * np.vstack([rng.standard_normal((1, N)), rng.standard_normal((1, N))])
     force = double_well_force(1.0, 1.0, 1.0)
+    F = None
     for _ in range(20):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
         q, pz = baoab_by_hand(q, pz, force, stepper.T, stepper.S, dt, rng)
     assert np.array_equal(ens.X, np.vstack([q, pz]))
 
@@ -679,23 +722,22 @@ def test_deepcopy_mid_run_continues_bit_for_bit():
     model = quadratic_gmv()
     stepper = make_stepper(model, 0.01)
 
-    def run(steps):
-        ens = init_ensemble(model, 8192, 8, INIT_PZ)
+    def run(ens, steps, F=None):
         for _ in range(steps):
-            stepper.step(ens)
-        return ens
+            F = stepper.step(ens, F)
+        return F
 
-    ens = run(5)
+    ens, five = (init_ensemble(model, 8192, 8, INIT_PZ) for _ in range(2))
+    F = run(ens, 5)
     twin = copy.deepcopy(ens)
     at_copy = copy.deepcopy(twin.rng)
-    for _ in range(10):
-        stepper.step(ens)
-    for _ in range(10):
-        stepper.step(twin)
+    run(ens, 10, F)
+    run(twin, 10)  # the force F belongs to ens, so the copy starts from its own
     assert np.array_equal(ens.q, twin.q) and np.array_equal(ens.p, twin.p)
     assert np.array_equal(ens.z, twin.z)
     # the copy's generator stands where the run's stood after five steps
-    assert np.array_equal(at_copy.standard_normal(4), run(5).rng.standard_normal(4))
+    run(five, 5)
+    assert np.array_equal(at_copy.standard_normal(4), five.rng.standard_normal(4))
 
 
 def test_ensembles_stepped_from_several_threads_keep_their_streams():
@@ -707,8 +749,9 @@ def test_ensembles_stepped_from_several_threads_keep_their_streams():
 
     def run(seed, out):
         ens = init_ensemble(model, 8192, seed, INIT_PZ)
+        F = None
         for _ in range(30):
-            stepper.step(ens)
+            F = stepper.step(ens, F)
         out[seed] = ens.q
 
     threaded = {}
@@ -802,8 +845,9 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N)
                                eta2=0.7, kind=kind, **extra))
     ens = init_ensemble(model, N, 3, INIT_PZ)
     stepper = make_stepper(model, 0.01)
+    F = None
     for _ in range(2):
-        stepper.step(ens)
+        F = stepper.step(ens, F)
 
     def pointers():
         w = ens._work
@@ -812,14 +856,15 @@ def test_a_step_allocates_nothing_of_the_state_size_but_the_gradient(kind, d, N)
     before = pointers()
     tracemalloc.start()
     try:
-        stepper.step(ens)
+        F = stepper.step(ens, F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= N * d * 8 + 4096
-    stepper.step(ens)
+    F = stepper.step(ens, F)
     assert pointers() == before
-    # the work arrays and the kept force are not state: copies leave them out and make
-    # their own
+    # a kinetic step returns its force work array; the overdamped kind returns none
+    assert F is None if kind is Kind.OVERDAMPED else F is ens._work.force
+    # the work arrays are not state: copies leave them out and make their own
     for twin in (copy.deepcopy(ens), pickle.loads(pickle.dumps(ens))):
-        assert twin._work is None and twin.end_force is None
+        assert twin._work is None

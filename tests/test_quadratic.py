@@ -758,13 +758,7 @@ def test_stepper_law_follows_a_noise_free_particle_pair(model, x0):
     delta = np.array([0.5, 0.1, -0.3, 0.2])[: len(x0)]
     mean0 = np.array([1.0, 0.0, 0.5, -0.5])[: len(x0)]
     ens = init_ensemble(model, 2, seed=0, init=InitPoint(x0))
-    X = np.vstack([mean0 + delta, mean0 - delta])
-    d = model.d
-    ens.q = X[:, :d].copy()
-    if ens.p is not None:
-        ens.p = X[:, d : 2 * d].copy()
-    if ens.z is not None:
-        ens.z = X[:, 2 * d :].copy()
+    ens.X = np.column_stack([mean0 + delta, mean0 - delta])
     stepper = make_stepper(model, dt)
     for _ in range(n_steps):
         stepper.step(ens)
