@@ -28,7 +28,8 @@ and ``rp`` its ``[run]`` parameters with any ``--seed``, ``--n``,
 array; the summary dict; and the manifest timings or None.  ``main`` alone
 writes files.
 
-Exit codes: 0 success, 1 domain error (error class name on stderr),
+Exit codes: 0 success, 1 domain error (error class name on stderr; a
+``MemoryError`` that escapes a handler is reported as ``RunTooLarge``),
 2 usage or config error (grammar, or a value of the wrong type).
 """
 
@@ -50,7 +51,7 @@ import numpy as np
 from . import __version__
 from . import limits, particles, quadratic, stationary, thermo
 from .config import Config, load_config
-from .errors import ConfigError, GlekitError, ShapeMismatch, UnsupportedPotential
+from .errors import ConfigError, GlekitError, RunTooLarge, ShapeMismatch, UnsupportedPotential
 from .model import Kind
 
 
@@ -528,6 +529,9 @@ def main(argv=None) -> int:
         return 2
     except GlekitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." says how much
+        print(f"{RunTooLarge.__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)  # made only now, so a failed run leaves no directory
     try:

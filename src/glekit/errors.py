@@ -62,5 +62,9 @@ class DegenerateFriction(GlekitError):
     """Effective friction is zero: no noise reaches the momentum equation."""
 
 
+class RunTooLarge(GlekitError):
+    """A run needs more memory than the machine gives it."""
+
+
 class ConfigError(GlekitError):
     """Config file violates the documented grammar (usage error, exit 2)."""

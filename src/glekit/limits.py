@@ -12,10 +12,12 @@ simulates the rescaled system, compares the (q, p) empirical mean and
 covariance at checkpoints against the exact underdamped Gaussian law, and
 reports the worst moment error with its Monte Carlo standard error.
 
-The integrator steps the whole (p, z) block exactly, so neither the lam/eps
-coupling nor the A/eps^2 relaxation constrains dt: every eps runs the same
-``quadratic.whole_steps(T, dt)`` steps of one size dt (the ``--base-dt`` flag
-of ``glekit whitenoise``).  The reference law at each checkpoint is built
+The integrator steps the whole (p, z) block by its exact transition map, so
+neither the lam/eps coupling nor the A/eps^2 relaxation constrains dt: every
+eps runs the same ``quadratic.whole_steps(T, dt)`` steps of one size dt (the
+``--base-dt`` flag of ``glekit whitenoise``).  That map is only as accurate
+as ``matrixkit.expm`` (see ``glekit.particles``), which loses the slow mode
+below eps of about 1e-6.  The reference law at each checkpoint is built
 once, before the first step, so a model without one fails at once.
 """
 
@@ -61,15 +63,28 @@ def effective_gamma(lam, A):
 
 
 def scaled_spec(model: ValidatedModel, epsilon: float) -> ValidatedModel:
-    """Rescaled model with lam/eps and A/eps^2 (same potential, beta, kind)."""
+    """Rescaled model with lam/eps and A/eps^2 (same potential, beta, kind).
+
+    ShapeMismatch, with no warning, unless eps > 0 and lam/eps and A/eps^2
+    stay in the float range: finite, and eps^2 neither overflows (which would
+    make A/eps^2 zero) nor underflows to zero.
+    """
     if model.kind is not Kind.GENERALIZED:
         raise ShapeMismatch("scaling applies to the generalized kind")
     if not epsilon > 0:
         raise ShapeMismatch(f"epsilon must be positive, got {epsilon}")
     mem = model.memory
-    scaled_mem = replace(mem, lam=np.asarray(mem.lam, dtype=float) / epsilon,
-                         A=np.asarray(mem.A, dtype=float) / epsilon**2)
-    return replace(model, memory=scaled_mem)
+    with np.errstate(all="ignore"):
+        try:
+            eps2 = epsilon**2
+        except OverflowError:  # a Python float power raises rather than give inf
+            eps2 = math.inf
+        lam = np.asarray(mem.lam, dtype=float) / epsilon
+        A = np.asarray(mem.A, dtype=float) / eps2
+    if not (0 < eps2 < math.inf and np.all(np.isfinite(lam)) and np.all(np.isfinite(A))):
+        raise ShapeMismatch(f"epsilon {epsilon} scales the memory out of the float range: "
+                            "lam/eps must be finite and A/eps^2 finite and positive")
+    return replace(model, memory=replace(mem, lam=lam, A=A))
 
 
 def underdamped_reference(model: ValidatedModel) -> ValidatedModel:
@@ -136,8 +151,9 @@ def run_study(model: ValidatedModel, epsilons, N: int, T: float, dt: float, seed
     ``quadratic.whole_steps(T, dt)`` steps of size dt.  Rows come in the input
     epsilon order, and each run draws from its own sub-stream of ``seed``.
     Before any step, in this order: ShapeMismatch unless the model is of the
-    generalized kind with d = 1 and the epsilons are finite, positive and
-    strictly decreasing (at least two); InsufficientParticles for N < 2;
+    generalized kind with d = 1, the epsilons are finite, positive and
+    strictly decreasing (at least two), and each keeps the scaled memory in
+    the float range (``scaled_spec``); InsufficientParticles for N < 2;
     whatever ``underdamped_reference`` raises for the effective friction
     (DegenerateFriction when it is zero); ShapeMismatch unless T and every
     checkpoint are whole numbers k >= 1 of steps dt > 0, there is a
@@ -154,6 +170,7 @@ def run_study(model: ValidatedModel, epsilons, N: int, T: float, dt: float, seed
         raise ShapeMismatch(f"epsilons must be finite and positive, got {epsilons}")
     if len(epsilons) < 2 or any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ShapeMismatch("epsilons must be strictly decreasing, length >= 2")
+    scaled_models = [scaled_spec(model, eps) for eps in epsilons]
     if N < 2:
         raise InsufficientParticles(f"moment errors need N >= 2 particles, got N={N}")
     ref = underdamped_reference(model)
@@ -166,9 +183,8 @@ def run_study(model: ValidatedModel, epsilons, N: int, T: float, dt: float, seed
     B, K, D = split_BK(ref)
     laws = {t: meanfield_green(B, K, D, t, np.array([Q0, P0])) for t in check_steps.values()}
     rows = []
-    for idx, eps in enumerate(epsilons):
+    for idx, (eps, scaled) in enumerate(zip(epsilons, scaled_models)):
         t0 = time.perf_counter()
-        scaled = scaled_spec(model, eps)
         seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
         init = InitProduct(
             q=BlockLaw(point=Q0),

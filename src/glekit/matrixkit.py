@@ -118,6 +118,8 @@ def gram_integral(B, D, t: float) -> np.ndarray:
     D must be symmetric PSD and 0 <= t < inf; the result is symmetric PSD up to
     rounding.  For ||tB|| beyond order one the integral is assembled by
     interval doubling, which keeps stable drifts accurate at large t.
+    Raises :class:`MatrixOverflow`, with no warning, when the result leaves
+    floating range, as it does for an unstable B at large t.
     """
     B = _as_square(B, "B")
     D = check_psd(D, "D")
@@ -142,10 +144,13 @@ def gram_integral(B, D, t: float) -> np.ndarray:
     G = F[:n, n:] @ F[:n, :n].T
     G = 0.5 * (G + G.T)
     E = F[:n, :n]  # e^{sB}
-    for _ in range(k):
-        G = E @ G @ E.T + G
-        G = 0.5 * (G + G.T)
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            G = E @ G @ E.T + G
+            G = 0.5 * (G + G.T)
+            E = E @ E
+    if not np.all(np.isfinite(G)):
+        raise MatrixOverflow("Gram integral overflowed floating-point range")
     return G
 
 

@@ -10,9 +10,12 @@ Schemes, per dynamics kind:
   memory, dp = -gamma p dt + sqrt(2 gamma/beta) dW:
   x -> T x + S xi with T = e^{-gamma dt} I or T = e^{dt M},
   M = [[0, lam^T], [-lam, -A]], and S S^T = (I - T T^T)/beta, because the
-  block leaves N(0, I/beta) invariant.  Memory and coupling are exact for
-  any size of lam and A, so the rescaled white-noise models (lam/eps,
-  A/eps^2) run at the same dt for every eps.
+  block leaves N(0, I/beta) invariant.  No step-size limit comes from lam or
+  A, so the rescaled white-noise models (lam/eps, A/eps^2) run at the same dt
+  for every eps; but T = e^{dt M} is only as exact as ``matrixkit.expm``,
+  whose scaling and squaring loses the slow mode as eps falls: at
+  lam = A = 1, dt = 1e-3 the relative error of T_00 is 4.9e-13 at
+  eps = 1e-4, 1.3e-8 at 1e-6 and 0.98 at 1e-10.
 
 The kinetic scheme evaluates one force per step: a step returns the force at
 its end, and the caller passes it to the next step, which starts from it; no

@@ -15,10 +15,13 @@ and everything here is exact:
   combinations of the drift eigenvalues, at most MAX_LATTICE_ENTRIES
   multi-indices; ``spectral_gap`` reads its gap from the drift eigenvalues
 * ``ou_fundamental``    -- transition kernel of a hypoelliptic linear diffusion
+* ``mode``              -- one mode's (map, noise) over one step: the exact
+  flow of a drift M over t, (e^{tM}, Gram integral of (M, 2D)), or one step
+  of a particle stepper's scheme under M
 * ``affine_laws``       -- the one Gaussian-law recursion mu -> Phi mu,
-  Sigma -> Phi~ Sigma Phi~^T + Q, stacked over k steps in blocks of steps
-  (agrees with the step-by-step loop to rounding); ``flow_maps`` gives its
-  exact time-t maps (e^{tB}, e^{t(B+K)}, Gram integral of (B+K, 2D))
+  Sigma -> Phi~ Sigma Phi~^T + Q of a mean mode (B) and a fluctuation mode
+  (B + K), stacked over k steps in blocks of steps (agrees with the
+  step-by-step loop to rounding)
 * ``meanfield_green``   -- Gaussian law of the mean-field dynamics
   dX = BX dt + K(X - <X>) dt + sqrt(2D) dW started at a point:
   mean e^{tB} x0, covariance int_0^t e^{s(B+K)} (2D) e^{s(B+K)^T} ds
@@ -377,21 +380,54 @@ def whole_steps(t: float, dt: float) -> int:
     return k
 
 
-def affine_laws(Phi, Phi_t, Q, mean, cov, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laws k = 0..n_steps of mu -> Phi mu, Sigma -> Phi_t Sigma Phi_t^T + Q from (mean, cov).
+def mode(M, D, step) -> tuple[np.ndarray, np.ndarray]:
+    """One mode of a Gaussian law: the (map, noise) of one step of dX = MX dt + sqrt(2D) dW.
 
+    A Gaussian law moves in two modes (see :func:`affine_laws`): its mean
+    with the drift B, its fluctuations with B + K (``split_BK``).  ``step`` is
+    either a time t >= 0, for the exact flow over t: (e^{tM}, Gram integral
+    of (M, 2D) over t); or a particle stepper of ``glekit.particles``, for
+    the one step of its dt that its scheme takes under M, a drift of the
+    stepper's own model (B or B + K).  Euler-Maruyama gives
+    (I + dt M, noise_std^2 I).  B-A-O-A-B gives (R O A F, R V R^T), R = F A,
+    where F and A are the exact half steps of M's force block on q and of its
+    position rows, O is the stepper's exact (p, z) map ``T`` and V its noise
+    ``S S^T``, each padded to the whole state with the identity (V with
+    zeros).  D enters only the exact flow; a stepper injects its own noise.
+    """
+    if not hasattr(step, "dt"):  # a time, not a stepper
+        return mk.expm(step * M), mk.gram_integral(M, 2.0 * D, step)
+    dt, d, eye = step.dt, step.d, np.eye(M.shape[0])
+    if step.kind is Kind.OVERDAMPED:
+        return eye + dt * M, step.noise_std**2 * eye
+    kick, drift, o_map, o_noise = eye.copy(), eye.copy(), eye.copy(), np.zeros_like(eye)
+    kick[d : 2 * d, :d] = 0.5 * dt * M[d : 2 * d, :d]
+    drift[:d, d : 2 * d] = 0.5 * dt * M[:d, d : 2 * d]
+    o_map[d:, d:] = step.T
+    o_noise[d:, d:] = step.S @ step.S.T
+    tail = kick @ drift
+    return tail @ o_map @ drift @ kick, tail @ o_noise @ tail.T
+
+
+def affine_laws(mean_mode, fluct_mode, mean, cov, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laws k = 0..n_steps of mu -> Phi mu, Sigma -> Phi~ Sigma Phi~^T + Q from (mean, cov).
+
+    ``mean_mode`` = (Phi, Q_mean) and ``fluct_mode`` = (Phi~, Q) are the two
+    modes of :func:`mode`: the mean moves with the first map, and the
+    covariance with the second map and noise (Q_mean is not used here).
     Returns the means (n_steps + 1, n) and the covariances (n_steps + 1, n, n),
     each covariance after the start symmetrized as (c + c^T) / 2.
 
     Laws 1..b, b = _LAW_BLOCK = 64, are computed one step at a time, so for
     n_steps <= b the result is bitwise that of the sequential loop.  Later
     laws come in whole blocks of b, each from the block before it by
-    one batched product: mu_{k+b} = Phi^b mu_k and Sigma_{k+b} = Phi_t^b
-    Sigma_k Phi_t^bT + Q_b, where Q_b = sum_{j<b} Phi_t^j Q Phi_t^jT.  The
+    one batched product: mu_{k+b} = Phi^b mu_k and Sigma_{k+b} = Phi~^b
+    Sigma_k Phi~^bT + Q_b, where Q_b = sum_{j<b} Phi~^j Q Phi~^jT.  The
     b-step maps are built by log2(b) doublings, which round less than b
     single steps.  The block form agrees with the loop to rounding and is no
     less accurate against the exact law.
     """
+    (Phi, _), (Phi_t, Q) = mean_mode, fluct_mode
     n = Phi.shape[0]
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -421,19 +457,14 @@ def affine_laws(Phi, Phi_t, Q, mean, cov, n_steps: int) -> tuple[np.ndarray, np.
     return means, covs
 
 
-def flow_maps(B, K, D, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact time-t maps (e^{tB}, e^{t(B+K)}, Gram integral of (B+K, 2D)) for affine_laws."""
-    M = B + K
-    return mk.expm(t * B), mk.expm(t * M), mk.gram_integral(M, 2.0 * D, t)
-
-
 def propagate_gaussian(B, K, D, t: float, law: GaussianLaw) -> GaussianLaw:
     """Gaussian law at time t of dX = BX dt + K(X - <X>) dt + sqrt(2D) dW from ``law``.
 
     Mean e^{tB} mu (K drops out of the mean equation); covariance the solution
     of the Lyapunov flow dS/dt = (B+K)S + S(B+K)^T + 2D from S(0) = Sigma.
     """
-    mean, cov = affine_laws(*flow_maps(*_flow_inputs(B, K, D, t), t), law.mean, law.cov, 1)
+    B, K, D = _flow_inputs(B, K, D, t)
+    mean, cov = affine_laws(mode(B, D, t), mode(B + K, D, t), law.mean, law.cov, 1)
     return GaussianLaw(mean=mean[-1], cov=cov[-1])
 
 
@@ -503,36 +534,19 @@ def stepper_law(stepper, mean, cov, n_steps: int) -> GaussianLaw:
     For quadratic V and a Curie-Weiss U every stepper of ``glekit.particles``
     is affine in the state, and the interaction enters only through
     q - mean(q).  So the ensemble mean follows mu -> Phi mu, where Phi is the
-    one-step map with force constant omega2, and the fluctuations follow
-    Sigma -> Phi~ Sigma Phi~^T + Q, where Phi~ uses omega2 + eta2 and Q is
-    the step's injected noise carried through the rest of the step.  The
-    maps are read from the stepper's own ``dt`` and ``noise_std`` or exact
-    (p, z) map ``T``, ``S``, so comparing the result with
-    :func:`meanfield_law` gives the scheme's weak bias with no Monte Carlo
-    noise.  Euler-Maruyama has bias O(dt); the B-A-O-A-B splittings have
-    O(dt^2), with a constant that stays bounded, though not constant, as the
-    white-noise scaling lam/eps, A/eps^2 sends eps -> 0.
+    one-step map with force constant omega2 (B), and the fluctuations follow
+    Sigma -> Phi~ Sigma Phi~^T + Q, where Phi~ uses omega2 + eta2 (B + K) and
+    Q is the step's injected noise carried through the rest of the step:
+    the two scheme modes of :func:`mode`.  They are read from the stepper's
+    own ``dt`` and ``noise_std`` or exact (p, z) map ``T``, ``S``, so
+    comparing the result with :func:`meanfield_law` gives the scheme's weak
+    bias with no Monte Carlo noise.  Euler-Maruyama has bias O(dt); the
+    B-A-O-A-B splittings have O(dt^2).  Under the white-noise scaling
+    lam/eps, A/eps^2 the constant stays bounded only while ``T`` is
+    accurate, and ``matrixkit.expm`` loses it as eps falls: the relative
+    error of T_00 is 4.9e-13 at eps = 1e-4, 1.3e-8 at 1e-6 and 0.98 at
+    1e-10 (lam = A = 1, dt = 1e-3).
     """
-    model = stepper.model
-    d, dt, n = model.d, stepper.dt, model.state_dim()
-    eye = np.eye(n)
-    # the kinetic kinds: the half drift, and the O step's map and noise covariance
-    o_map, o_noise, drift = eye.copy(), np.zeros((n, n)), eye.copy()
-    if model.kind is not Kind.OVERDAMPED:
-        o_map[d:, d:] = stepper.T
-        o_noise[d:, d:] = stepper.S @ stepper.S.T
-        drift[:d, d : 2 * d] = 0.5 * dt * np.eye(d)
-
-    def one_step(c):
-        """The step's affine map under force constant c, and the noise it injects."""
-        if model.kind is Kind.OVERDAMPED:
-            return (1.0 - dt * c) * eye, stepper.noise_std**2 * eye
-        kick = eye.copy()
-        kick[d : 2 * d, :d] = -0.5 * dt * c * np.eye(d)
-        tail = kick @ drift
-        return tail @ o_map @ drift @ kick, tail @ o_noise @ tail.T
-
-    Phi, _ = one_step(model.omega2)
-    Phi_t, Q = one_step(model.omega2 + model.eta2)
-    means, covs = affine_laws(Phi, Phi_t, Q, mean, cov, n_steps)
+    B, K, D = split_BK(stepper.model)
+    means, covs = affine_laws(mode(B, D, stepper), mode(B + K, D, stepper), mean, cov, n_steps)
     return GaussianLaw(mean=means[-1], cov=covs[-1])

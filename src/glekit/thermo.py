@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, SingularCovariance
 from .model import Kind, ValidatedModel
-from .quadratic import GaussianLaw, affine_laws, check_covariances, flow_maps, split_BK, whole_steps
+from .quadratic import GaussianLaw, affine_laws, check_covariances, mode, split_BK, whole_steps
 from .stationary import GridDensity, d_axis, grid_memory
 
 LOG_FLOOR = 1e-300
@@ -205,10 +205,10 @@ def evolve_coupled(law: GaussianLaw, model: ValidatedModel, dt: float, T: float)
     """March the Gaussian law exactly from ``law``, and the auxiliary energy e from 0 by trapezoid.
 
     The law propagates by ``quadratic.affine_laws`` with the exact one-step
-    maps of ``quadratic.flow_maps`` (matrix exponentials and the one-step
-    Gram integral), which agrees with the step-by-step loop to rounding.  So
-    E-drift measures only the second-order trapezoid error of e: halving dt
-    cuts the drift about fourfold.  The law must fit the model, and T must be
+    modes of ``quadratic.mode`` for B and B + K (matrix exponentials and
+    one-step Gram integrals), which agrees with the step-by-step loop to
+    rounding.  So E-drift measures only the second-order trapezoid error of
+    e: halving dt cuts the drift about fourfold.  The law must fit the model, and T must be
     a whole number k >= 1 of steps dt > 0 (``quadratic.whole_steps``), else
     :class:`ShapeMismatch`, so the last row is at T.  Every covariance passes the symmetric-PSD check of a
     Gaussian law and must be nonsingular (:class:`SingularCovariance`
@@ -217,7 +217,8 @@ def evolve_coupled(law: GaussianLaw, model: ValidatedModel, dt: float, T: float)
     """
     _check_law(law, model)
     n_steps = whole_steps(T, dt)
-    mean, cov = affine_laws(*flow_maps(*split_BK(model), dt), law.mean, law.cov, n_steps)
+    B, K, D = split_BK(model)
+    mean, cov = affine_laws(mode(B, D, dt), mode(B + K, D, dt), law.mean, law.cov, n_steps)
     L = _factor(cov)
 
     H = _hamiltonian_of(model, mean, cov)

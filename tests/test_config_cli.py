@@ -861,6 +861,41 @@ def test_whitenoise_without_a_closed_form_reference_fails_before_its_first_step(
     assert steps == []
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning may precede the error
+@pytest.mark.parametrize("epsilons", ["1e300,1e299", "1e-300,1e-301", "0.5,1e-300"],
+                         ids=["eps^2 overflows", "A/eps^2 overflows", "after a good eps"])
+def test_an_epsilon_that_scales_the_memory_out_of_the_float_range_is_one_shape_mismatch(
+        tmp_path, capsys, monkeypatch, epsilons):
+    # eps**2 of 1e300 was an untyped OverflowError, and A/eps^2 at 1e-300 leaked a
+    # RuntimeWarning after a whole good eps was stepped; every eps is scaled first
+    steps = []
+    step = particles._Stepper.step
+    monkeypatch.setattr(particles._Stepper, "step",
+                        lambda self, ens, force=None: steps.append(1) or step(self, ens, force))
+    out = tmp_path / "out"
+    assert run_cli(["whitenoise", "--config", QUAD_GMV, "--out", out,
+                    "--epsilons", epsilons, *WHITENOISE_FLAGS]) == 1
+    assert _one_error_line(capsys, out).startswith("ShapeMismatch: epsilon ")
+    assert steps == []
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 72.8 TiB for an array with shape (3, 10000000000000) "
+                 "and data type float64"), "RunTooLarge: Unable to allocate 72.8 TiB"),
+    (MemoryError(), "RunTooLarge: out of memory"),
+], ids=["numpy", "bare"])
+def test_a_memory_error_in_a_run_is_one_typed_line(tmp_path, capsys, monkeypatch, exc, line):
+    # was an untyped _ArrayMemoryError traceback; the callee raises instead of allocating
+    def simulate(*args):
+        raise exc
+
+    monkeypatch.setattr(particles, "simulate", simulate)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", QUAD_GMV, "--out", out, "--n", "4",
+                    "--t-final", "0.01", "--dt", "0.005"]) == 1
+    assert _one_error_line(capsys, out).startswith(line)
+
+
 def test_thermo_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
     # 1 / 0.3 steps: the rows would stop at t = 0.9 under a summary saying T = 1
     code = run_cli(

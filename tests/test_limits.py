@@ -74,7 +74,9 @@ def test_effective_gamma_is_scaling_invariant(lam, alpha, eps):
 
 
 @pytest.mark.parametrize(
-    "epsilons", [(0.5, 0.0), (0.5, math.nan), (math.inf, 0.5)], ids=["zero", "nan", "inf"]
+    "epsilons",
+    [(0.5, 0.0), (0.5, math.nan), (math.inf, 0.5), (1e300, 1e299), (1e-300, 1e-301)],
+    ids=["zero", "nan", "inf", "eps^2 overflows", "A/eps^2 overflows"],
 )
 def test_scaling_study_rejects_an_epsilon_that_is_not_finite_and_positive(epsilons):
     # checked before any step, so no eps is simulated before the bad one is reached;

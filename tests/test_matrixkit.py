@@ -171,6 +171,13 @@ def test_gram_integral_scalar():
         assert G[0, 0] == pytest.approx((1 - np.exp(-2 * t)) / 2, rel=1e-12)
 
 
+def test_gram_integral_that_overflows_is_a_matrix_overflow():
+    # e^{400} is finite, but the integral of e^{2s} over [0, 400] is not: the interval
+    # doubling overflowed in matmul with a RuntimeWarning and returned inf
+    with pytest.raises(MatrixOverflow, match="Gram integral"):
+        mk.gram_integral(np.array([[1.0]]), np.array([[2.0]]), 400.0)
+
+
 def test_gram_integral_vs_quadrature_oracle(rng):
     B = rng.uniform(-1.0, 1.0, (3, 3)) - 2.0 * np.eye(3)
     R = rng.uniform(-1.0, 1.0, (3, 3))

@@ -673,6 +673,28 @@ def test_stepper_law_bias_order(label, model, x0, lo, hi):
         assert fine <= 1e-5, f"{label}: bias {fine}"
 
 
+@pytest.mark.parametrize(
+    "conf, floor",
+    [(CONFIGS / "quadratic_gmv.conf", 2.8), (CONFIGS / "quadratic_umv.conf", 2.8),
+     (CONFIGS.parent / "bench" / "quadratic_omv.conf", 1.8)],
+    ids=["generalized", "underdamped", "overdamped"],
+)
+def test_each_scheme_mode_has_its_local_order_against_the_exact_mode(conf, floor):
+    # one step: B-A-O-A-B is off the exact flow by O(dt^3), Euler-Maruyama by O(dt^2),
+    # in the map and in the noise, for the mean mode B and the fluctuation mode B + K
+    model = load_config(conf).model()
+    B, K, D = qa.split_BK(model)
+    dts = [0.04 / 2**k for k in range(5)]
+    for M in (B, B + K):
+        errs = np.array([
+            [np.max(np.abs(s - e))
+             for s, e in zip(qa.mode(M, D, make_stepper(model, dt)), qa.mode(M, D, dt))]
+            for dt in dts
+        ])
+        slopes = np.log2(errs[:-1] / errs[1:])
+        assert np.all(slopes >= floor), f"log2 error slopes {slopes.T}"
+
+
 def _sequential_laws(Phi, Phi_t, Q, mean, cov, n_steps):
     """The law recursion one step at a time, each covariance symmetrized as (c + c^T) / 2."""
     means, covs = [np.asarray(mean, dtype=float)], [np.asarray(cov, dtype=float)]
@@ -698,7 +720,7 @@ def test_block_laws_equal_the_sequential_loop(n_steps):
     Q = 0.01 * (R @ R.T)
     mean = np.array([1.0, -0.5, 0.25])
     cov = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]])
-    means, covs = qa.affine_laws(Phi, Phi_t, Q, mean, cov, n_steps)
+    means, covs = qa.affine_laws((Phi, None), (Phi_t, Q), mean, cov, n_steps)
     want_means, want_covs = _sequential_laws(Phi, Phi_t, Q, mean, cov, n_steps)
     assert means.shape == (n_steps + 1, n) and covs.shape == (n_steps + 1, n, n)
     assert np.array_equal(covs, np.swapaxes(covs, 1, 2))
@@ -717,9 +739,10 @@ def test_block_laws_are_no_less_accurate_than_the_loop_against_the_exact_law():
     cov = law0.cov.copy()
     cov[2:, 2:] *= 2.0
     dt, n_steps = 1e-3, 5000
-    maps = qa.flow_maps(B, K, D, dt)
-    _, covs = qa.affine_laws(*maps, law0.mean, cov, n_steps)
-    _, loop_covs = _sequential_laws(*maps, law0.mean, cov, n_steps)
+    modes = qa.mode(B, D, dt), qa.mode(B + K, D, dt)
+    (Phi, _), (Phi_t, Q) = modes
+    _, covs = qa.affine_laws(*modes, law0.mean, cov, n_steps)
+    _, loop_covs = _sequential_laws(Phi, Phi_t, Q, law0.mean, cov, n_steps)
     ks = range(500, n_steps + 1, 500)
     exact = [qa.propagate_gaussian(B, K, D, k * dt, qa.GaussianLaw(law0.mean, cov)).cov for k in ks]
     block_err = max(np.max(np.abs(covs[k] - ref)) for k, ref in zip(ks, exact))
